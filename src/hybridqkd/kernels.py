@@ -8,10 +8,21 @@ numba is not importable.  ``implementations()`` exposes both builds so tests
 can assert equality and the benchmark can time them against each other.
 
 The scalar loops (``_*_impl``) define each kernel and are what numba
-compiles.  The numpy builds vectorize them: the dead-time filter and the
-difference histogram entirely, coincidence matching everywhere except
-inside the rare clusters of tags whose choices conflict, where it runs the
-loop itself.
+compiles.  The numpy builds vectorize them: the dead-time filter entirely,
+the difference histogram by expanding pairs in chunks of about 2**17
+(about 1 MB per array, so a chunk stays in cache), and coincidence
+matching everywhere except inside the rare clusters of tags whose choices
+conflict, where it runs the loop itself.
+
+``binned_correlation`` has one build.  It counts the pairs of two streams
+by the difference of their binned times with FFTs, at a cost that grows
+with the time the streams span rather than with the number of pairs.
+``tags.estimate_delay`` uses it to locate a dense correlation peak before
+counting exactly near it.  Measured with numpy 2.4 on a 2-vCPU x86 VM on
+the 2**18-tag prefixes of the 1 s paper streams: the numpy difference
+histogram costs about 7 ns per pair, and the correlation at 4 x 4096 ps
+bins costs about 15 ns per 4096 ps of span.  The numba build's per-pair
+cost has not been measured against it.
 
 All times are int64 picoseconds and all inputs must be sorted ascending.
 """
@@ -253,30 +264,89 @@ def _diff_histogram_impl(a, b, lo, hi, bin_width):
 _diff_histogram_nb = njit(cache=True)(_diff_histogram_impl) if NUMBA_AVAILABLE else None
 
 
-def _diff_histogram_np(a, b, lo, hi, bin_width, _max_expand=4_000_000):
+def _diff_histogram_np(a, b, lo, hi, bin_width, _chunk=1 << 17):
+    """``_diff_histogram_impl`` expanding the pairs in cache-sized chunks.
+
+    Pairs are numbered in a-major order; pair p of a[i] pairs it with
+    b[first[i] + p - start[i]], where start[i] is the number of pairs of
+    the tags before a[i].  Each chunk holds the pairs of whole a-tags.
+    """
     nbins = int((hi - lo + bin_width - 1) // bin_width)
     counts = np.zeros(nbins, dtype=np.int64)
-    lo_idx = np.searchsorted(b, a + lo, side="left")
-    hi_idx = np.searchsorted(b, a + hi, side="left")
-    counts_per_a = hi_idx - lo_idx
-    # process a-tags in slices whose expanded pair count stays bounded
-    cum = np.cumsum(counts_per_a)
-    start = 0
-    while start < a.shape[0]:
-        base = cum[start - 1] if start > 0 else 0
-        stop = int(np.searchsorted(cum, base + _max_expand, side="left")) + 1
-        stop = min(max(stop, start + 1), a.shape[0])
-        cpa = counts_per_a[start:stop]
-        total = int(cpa.sum())
-        if total:
-            rep_a = np.repeat(a[start:stop], cpa)
-            starts = np.cumsum(cpa) - cpa
-            offsets = np.arange(total) - np.repeat(starts, cpa)
-            bidx = np.repeat(lo_idx[start:stop], cpa) + offsets
-            diffs = b[bidx] - rep_a
-            counts += np.bincount((diffs - lo) // bin_width, minlength=nbins)
-        start = stop
+    first = np.searchsorted(b, a + lo, side="left")
+    per_a = np.searchsorted(b, a + hi, side="left")
+    per_a -= first
+    ends = np.cumsum(per_a)
+    if ends.size == 0 or ends[-1] == 0:
+        return counts
+    first -= ends
+    first += per_a  # now first[i] - start[i]
+    ramp = np.arange(min(int(ends[-1]), _chunk), dtype=np.int64)
+    begin, n = 0, a.shape[0]
+    while begin < n:
+        base = int(ends[begin - 1]) if begin else 0
+        stop = int(np.searchsorted(ends, base + _chunk, side="right"))
+        stop = min(max(stop, begin + 1), n)
+        cnt = per_a[begin:stop]
+        size = int(ends[stop - 1]) - base
+        if size:
+            if size > ramp.shape[0]:  # one tag with more pairs than a chunk
+                ramp = np.arange(size, dtype=np.int64)
+            idx = np.repeat(first[begin:stop] + base, cnt)
+            idx += ramp[:size]
+            diffs = b[idx]
+            diffs -= np.repeat(a[begin:stop] + lo, cnt)
+            diffs //= bin_width
+            counts += np.bincount(diffs, minlength=nbins)
+        begin = stop
     return counts
+
+
+def binned_correlation(a, b, lo: int, nlags: int, bin_width: int,
+                       _block: int = 1 << 20) -> np.ndarray:
+    """Pair counts by binned difference: entry k counts the pairs with
+    floor((b[j] - o) / w) - floor((a[i] + lo - o) / w) == k, for k in
+    [0, nlags), with a common origin o.
+
+    A pair with b[j] - a[i] in [lo + k*w, lo + (k+1)*w) lands in entry k
+    or k + 1, so these are counts of ``diff_histogram`` bins blurred by
+    one bin, computed without visiting the pairs.  One numpy build:
+    overlap-save with real FFTs of length ``_block`` (at least 2 * nlags),
+    the cross-spectrum of every block summed, one inverse transform.
+    The float error of an entry grows with the product of the two
+    streams' norms; for prefixes of 2**18 tags it is below 1e-6, so
+    rounding recovers the integer counts.
+    """
+    a = _as_i64(a)
+    b = _as_i64(b)
+    if a.size == 0 or b.size == 0:
+        return np.zeros(nlags, dtype=np.int64)
+    origin = min(int(a[0]) + lo, int(b[0]))
+    ia = (a + (lo - origin)) // bin_width
+    ib = (b - origin) // bin_width
+    # short inputs take one block just long enough
+    need = int(ia[-1] - ia[0]) + nlags
+    block = max(min(_block, 1 << (need - 1).bit_length()), 16)
+    while block < 2 * nlags:
+        block *= 2
+    step = block - nlags + 1  # a-bins per block whose lags do not wrap
+    spectrum = np.zeros(block // 2 + 1, dtype=np.complex128)
+    for first in range(int(ia[0]), int(ia[-1]) + 1, step):
+        sa = np.searchsorted(ia, (first, first + step))
+        if sa[0] == sa[1]:
+            continue
+        sb = np.searchsorted(ib, (first, first + block))
+        if sb[0] == sb[1]:
+            continue
+        fa = np.fft.rfft(np.bincount(ia[sa[0]:sa[1]] - first, minlength=step),
+                         block)
+        fb = np.fft.rfft(np.bincount(ib[sb[0]:sb[1]] - first,
+                                     minlength=block), block)
+        np.conjugate(fa, out=fa)
+        fa *= fb
+        spectrum += fa
+    corr = np.fft.irfft(spectrum, block)[:nlags]
+    return np.rint(corr).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------

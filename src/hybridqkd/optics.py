@@ -490,7 +490,10 @@ def _finalize_party(acc: _PartyAccumulator, station: Station, party: str,
         times, ports, emission = times[ok], ports[ok], emission[ok]
         setting, outcome, bins = setting[ok], outcome[ok], bins[ok]
 
-    order = np.lexsort((ports, times))
+    # time-major, port-minor order from one stable sort of a packed key
+    if times.size and times.max() >= 2**55:
+        raise ValueError("tag times of 2**55 ps or more overflow the sort key")
+    order = np.argsort((times << 8) | ports, kind="stable")
     times, ports = times[order], ports[order]
     emission, setting = emission[order], setting[order]
     outcome, bins = outcome[order], bins[order]

@@ -973,6 +973,9 @@ class BobSession:
         if positions.size and (positions.min() < 0
                                or positions.max() >= key_count):
             raise ProtocolViolation("sample position out of range")
+        if (np.diff(positions) <= 0).any():
+            raise ProtocolViolation("sample positions are not strictly "
+                                    "increasing")
         if positions.size != alice_sample_bits.size:
             raise ProtocolViolation("sample bits do not match positions")
         if params.qber_mode == "offline":

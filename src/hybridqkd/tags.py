@@ -70,6 +70,13 @@ class InsufficientStatisticsError(ValueError):
 # delay estimation
 # ---------------------------------------------------------------------------
 
+# The coarse search locates a dense prefix's peak by FFT instead of
+# visiting every pair (see ``estimate_delay``): at this many coarse bins
+# per correlation bin, and above this many pairs per coarse bin spanned.
+_LOCATE_BINS = 4
+_FFT_PAIRS_PER_BIN = 3
+
+
 @dataclass(frozen=True)
 class DelayEstimate:
     """Result of the cross-correlation delay search."""
@@ -145,9 +152,18 @@ def _refine_centroid(hist: np.ndarray, peak: int, background_mean: float) -> flo
     return centroid(int(round(centroid(peak))))
 
 
-def _check_peak(hist: np.ndarray, peak: int, min_significance: float,
-                max_false_alarm: float, min_peak_count: int):
-    """Demand the peak stand out from a Poisson-flat background.
+def _background_mean(hist: np.ndarray, peak: int) -> float:
+    """Mean of the bins outside the five centred on ``peak``."""
+    nbins = hist.shape[0]
+    bg = np.delete(hist, slice(max(0, peak - 2), min(nbins, peak + 3)))
+    return float(bg.mean()) if bg.size else 0.0
+
+
+def _check_peak(peak_count: int, mu: float, nbins: int,
+                min_significance: float, max_false_alarm: float,
+                min_peak_count: int) -> float:
+    """Demand the peak stand out from a Poisson-flat background of mean
+    ``mu`` over ``nbins`` bins; returns its significance.
 
     Two tests must both pass: the peak exceeds the off-peak mean by
     ``min_significance`` standard deviations, and the Bonferroni-corrected
@@ -156,10 +172,6 @@ def _check_peak(hist: np.ndarray, peak: int, min_significance: float,
     independent streams, where a lucky accidental bin can clear a
     mean-based threshold alone.
     """
-    nbins = hist.shape[0]
-    peak_count = int(hist[peak])
-    bg = np.delete(hist, slice(max(0, peak - 2), min(nbins, peak + 3)))
-    mu = float(bg.mean()) if bg.size else 0.0
     sigma = math.sqrt(max(mu, 1e-9))
     significance = (peak_count - mu) / sigma
     if peak_count < min_peak_count:
@@ -174,7 +186,46 @@ def _check_peak(hist: np.ndarray, peak: int, min_significance: float,
         raise NoCorrelationError(
             "peak is consistent with an accidental fluctuation "
             f"(log tail bound {log_tail:.1f} over {nbins} bins)")
-    return peak_count, mu, significance
+    return significance
+
+
+def _located_coarse_peak(ca, cb, lo: int, hi: int, width: int, nbins: int,
+                         pairs: int, checks) -> int | None:
+    """The coarse peak bin of the full histogram, found from exact counts
+    near the peak of an FFT cross-correlation, or None if those counts
+    fail the checks.
+
+    ``kernels.binned_correlation`` at ``_LOCATE_BINS`` coarse bins per
+    bin puts a pair of located bin K in entry K or K + 1.  Exact counts on
+    the coarse bins of located bins K - 1 to K + 1, and three more on each
+    side, give ``_peak_bin``'s choice among those centres and the five
+    bins ``_background_mean`` leaves out; the remaining bins hold
+    ``pairs`` minus those five, so the mean is the one the full
+    histogram gives.
+    """
+    step = _LOCATE_BINS
+    corr = kernels.binned_correlation(ca, cb, lo, -(-nbins // step) + 1,
+                                      step * width)
+    located = _peak_bin(corr[:-1] + corr[1:], smooth_bins=3)
+    c0, c1 = max(0, step * (located - 1)), min(nbins, step * (located + 2))
+    k0, k1 = max(0, c0 - 3), min(nbins, c1 + 3)
+    near = kernels.diff_histogram(ca, cb, lo + k0 * width,
+                                  min(hi, lo + k1 * width), width)
+    padded = np.zeros(near.shape[0] + 2, dtype=np.int64)
+    padded[1:-1] = near  # zeros beyond the ends of the full histogram
+    windowed = padded[:-2] + padded[1:-1] + padded[2:]
+    center = c0 + int(np.argmax(windowed[c0 - k0:c1 - k0]))
+    first = max(0, center - 1)
+    peak = first + int(np.argmax(near[first - k0:min(nbins, center + 2) - k0]))
+    left, right = max(0, peak - 2), min(nbins, peak + 3)
+    rest = nbins - (right - left)
+    mu = float(pairs - int(near[left - k0:right - k0].sum())) / rest \
+        if rest else 0.0
+    try:
+        _check_peak(int(near[peak - k0]), mu, nbins, *checks)
+    except NoCorrelationError:
+        return None
+    return peak
 
 
 def estimate_delay(a, b, search_range_ps: int = 2**28, bin_width_ps: int = 16,
@@ -190,6 +241,24 @@ def estimate_delay(a, b, search_range_ps: int = 2**28, bin_width_ps: int = 16,
     An exact fine histogram at ``bin_width_ps`` around the coarse peak then
     gives the delay as the peak bin's center.
 
+    How the coarse peak is found depends on how dense the prefixes are.
+    Two ``searchsorted`` calls count the pairs in range first.
+
+    * Sparse prefixes, with at most ``_FFT_PAIRS_PER_BIN`` pairs per coarse
+      bin spanned (the span of Alice's prefix plus the search range), get
+      the full histogram: every pair is visited.
+    * Dense prefixes locate the peak with an FFT cross-correlation and
+      count exactly only the coarse bins near it (``_located_coarse_peak``).
+      The pair count gives the background mean the full histogram would
+      give.  If those counts fail the peak checks, the full histogram
+      decides, so a rejection carries the same message on both paths.
+
+    The paths pick the same peak unless some background bin far from the
+    located peak beats it, which is what the false-alarm test bounds.  The
+    threshold of 3 is a little above the measured break-even of about 2.2:
+    7 ns per pair against 15 ns per coarse bin spanned (numpy build; see
+    ``kernels``).
+
     Raises InsufficientDataError for empty streams and NoCorrelationError
     when no significant peak exists (e.g. independent streams).
     """
@@ -203,13 +272,26 @@ def estimate_delay(a, b, search_range_ps: int = 2**28, bin_width_ps: int = 16,
         raise ValueError("search_range_ps must cover at least one bin")
     coarse_bin_ps = max(bin_width_ps, coarse_bin_ps)
 
+    checks = (min_significance, max_false_alarm, min_peak_count)
+
     # --- coarse stage ---------------------------------------------------
     ca, cb = ta[:max_coarse_tags], tb[:max_coarse_tags]
-    hist = kernels.diff_histogram(ca, cb, -search_range_ps, search_range_ps,
-                                  coarse_bin_ps)
-    peak = _peak_bin(hist, smooth_bins=3)
-    _check_peak(hist, peak, min_significance, max_false_alarm, min_peak_count)
-    coarse_center = -search_range_ps + peak * coarse_bin_ps + coarse_bin_ps // 2
+    lo, hi = -search_range_ps, search_range_ps
+    nbins = -(-(hi - lo) // coarse_bin_ps)
+    pairs = int((np.searchsorted(cb, ca + hi)
+                 - np.searchsorted(cb, ca + lo)).sum())
+    spanned = int(ca[-1] - ca[0]) // coarse_bin_ps + nbins
+    peak = None
+    # on three bins or fewer _peak_bin does not smooth; keep those exact
+    if nbins > 3 and pairs > _FFT_PAIRS_PER_BIN * spanned:
+        peak = _located_coarse_peak(ca, cb, lo, hi, coarse_bin_ps, nbins,
+                                    pairs, checks)
+    if peak is None:
+        hist = kernels.diff_histogram(ca, cb, lo, hi, coarse_bin_ps)
+        peak = _peak_bin(hist, smooth_bins=3)
+        _check_peak(int(hist[peak]), _background_mean(hist, peak), nbins,
+                    *checks)
+    coarse_center = lo + peak * coarse_bin_ps + coarse_bin_ps // 2
 
     # --- fine stage -------------------------------------------------------
     span = 2 * coarse_bin_ps
@@ -218,8 +300,9 @@ def estimate_delay(a, b, search_range_ps: int = 2**28, bin_width_ps: int = 16,
     hist = kernels.diff_histogram(fa, fb, lo, coarse_center + span,
                                   bin_width_ps)
     peak = _peak_bin(hist, smooth_bins=5)
-    peak_count, mu, significance = _check_peak(
-        hist, peak, min_significance, max_false_alarm, min_peak_count)
+    peak_count = int(hist[peak])
+    mu = _background_mean(hist, peak)
+    significance = _check_peak(peak_count, mu, hist.shape[0], *checks)
     center = _refine_centroid(hist, peak, mu)
     delay = lo + int(round(center * bin_width_ps)) + bin_width_ps // 2
     return DelayEstimate(delay_ps=int(delay), significance=float(significance),
@@ -236,16 +319,13 @@ def match_coincidences(a, b, window_ps: int, delay_ps: int):
 
     Greedy in global time order: each tag pairs with its nearest unpaired
     counterpart, distance ties breaking toward the earlier counterpart.
-    Returns (alice_indices, bob_indices), sorted by Alice index; each tag
-    appears at most once.
+    Returns (alice_indices, bob_indices), both strictly increasing (greedy
+    pairs never cross); each tag appears at most once.
     """
     if window_ps < 1:
         raise ValueError("window_ps must be >= 1")
     ta, tb = _times(a), _times(b)
-    ai, bi = kernels.match_nearest(ta, tb - np.int64(delay_ps),
-                                   window_ps // 2)
-    order = np.argsort(ai, kind="stable")
-    return ai[order], bi[order]
+    return kernels.match_nearest(ta, tb - np.int64(delay_ps), window_ps // 2)
 
 
 # ---------------------------------------------------------------------------

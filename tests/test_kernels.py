@@ -144,6 +144,8 @@ class TestMatchNearest:
             got = impls["numpy"]["match_nearest"](a, b, np.int64(w))
             np.testing.assert_array_equal(got[0], ref[0])
             np.testing.assert_array_equal(got[1], ref[1])
+            # pairs never cross: ascending on both streams
+            assert (np.diff(got[0]) > 0).all() and (np.diff(got[1]) > 0).all()
             if n and m:
                 lo = np.searchsorted(b, a - w, side="left")
                 hi = np.searchsorted(b, a + w, side="right")
@@ -197,6 +199,32 @@ class TestDiffHistogram:
         with pytest.raises(ValueError):
             kernels.diff_histogram(a, a, 0, 10, 0)
 
+    def test_numpy_build_exact_across_chunks(self, impls):
+        # the numpy build expands the pairs chunk by chunk; chunk sizes of
+        # one pair, of less than one tag's pairs and the default all must
+        # reproduce the reference loop
+        rng = np.random.default_rng(9)
+        fn = impls["numpy"]["diff_histogram"]
+        for trial in range(40):
+            span = int(rng.choice([300, 20_000, 10**6]))
+            a = random_sorted_times(rng, int(rng.integers(0, 400)), span)
+            b = random_sorted_times(rng, int(rng.integers(0, 400)), span)
+            lo = int(rng.integers(-span, span // 4))
+            hi = lo + int(rng.integers(1, span))
+            w = int(rng.integers(1, 500))
+            ref = kernels._diff_histogram_impl(a, b, lo, hi, w)
+            for chunk in (1, 7, 1000):
+                got = fn(a, b, np.int64(lo), np.int64(hi), np.int64(w), chunk)
+                assert got.dtype == np.int64
+                np.testing.assert_array_equal(got, ref)
+        # several default-size chunks
+        a = random_sorted_times(rng, 3000, 400_000)
+        b = random_sorted_times(rng, 3000, 400_000)
+        args = (np.int64(-40_000), np.int64(50_000), np.int64(1000))
+        ref = kernels._diff_histogram_impl(a, b, *args)
+        assert ref.sum() > 3 * (1 << 17)
+        np.testing.assert_array_equal(fn(a, b, *args), ref)
+
     def test_builds_agree(self, impls):
         if impls["numba"] is None:
             pytest.skip("numba not active")
@@ -209,6 +237,48 @@ class TestDiffHistogram:
                 impls["numpy"]["diff_histogram"](a, b, *args),
                 impls["numba"]["diff_histogram"](a, b, *args),
             )
+
+
+class TestBinnedCorrelation:
+    def test_matches_definition(self):
+        # entry k counts pairs whose binned times differ by k bins; short
+        # blocks force the overlap-save path through many blocks
+        rng = np.random.default_rng(10)
+        for trial in range(60):
+            span = int(rng.choice([10**4, 10**6, 10**8]))
+            a = random_sorted_times(rng, int(rng.integers(1, 300)), span)
+            b = random_sorted_times(rng, int(rng.integers(1, 300)), span)
+            w = int(rng.integers(1, 5000))
+            lo = int(rng.integers(-span // 2, span // 4))
+            nlags = int(rng.integers(1, 3000))
+            block = int(rng.choice([16, 1024, 1 << 20]))
+            got = kernels.binned_correlation(a, b, lo, nlags, w, block)
+            origin = min(a[0] + lo, b[0])
+            lag = ((b[None, :] - origin) // w
+                   - (a[:, None] + lo - origin) // w).ravel()
+            expected = np.bincount(lag[(lag >= 0) & (lag < nlags)],
+                                   minlength=nlags)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, expected)
+
+    def test_blurs_histogram_by_one_bin(self):
+        # every pair of diff_histogram bin k sits in entry k or k + 1
+        rng = np.random.default_rng(11)
+        a = random_sorted_times(rng, 2000, 10**7)
+        b = random_sorted_times(rng, 2000, 10**7)
+        hist = kernels.diff_histogram(a, b, -50_000, 50_000, 1000)
+        corr = kernels.binned_correlation(a, b, -50_000, hist.size + 1, 1000)
+        below = kernels.diff_histogram(a, b, -51_000, -50_000, 1000).sum()
+        total = np.cumsum(corr)
+        assert (total[1:] >= np.cumsum(hist)).all()
+        assert (total[:-1] <= np.cumsum(hist) + below).all()
+
+    def test_empty(self):
+        one = np.array([5], np.int64)
+        empty = np.empty(0, np.int64)
+        assert kernels.binned_correlation(empty, one, 0, 4, 8).tolist() == \
+            [0, 0, 0, 0]
+        assert kernels.binned_correlation(one, empty, 0, 4, 8).sum() == 0
 
 
 class TestDispatch:

@@ -379,6 +379,30 @@ class TestSimulateSession:
         assert res.alice.times.min() >= 0
         assert res.bob.times.min() >= 0
 
+    def test_finalize_orders_by_time_then_port(self):
+        # ties in time and in (time, port) keep their arrival order
+        a, _ = ideal_stations()
+        rng = np.random.default_rng(14)
+        n = 2000
+        times = rng.integers(-3, 40, n).astype(np.float64)
+        ports = rng.choice(a.channel_ids, n).astype(np.uint8)
+        acc = optics._PartyAccumulator()
+        acc.add(times, ports, np.arange(n), np.zeros(n), np.zeros(n),
+                np.zeros(n))
+        stream, emission, *_ = optics._finalize_party(acc, a, "alice", 100)
+        ok = np.flatnonzero(times >= 0)
+        order = ok[np.lexsort((ports[ok], times[ok]))]
+        np.testing.assert_array_equal(emission, order)
+        np.testing.assert_array_equal(stream.times, times[order])
+        np.testing.assert_array_equal(stream.channels, ports[order])
+
+    def test_times_beyond_sort_key_rejected(self):
+        src = SourceModel(pair_rate_hz=0.01)
+        a, b = ideal_stations()
+        with pytest.raises(ValueError, match="2\\*\\*55"):
+            simulate_session(src, DriftModel(), a, b, 2**55 / 1e12 * 1.01,
+                             seed=15)
+
     def test_phase_drift_shifts_interference(self):
         # with a pi offset the interference correlations flip sign
         src = SourceModel(pair_rate_hz=100_000.0, reference_phase=math.pi)

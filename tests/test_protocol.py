@@ -463,6 +463,26 @@ class TestSessionFailures:
         assert "timed out" in str(error)
         assert error.peer_error.peer_stopped
 
+    def test_duplicate_sample_positions_name_bob(self, monkeypatch):
+        # key_count copies of position 0 are in range and, in offline
+        # mode, as many as "every key position"; Bob must refuse them
+        encode = protocol._encode_sample_request
+
+        def duplicated(positions, bits):
+            return encode(np.zeros_like(positions), np.repeat(bits[:1],
+                                                              bits.size))
+        monkeypatch.setattr(protocol, "_encode_sample_request", duplicated)
+        res = simulate(duration=1.0)
+        p = params_for(duration=1.0, qber_mode="offline")
+        with pytest.raises(SessionAbort) as info:
+            run_session(alice_endpoint(p), bob_endpoint(p), res.alice,
+                        res.bob, transport="in-process")
+        error = info.value
+        assert error.party == "bob"
+        assert str(error) == ("bob: protocol violation: sample positions "
+                              "are not strictly increasing")
+        assert error.peer_error.peer_stopped
+
     def test_failure_outside_the_protocol_is_named(self, monkeypatch):
         def broken(self):
             raise RuntimeError("label table missing")

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hybridqkd import optics, tags
+from hybridqkd import kernels, optics, tags
 from hybridqkd.optics import (
     ChannelModel,
     DetectorModel,
@@ -16,6 +16,7 @@ from hybridqkd.optics import (
     bob_station,
     simulate_session,
 )
+import oracle_delay
 from oracle_matching import matching_cost, optimal_matching
 
 IDEAL_DETECTOR = DetectorModel(efficiency=1.0, jitter_fwhm_ps=0.0,
@@ -86,6 +87,97 @@ class TestEstimateDelay:
         b = np.sort(rng.integers(0, 10**12, 20_000))
         est = tags.estimate_delay(b + 250_000, b)
         assert abs(est.delay_ps + 250_000) <= est.bin_width_ps
+
+
+def dense_pair(delay, jitter_ps, seed, correlated=400):
+    """Prefix-sized streams dense enough for the FFT-located coarse peak:
+    8192 tags each in 2**32 ps, ``correlated`` of Bob's copied from
+    Alice's at ``delay`` with Gaussian jitter."""
+    rng = np.random.default_rng(seed)
+    a = np.sort(rng.integers(0, 2**32, 8192))
+    copies = rng.choice(a, correlated, replace=False) + delay
+    copies += np.rint(rng.normal(0.0, jitter_ps, correlated)).astype(np.int64)
+    noise = rng.integers(delay, delay + 2**32, 8192 - correlated)
+    return a, np.sort(np.concatenate([copies, noise]))
+
+
+def spy_coarse_search(monkeypatch):
+    """Record the coarse peak bin of every FFT-located search (None when
+    it fell back to the full histogram) and the (peak count, background
+    mean, bins) of every peak check."""
+    located, checked = [], []
+    locate, check = tags._located_coarse_peak, tags._check_peak
+
+    def locate_spy(*args):
+        located.append(locate(*args))
+        return located[-1]
+
+    def check_spy(peak_count, mu, nbins, *checks):
+        checked.append((peak_count, mu, nbins))
+        return check(peak_count, mu, nbins, *checks)
+    monkeypatch.setattr(tags, "_located_coarse_peak", locate_spy)
+    monkeypatch.setattr(tags, "_check_peak", check_spy)
+    return located, checked
+
+
+class TestCoarseSearchAgainstOracle:
+    """The FFT-located coarse stage returns what the full pair histogram
+    gives, field for field."""
+
+    @pytest.mark.parametrize("delay, jitter_ps", [
+        (-250_000, 100),
+        (4_096_000, 0),        # on a coarse-bin edge
+        (4_096_000, 300),      # straddling it
+        (4_095_999, 0),        # next to it
+        (4_096_001, 100),
+        (-2**28 + 100, 0),     # first coarse bin
+        (-(2**28 - 5000), 100),
+        (2**28 - 5000, 100),
+        (2**28 - 100, 0),      # last coarse bin
+        (2**28 - 100, 60),
+    ])
+    def test_dense_correlated_streams(self, monkeypatch, delay, jitter_ps):
+        a, b = dense_pair(delay, jitter_ps, seed=delay % 1000 + jitter_ps)
+        located, checked = spy_coarse_search(monkeypatch)
+        est = tags.estimate_delay(a, b)
+        assert est == oracle_delay.estimate_delay(a, b)
+        # the located search checked the full histogram's peak and background
+        hist = kernels.diff_histogram(a, b, -2**28, 2**28, 4096)
+        peak = tags._peak_bin(hist, smooth_bins=3)
+        assert located == [peak]
+        full = oracle_delay.check_peak(hist, peak, 5.0, 1e-6, 8)
+        assert checked[0] == (full[0], full[1], hist.size)
+        assert abs(est.delay_ps - delay) <= 2 * est.bin_width_ps + jitter_ps
+
+    @pytest.mark.parametrize("seed, located", [(0, True), (1, False)])
+    def test_weak_peak(self, monkeypatch, seed, located):
+        # a peak near the detection limit: where the FFT misses it, the
+        # full histogram still finds it
+        a, b = dense_pair(107_800_000, 30, seed=seed, correlated=70)
+        peaks, _ = spy_coarse_search(monkeypatch)
+        est = tags.estimate_delay(a, b)
+        assert len(peaks) == 1 and (peaks[0] is not None) == located
+        assert est == oracle_delay.estimate_delay(a, b)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_dense_independent_streams(self, monkeypatch, seed):
+        a, b = dense_pair(0, 0, seed=seed, correlated=0)
+        with pytest.raises(tags.NoCorrelationError) as expected:
+            oracle_delay.estimate_delay(a, b)
+        located, _ = spy_coarse_search(monkeypatch)
+        with pytest.raises(tags.NoCorrelationError) as got:
+            tags.estimate_delay(a, b)
+        assert located == [None]  # the FFT path tried, then fell back
+        assert str(got.value) == str(expected.value)
+
+    def test_sparse_streams_keep_the_full_histogram(self, monkeypatch):
+        res = make_streams(rate=20_000.0, duration=1.0, seed=38,
+                           jitter_a=400.0, dark_a=3000.0)
+        located, _ = spy_coarse_search(monkeypatch)
+        est = tags.estimate_delay(res.alice, res.bob)
+        assert not located
+        assert est == oracle_delay.estimate_delay(res.alice.times,
+                                                  res.bob.times)
 
 
 class TestMatchCoincidences:
