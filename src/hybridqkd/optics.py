@@ -29,6 +29,14 @@ counts, and enforces a per-channel dead time.  Emissions that no detector
 would record are never instantiated, which keeps 1e8-pairs-per-second
 configurations tractable; the thinning is statistically exact.
 
+:func:`simulate_session` draws whole streams at once.  Each party's
+clicks are merged, ordered by time then port with one stable sort, and
+the dead time is applied channel by channel on contiguous slices of a
+port-major order.  Per-tag ground truth (:class:`GroundTruth`) is
+produced only on request (``truth=True``); the streams do not depend on
+it.  A scalar one-emission-at-a-time model of the same physics lives in
+``tests/oracle_optics.py`` as the tests' reference.
+
 All tag times are int64 picoseconds.
 """
 
@@ -37,12 +45,12 @@ from __future__ import annotations
 import io
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-from .quantum import MeasurementSetting, hybrid_state, joint_probability, standard_settings
+from .quantum import MeasurementSetting, standard_settings
 
 BIN_SEPARATION_PS = 800
 FWHM_TO_SIGMA = 1.0 / 2.3548
@@ -55,7 +63,6 @@ __all__ = [
     "DetectorModel",
     "DriftModel",
     "Station",
-    "TimeTag",
     "TagStream",
     "GroundTruth",
     "SessionResult",
@@ -63,10 +70,7 @@ __all__ = [
     "detector_presets",
     "alice_station",
     "bob_station",
-    "generate_pair_times",
     "phase_at",
-    "sample_pair_outcome",
-    "detect",
     "simulate_session",
     "dump_tagstream",
     "load_tagstream",
@@ -247,12 +251,6 @@ def bob_station(channel: ChannelModel, detector: DetectorModel) -> Station:
 # tag containers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TimeTag:
-    channel: int
-    time_ps: int
-
-
 @dataclass
 class TagStream:
     """All tags one party recorded: parallel (channel, time) arrays sorted by
@@ -320,92 +318,7 @@ class GroundTruth:
 class SessionResult:
     alice: TagStream
     bob: TagStream
-    truth: GroundTruth
-
-
-# ---------------------------------------------------------------------------
-# scalar reference operations
-# ---------------------------------------------------------------------------
-
-def generate_pair_times(source: SourceModel, duration_s: float,
-                        rng: np.random.Generator) -> np.ndarray:
-    """Homogeneous Poisson emission times over [0, duration) in int64 ps."""
-    lam = source.pair_rate_hz * duration_s
-    n = rng.poisson(lam)
-    times = np.sort(rng.uniform(0.0, duration_s * PS_PER_SECOND, size=n))
-    return times.astype(np.int64)
-
-
-def sample_pair_outcome(phase: float, alice: Station, bob: Station,
-                        rng: np.random.Generator):
-    """Sample one emitted pair's analyzer routing, outcomes, and bins.
-
-    Returns ``(alice_part, bob_part, central)`` where each part is either
-    None (click discarded by interferometric post-selection) or a tuple
-    ``(setting_index, outcome, bin)``.  Detection loss is not applied here;
-    see :func:`detect`.
-    """
-    a_idx = int(rng.choice(len(alice.settings), p=alice.splitting))
-    b_idx = int(rng.choice(len(bob.settings), p=bob.splitting))
-    a_set = alice.settings[a_idx]
-    b_set = bob.settings[b_idx]
-    b_mode = bob.modes[b_idx]
-    central = bool(rng.random() < 0.5)
-
-    if central:
-        state = hybrid_state(phase)
-        probs = [joint_probability(state, a_set, b_set, xa, xb)
-                 for xa in (1, -1) for xb in (1, -1)]
-        pick = int(rng.choice(4, p=np.asarray(probs) / sum(probs)))
-        x = 1 if pick < 2 else -1
-        y = 1 if pick % 2 == 0 else -1
-        if b_mode == "time":
-            s = 0 if y == 1 else 1          # arrival time reveals the bin
-        else:
-            s = int(rng.random() < 0.5)     # latent, erased by interference
-        return (a_idx, x, s), (b_idx, y, s), True
-
-    # satellite: paths distinguishable, no phase correlation
-    c = int(rng.random() < 0.5)
-    p = 1 - c
-    x = _path_conditioned_outcome(a_set, p, rng)
-    if b_mode == "time":
-        y = 1 if c == 0 else -1
-        return (a_idx, x, p), (b_idx, y, c), False
-    # interference basis: decoder keeps the central peak only
-    return (a_idx, x, p), None, False
-
-
-def _path_conditioned_outcome(setting: MeasurementSetting, path: int,
-                              rng: np.random.Generator) -> int:
-    """Analyzer outcome for a photon of definite path (0: H-like, 1: V-like)."""
-    nz = setting.bloch[2]
-    p_plus = (1.0 + nz) / 2.0 if path == 0 else (1.0 - nz) / 2.0
-    return 1 if rng.random() < p_plus else -1
-
-
-def detect(arrival_ps: float, port: int, channel: ChannelModel,
-           detector: DetectorModel, state: dict, rng: np.random.Generator):
-    """One detection attempt.  ``arrival_ps`` already includes any time-bin
-    offset; this applies loss thinning, channel delay, jitter, and the
-    per-channel dead time (``state`` maps port -> last kept time).
-
-    Calls must be made in nondecreasing arrival order per port.  Returns a
-    TimeTag or None.
-    """
-    if rng.random() >= channel.transmittance * detector.efficiency:
-        return None
-    t = arrival_ps + channel.delay_ps
-    if detector.jitter_fwhm_ps > 0:
-        t += rng.normal(0.0, detector.jitter_sigma_ps)
-    t = int(round(t))
-    if t < 0:
-        return None
-    last = state.get(port)
-    if last is not None and t - last < detector.dead_time_ps:
-        return None
-    state[port] = t
-    return TimeTag(channel=port, time_ps=t)
+    truth: GroundTruth | None  # None unless simulated with truth=True
 
 
 # ---------------------------------------------------------------------------
@@ -434,9 +347,14 @@ def _poisson_stream_ps(rng: np.random.Generator, rate_hz: float,
 
 
 def _setting_choice(rng, n, splitting):
-    edges = np.cumsum(splitting)
-    idx = np.searchsorted(edges, rng.random(n), side="right")
-    return np.minimum(idx, len(edges) - 1).astype(np.int8)
+    """Setting index per event: the number of inner splitting edges at or
+    below a uniform draw (``searchsorted(side="right")`` capped at the
+    last setting)."""
+    r = rng.random(n)
+    idx = np.zeros(n, dtype=np.int8)
+    for edge in np.cumsum(splitting)[:-1]:
+        idx += r >= edge
+    return idx
 
 
 def _plus_probability_by_path(station: Station) -> np.ndarray:
@@ -447,78 +365,116 @@ def _plus_probability_by_path(station: Station) -> np.ndarray:
 
 def _ports_for(station: Station, setting_idx: np.ndarray,
                outcome: np.ndarray) -> np.ndarray:
-    plus = np.array([s.plus_port for s in station.settings], dtype=np.uint8)
-    minus = np.array([s.minus_port for s in station.settings], dtype=np.uint8)
-    sign = np.array([s.outcome_sign for s in station.settings], dtype=np.int8)
-    hits_plus = outcome == sign[setting_idx]
-    return np.where(hits_plus, plus[setting_idx], minus[setting_idx])
+    """Detector port per click, gathered from a (setting, outcome > 0)
+    table: the plus port when the outcome equals the setting's sign."""
+    table = np.array([(s.minus_port, s.plus_port) if s.outcome_sign > 0
+                      else (s.plus_port, s.minus_port)
+                      for s in station.settings], dtype=np.uint8).ravel()
+    key = setting_idx * np.int8(2)
+    key += outcome > 0
+    return table[key]
+
+
+# emission id, setting, outcome, bin
+_PROVENANCE_DTYPES = (np.int64, np.int8, np.int8, np.int8)
 
 
 class _PartyAccumulator:
-    """Collects click batches for one party before merge/sort/dead-time."""
+    """Collects click batches for one party before merge/sort/dead-time.
 
-    def __init__(self):
+    Provenance (emission id, setting, outcome, bin per click) is kept only
+    when ``truth`` is set; otherwise ``add`` drops it.
+    """
+
+    def __init__(self, truth: bool = False):
         self.times = []
         self.ports = []
-        self.emission = []
-        self.setting = []
-        self.outcome = []
-        self.bin = []
+        self.provenance = ([], [], [], []) if truth else None
 
     def add(self, times, ports, emission, setting, outcome, bins):
         self.times.append(np.asarray(times))
         self.ports.append(np.asarray(ports, dtype=np.uint8))
-        self.emission.append(np.asarray(emission, dtype=np.int64))
-        self.setting.append(np.asarray(setting, dtype=np.int8))
-        self.outcome.append(np.asarray(outcome, dtype=np.int8))
-        self.bin.append(np.asarray(bins, dtype=np.int8))
+        if self.provenance is not None:
+            for parts, arr, dtype in zip(self.provenance,
+                                         (emission, setting, outcome, bins),
+                                         _PROVENANCE_DTYPES):
+                parts.append(np.asarray(arr, dtype=dtype))
+
+
+def _dead_time_keep(times: np.ndarray, ports: np.ndarray, channel_ids,
+                    dead_ps: int) -> np.ndarray:
+    """Keep-mask of the per-channel dead time over time-sorted tags.
+
+    One stable sort of the 8-bit ports (a radix sort) makes each channel's
+    tags a contiguous, still time-sorted slice; each slice is filtered on
+    its own and the mask is scattered back once.
+    """
+    n = times.shape[0]
+    if dead_ps <= 0:
+        return np.ones(n, dtype=bool)
+    by_port = np.argsort(ports, kind="stable")
+    counts = np.bincount(ports, minlength=256)
+    ends = np.cumsum(counts)
+    port_times = times[by_port]
+    port_keep = np.ones(n, dtype=bool)
+    for ch in channel_ids:
+        lo, hi = int(ends[ch] - counts[ch]), int(ends[ch])
+        port_keep[lo:hi] = kernels.dead_time_filter(port_times[lo:hi], dead_ps)
+    keep = np.empty(n, dtype=bool)
+    keep[by_port] = port_keep
+    return keep
 
 
 def _finalize_party(acc: _PartyAccumulator, station: Station, party: str,
                     duration_ps: int):
+    """Merge one party's clicks into a time-sorted, dead-time filtered
+    stream.  Returns the stream and, when ``acc`` kept provenance, the
+    per-tag (emission, setting, outcome, bin) arrays aligned with it
+    (else None)."""
     times = np.concatenate(acc.times) if acc.times else np.empty(0)
     ports = np.concatenate(acc.ports) if acc.ports else np.empty(0, np.uint8)
-    emission = np.concatenate(acc.emission) if acc.emission else np.empty(0, np.int64)
-    setting = np.concatenate(acc.setting) if acc.setting else np.empty(0, np.int8)
-    outcome = np.concatenate(acc.outcome) if acc.outcome else np.empty(0, np.int8)
-    bins = np.concatenate(acc.bin) if acc.bin else np.empty(0, np.int8)
-    acc.times = acc.ports = acc.emission = acc.setting = acc.outcome = acc.bin = None
+    provenance = None
+    if acc.provenance is not None:
+        provenance = [np.concatenate(parts) if parts else np.empty(0, dtype)
+                      for parts, dtype in zip(acc.provenance,
+                                              _PROVENANCE_DTYPES)]
+    acc.times = acc.ports = acc.provenance = None
 
-    times = np.rint(times).astype(np.int64)
+    times = np.rint(times, out=times).astype(np.int64)
     ok = times >= 0
     if not ok.all():
-        times, ports, emission = times[ok], ports[ok], emission[ok]
-        setting, outcome, bins = setting[ok], outcome[ok], bins[ok]
+        times, ports = times[ok], ports[ok]
+        if provenance is not None:
+            provenance = [p[ok] for p in provenance]
 
     # time-major, port-minor order from one stable sort of a packed key
     if times.size and times.max() >= 2**55:
         raise ValueError("tag times of 2**55 ps or more overflow the sort key")
     order = np.argsort((times << 8) | ports, kind="stable")
     times, ports = times[order], ports[order]
-    emission, setting = emission[order], setting[order]
-    outcome, bins = outcome[order], bins[order]
 
-    keep = np.ones(times.shape[0], dtype=bool)
-    dead = station.detector.dead_time_ps
-    if dead > 0:
-        for ch in station.channel_ids:
-            sel = ports == ch
-            keep[sel] = kernels.dead_time_filter(times[sel], dead)
+    keep = _dead_time_keep(times, ports, station.channel_ids,
+                           station.detector.dead_time_ps)
     times, ports = times[keep], ports[keep]
-    emission, setting = emission[keep], setting[keep]
-    outcome, bins = outcome[keep], bins[keep]
+    if provenance is not None:
+        order = order[keep]
+        provenance = [p[order] for p in provenance]
 
     stream = TagStream(party=party, duration_ps=duration_ps,
                        channels=ports, times=times)
-    return stream, emission, setting, outcome, bins
+    return stream, provenance
 
 
 def simulate_session(source: SourceModel, drift: DriftModel, alice: Station,
-                     bob: Station, duration_s: float, seed) -> SessionResult:
-    """Simulate one accumulation block and return both tag streams plus truth.
+                     bob: Station, duration_s: float, seed, *,
+                     truth: bool = False) -> SessionResult:
+    """Simulate one accumulation block and return both tag streams.
 
     ``seed`` may be an int, a SeedSequence, or a Generator.  Identical
-    arguments and seed give bit-identical streams.
+    arguments and seed give bit-identical streams.  With ``truth=True``
+    the result also carries the per-tag :class:`GroundTruth`; without it
+    ``SessionResult.truth`` is None and no provenance is kept.  The flag
+    changes no random draw, so the streams are the same either way.
     """
     rng = np.random.default_rng(seed)
     duration_ps = int(round(duration_s * PS_PER_SECOND))
@@ -527,8 +483,8 @@ def simulate_session(source: SourceModel, drift: DriftModel, alice: Station,
     p_det_b = bob.channel.transmittance * bob.detector.efficiency
     rate = source.pair_rate_hz
 
-    acc_a = _PartyAccumulator()
-    acc_b = _PartyAccumulator()
+    acc_a = _PartyAccumulator(truth)
+    acc_b = _PartyAccumulator(truth)
     next_emission = 0
 
     # --- pairs with both photons detected -------------------------------
@@ -621,18 +577,12 @@ def simulate_session(source: SourceModel, drift: DriftModel, alice: Station,
                     np.full(n_dark, -1, np.int64), np.full(n_dark, -1, np.int8),
                     np.zeros(n_dark, np.int8), np.full(n_dark, -1, np.int8))
 
-    stream_a, em_a, set_a, out_a, bin_a = _finalize_party(
-        acc_a, alice, "alice", duration_ps)
-    stream_b, em_b, set_b, out_b, bin_b = _finalize_party(
-        acc_b, bob, "bob", duration_ps)
-
-    truth = GroundTruth(
-        emission_count=next_emission,
-        alice_emission=em_a, alice_setting=set_a, alice_outcome=out_a,
-        alice_bin=bin_a,
-        bob_emission=em_b, bob_setting=set_b, bob_outcome=out_b, bob_bin=bin_b,
-    )
-    return SessionResult(alice=stream_a, bob=stream_b, truth=truth)
+    stream_a, prov_a = _finalize_party(acc_a, alice, "alice", duration_ps)
+    stream_b, prov_b = _finalize_party(acc_b, bob, "bob", duration_ps)
+    ground = None
+    if truth:
+        ground = GroundTruth(next_emission, *prov_a, *prov_b)
+    return SessionResult(alice=stream_a, bob=stream_b, truth=ground)
 
 
 def _mode_mask(station: Station, setting_idx: np.ndarray, mode: str) -> np.ndarray:
@@ -663,10 +613,13 @@ def _emit_clicks(acc: _PartyAccumulator, station: Station, rng,
     if n == 0:
         return
     ports = _ports_for(station, setting_idx, outcome)
-    t = t_emit + station.channel.delay_ps + bins.astype(np.int64) * BIN_SEPARATION_PS
+    # emit + delay + bin offset + jitter, added left to right: the float
+    # rounding, and so every tag time, depends on this order
+    t = t_emit + station.channel.delay_ps
+    t += bins * float(BIN_SEPARATION_PS)
     sigma = station.detector.jitter_sigma_ps
     if sigma > 0:
-        t = t + rng.normal(0.0, sigma, size=n)
+        t += rng.normal(0.0, sigma, size=n)
     acc.add(t, ports, emission_ids, setting_idx, outcome, bins)
 
 

@@ -1,0 +1,145 @@
+"""Scalar reference model of the optical link: one emission at a time.
+
+A pair's routing, outcomes and time bins are drawn with explicit
+per-event probabilities from the two-qubit Born rule, and one detection
+attempt applies loss, delay, jitter and dead time tag by tag.  Nothing
+here is shared with ``optics.simulate_session``, which draws whole
+streams at once; tests compare the statistics of the two.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from hybridqkd.optics import (
+    BIN_SEPARATION_PS,
+    PS_PER_SECOND,
+    ChannelModel,
+    DetectorModel,
+    SourceModel,
+    Station,
+)
+from hybridqkd.quantum import MeasurementSetting, hybrid_state, joint_probability
+
+
+@dataclass(frozen=True)
+class TimeTag:
+    channel: int
+    time_ps: int
+
+
+def generate_pair_times(source: SourceModel, duration_s: float,
+                        rng: np.random.Generator) -> np.ndarray:
+    """Homogeneous Poisson emission times over [0, duration) in int64 ps."""
+    lam = source.pair_rate_hz * duration_s
+    n = rng.poisson(lam)
+    times = np.sort(rng.uniform(0.0, duration_s * PS_PER_SECOND, size=n))
+    return times.astype(np.int64)
+
+
+def sample_pair_outcome(phase: float, alice: Station, bob: Station,
+                        rng: np.random.Generator):
+    """Sample one emitted pair's analyzer routing, outcomes, and bins.
+
+    Returns ``(alice_part, bob_part, central)`` where each part is either
+    None (click discarded by interferometric post-selection) or a tuple
+    ``(setting_index, outcome, bin)``.  Detection loss is not applied here;
+    see :func:`detect`.
+    """
+    a_idx = int(rng.choice(len(alice.settings), p=alice.splitting))
+    b_idx = int(rng.choice(len(bob.settings), p=bob.splitting))
+    a_set = alice.settings[a_idx]
+    b_set = bob.settings[b_idx]
+    b_mode = bob.modes[b_idx]
+    central = bool(rng.random() < 0.5)
+
+    if central:
+        state = hybrid_state(phase)
+        probs = [joint_probability(state, a_set, b_set, xa, xb)
+                 for xa in (1, -1) for xb in (1, -1)]
+        pick = int(rng.choice(4, p=np.asarray(probs) / sum(probs)))
+        x = 1 if pick < 2 else -1
+        y = 1 if pick % 2 == 0 else -1
+        if b_mode == "time":
+            s = 0 if y == 1 else 1          # arrival time reveals the bin
+        else:
+            s = int(rng.random() < 0.5)     # latent, erased by interference
+        return (a_idx, x, s), (b_idx, y, s), True
+
+    # satellite: paths distinguishable, no phase correlation
+    c = int(rng.random() < 0.5)
+    p = 1 - c
+    x = _path_conditioned_outcome(a_set, p, rng)
+    if b_mode == "time":
+        y = 1 if c == 0 else -1
+        return (a_idx, x, p), (b_idx, y, c), False
+    # interference basis: decoder keeps the central peak only
+    return (a_idx, x, p), None, False
+
+
+def _path_conditioned_outcome(setting: MeasurementSetting, path: int,
+                              rng: np.random.Generator) -> int:
+    """Analyzer outcome for a photon of definite path (0: H-like, 1: V-like)."""
+    nz = setting.bloch[2]
+    p_plus = (1.0 + nz) / 2.0 if path == 0 else (1.0 - nz) / 2.0
+    return 1 if rng.random() < p_plus else -1
+
+
+def detect(arrival_ps: float, port: int, channel: ChannelModel,
+           detector: DetectorModel, state: dict, rng: np.random.Generator):
+    """One detection attempt.  ``arrival_ps`` already includes any time-bin
+    offset; this applies loss thinning, channel delay, jitter, and the
+    per-channel dead time (``state`` maps port -> last kept time).
+
+    Calls must be made in nondecreasing arrival order per port.  Returns a
+    TimeTag or None.
+    """
+    if rng.random() >= channel.transmittance * detector.efficiency:
+        return None
+    t = arrival_ps + channel.delay_ps
+    if detector.jitter_fwhm_ps > 0:
+        t += rng.normal(0.0, detector.jitter_sigma_ps)
+    t = int(round(t))
+    if t < 0:
+        return None
+    last = state.get(port)
+    if last is not None and t - last < detector.dead_time_ps:
+        return None
+    state[port] = t
+    return TimeTag(channel=port, time_ps=t)
+
+
+def simulate_clicks(source: SourceModel, alice: Station, bob: Station,
+                    duration_s: float, rng: np.random.Generator):
+    """One emission at a time, without dark counts or phase drift.
+
+    Each pair is routed by :func:`sample_pair_outcome`, wired to a port by
+    the setting's ``port_for_outcome``, and each photon gets one
+    :func:`detect` attempt.  Returns ``(pairs, alice_ports, bob_ports,
+    joint)``: the number of emissions, the port of every click of each
+    party, and the (alice port, bob port) of every emission that both
+    parties recorded.
+    """
+    phase = source.reference_phase
+    times = generate_pair_times(source, duration_s, rng)
+    state_a, state_b = {}, {}
+    alice_ports, bob_ports, joint = [], [], []
+    for t in times:
+        a_part, b_part, _ = sample_pair_outcome(phase, alice, bob, rng)
+        a_idx, x, a_bin = a_part
+        tag_a = detect(t + a_bin * BIN_SEPARATION_PS,
+                       alice.settings[a_idx].port_for_outcome(x),
+                       alice.channel, alice.detector, state_a, rng)
+        tag_b = None
+        if b_part is not None:
+            b_idx, y, b_bin = b_part
+            tag_b = detect(t + b_bin * BIN_SEPARATION_PS,
+                           bob.settings[b_idx].port_for_outcome(y),
+                           bob.channel, bob.detector, state_b, rng)
+        if tag_a is not None:
+            alice_ports.append(tag_a.channel)
+        if tag_b is not None:
+            bob_ports.append(tag_b.channel)
+        if tag_a is not None and tag_b is not None:
+            joint.append((tag_a.channel, tag_b.channel))
+    return times.shape[0], alice_ports, bob_ports, joint

@@ -1,0 +1,105 @@
+"""Byte-identity gate for the simulator.
+
+Pins the SHA-256 of both tag streams of every shipped preset, simulated
+at the preset's own seed for a short duration, and of the paper preset's
+ground truth.  Any change to the random draws, their order, the routing,
+the rounding, the sort or the dead-time filter changes a digest.
+
+The digests were captured with numpy 2.4.6.  numpy does not promise the
+same variates from ``Generator`` methods across releases, so after a
+numpy upgrade a mismatch here may come from numpy rather than from the
+simulator.  ``python tests/test_golden.py`` prints the current digests.
+"""
+
+import hashlib
+import inspect
+import sys
+
+import numpy as np
+import pytest
+
+from hybridqkd import harness, optics
+
+DURATION_S = 0.2
+
+STREAM_DIGESTS = {
+    "ideal": (
+        "ab296043f9307c54d2327baa371837133392fa15231129c3707d8e49ab6a479d",
+        "e6a490a709f5572fd5d9dcd137eccdabb69d1805b36cd9151667d1dfa91f21b5",
+    ),
+    "paper": (
+        "6c99c73c3b143145e5760b1adae3295222856daf8ace920e4052edc63789b03f",
+        "9163d73cd5d961cb0bca398d843061f9a17ede7317e577c54188260457b45f75",
+    ),
+    "phase_sweep": (
+        "a0617e39119d0805ce757218ad0391a3a08657eb6f1d765eb4026ad77d5ec521",
+        "b5dc9ccb70e3e31ec450f98b426ad15330c5162fc4d18700c2fb8c2bdb4a1f9d",
+    ),
+    "stability": (
+        "9ff836598a03673b11ac453a025175804bcd6a9e2b76c2f01907f4e8a22f0f16",
+        "e24b8c49e0fe5d24f50253ac40d88bb2a57244917f6e5c63dc5e42f892d90a4f",
+    ),
+    "window_sweep": (
+        "09f488d4ab582703801e001566b4dbc210ea0c957eb050b658f606187e6143fa",
+        "7cd200cab4f151ef42ad47788dae61be6395f71601305db9d8a827343e8735e0",
+    ),
+}
+
+PAPER_TRUTH_DIGEST = (
+    "0ead0372e4758009218bceeedf9b11f1634f053ac0f40566465e0528272fe924")
+
+# lets the same file check commits from before ground truth was opt-in
+_TRUTH = ({"truth": True}
+          if "truth" in inspect.signature(optics.simulate_session).parameters
+          else {})
+
+
+def _simulate(preset, **kwargs):
+    cfg = harness.load_config(harness.preset_path(preset))
+    return optics.simulate_session(
+        harness._source(cfg), harness._drift(cfg),
+        harness._station(cfg, "alice"), harness._station(cfg, "bob"),
+        DURATION_S, seed=cfg["seed"], **kwargs)
+
+
+def _stream_digest(stream):
+    h = hashlib.sha256()
+    h.update(np.ascontiguousarray(stream.times, dtype="<i8").tobytes())
+    h.update(np.ascontiguousarray(stream.channels, dtype=np.uint8).tobytes())
+    return h.hexdigest()
+
+
+def _truth_digest(truth):
+    h = hashlib.sha256(str(truth.emission_count).encode())
+    for name in ("alice_emission", "alice_setting", "alice_outcome",
+                 "alice_bin", "bob_emission", "bob_setting", "bob_outcome",
+                 "bob_bin"):
+        arr = getattr(truth, name)
+        h.update(name.encode())
+        h.update(np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<"))
+                 .tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("preset", sorted(STREAM_DIGESTS))
+def test_stream_digests(preset):
+    res = _simulate(preset)
+    assert (_stream_digest(res.alice), _stream_digest(res.bob)) == \
+        STREAM_DIGESTS[preset]
+
+
+def test_paper_truth_digest():
+    res = _simulate("paper", **_TRUTH)
+    assert (_stream_digest(res.alice), _stream_digest(res.bob)) == \
+        STREAM_DIGESTS["paper"]
+    assert _truth_digest(res.truth) == PAPER_TRUTH_DIGEST
+
+
+if __name__ == "__main__":
+    print(f"numpy {np.__version__}", file=sys.stderr)
+    for name in sorted(STREAM_DIGESTS):
+        res = _simulate(name, **(_TRUTH if name == "paper" else {}))
+        print(f"{name}: {_stream_digest(res.alice)} {_stream_digest(res.bob)}"
+              f" {len(res.alice)} {len(res.bob)}")
+        if name == "paper":
+            print(f"paper truth: {_truth_digest(res.truth)}")

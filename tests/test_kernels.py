@@ -48,6 +48,42 @@ class TestDeadTime:
         prev = np.searchsorted(kept, times[~keep], side="right") - 1
         assert (times[~keep] - kept[prev] < 77).all()
 
+    @pytest.mark.parametrize("times, dead", [
+        ([], 10),
+        ([7], 10),
+        ([0, 5], 10),                        # the second tag is dropped
+        ([0, 10], 10),                       # a gap of exactly dead_ps survives
+        ([0, 1, 2, 3], 0),                   # dead_ps 0 keeps everything
+        ([4, 4, 4, 9, 9, 30], 5),            # equal times
+        ([0, 6, 12, 18, 24, 30, 36], 10),    # each drop frees its successor
+        ([0, 9, 11, 19, 21, 29, 31, 50], 10),
+        ([0, 3, 40, 80, 83, 86], 10),        # runs at both ends
+        ([0, 1, 2, 3, 4, 5, 6, 7, 8, 9], 4),  # one run longer than dead_ps
+    ])
+    def test_numpy_build_exact_cases(self, impls, times, dead):
+        times = np.array(times, dtype=np.int64)
+        ref = kernels._dead_time_filter_impl(times, np.int64(dead))
+        got = impls["numpy"]["dead_time_filter"](times, np.int64(dead))
+        assert got.dtype == np.bool_
+        np.testing.assert_array_equal(got, ref)
+
+    def test_numpy_build_exact_random(self, impls):
+        # array for array against the reference loop; dense instances are
+        # mostly runs of several close tags, sparse ones mostly isolated tags
+        rng = np.random.default_rng(9)
+        multi = 0
+        for trial in range(400):
+            n = int(rng.integers(0, 400))
+            span = int(rng.choice([20, 500, 5_000, 100_000]))
+            times = random_sorted_times(rng, n, span)
+            dead = int(rng.integers(0, 80))
+            ref = kernels._dead_time_filter_impl(times, np.int64(dead))
+            got = impls["numpy"]["dead_time_filter"](times, np.int64(dead))
+            np.testing.assert_array_equal(got, ref)
+            close = np.diff(times) < dead
+            multi += int((close[1:] & close[:-1]).any())
+        assert multi > 150  # runs of three or more tags were covered
+
     def test_builds_agree(self, impls):
         rng = np.random.default_rng(3)
         for n in (0, 1, 2, 100, 4096):

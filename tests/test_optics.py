@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from hybridqkd import optics, quantum
+from hybridqkd import kernels, optics, quantum
 from hybridqkd.optics import (
     BIN_SEPARATION_PS,
     ChannelModel,
@@ -21,14 +21,17 @@ from hybridqkd.optics import (
     alice_station,
     bob_station,
     combined_fwhm,
-    detect,
     detector_presets,
     dump_tagstream,
-    generate_pair_times,
     load_tagstream,
     phase_at,
-    sample_pair_outcome,
     simulate_session,
+)
+from oracle_optics import (
+    detect,
+    generate_pair_times,
+    sample_pair_outcome,
+    simulate_clicks,
 )
 
 IDEAL_DETECTOR = DetectorModel(efficiency=1.0, jitter_fwhm_ps=0.0,
@@ -283,7 +286,8 @@ class TestSimulateSession:
     def test_central_correlations_match_quantum(self):
         src = SourceModel(pair_rate_hz=200_000.0, reference_phase=math.pi)
         a, b = ideal_stations(delay_b=500_000)
-        res = simulate_session(src, DriftModel(), a, b, 10.0, seed=6)
+        res = simulate_session(src, DriftModel(), a, b, 10.0, seed=6,
+                               truth=True)
         tr = res.truth
         ai, bi = tr.true_pairs()
         central = tr.alice_bin[ai] == tr.bob_bin[bi]
@@ -306,7 +310,8 @@ class TestSimulateSession:
         src = SourceModel(pair_rate_hz=100_000.0)
         delay = 2_000_000
         a, b = ideal_stations(delay_b=delay)
-        res = simulate_session(src, DriftModel(), a, b, 5.0, seed=7)
+        res = simulate_session(src, DriftModel(), a, b, 5.0, seed=7,
+                               truth=True)
         tr = res.truth
         ai, bi = tr.true_pairs()
         central = tr.alice_bin[ai] == tr.bob_bin[bi]
@@ -333,7 +338,8 @@ class TestSimulateSession:
                               dark_rate_hz=0, dead_time_ps=0)
         a = alice_station(ChannelModel(1.0, 0), det_a)
         b = bob_station(ChannelModel(1.0, 0), det_b)
-        res = simulate_session(src, DriftModel(), a, b, 5.0, seed=8)
+        res = simulate_session(src, DriftModel(), a, b, 5.0, seed=8,
+                               truth=True)
         tr = res.truth
         ai, bi = tr.true_pairs()
         central = tr.alice_bin[ai] == tr.bob_bin[bi]
@@ -361,7 +367,8 @@ class TestSimulateSession:
                             dark_rate_hz=3000.0, dead_time_ps=0)
         a = alice_station(ChannelModel(1.0, 0), det)
         b = bob_station(ChannelModel(1.0, 0), det)
-        res = simulate_session(src, DriftModel(), a, b, 4.0, seed=10)
+        res = simulate_session(src, DriftModel(), a, b, 4.0, seed=10,
+                               truth=True)
         lam = 3000 * 4
         for ch in range(1, 7):
             n = len(res.alice.channel_times(ch))
@@ -386,15 +393,67 @@ class TestSimulateSession:
         n = 2000
         times = rng.integers(-3, 40, n).astype(np.float64)
         ports = rng.choice(a.channel_ids, n).astype(np.uint8)
-        acc = optics._PartyAccumulator()
+        acc = optics._PartyAccumulator(truth=True)
         acc.add(times, ports, np.arange(n), np.zeros(n), np.zeros(n),
                 np.zeros(n))
-        stream, emission, *_ = optics._finalize_party(acc, a, "alice", 100)
+        stream, (emission, *_) = optics._finalize_party(acc, a, "alice", 100)
         ok = np.flatnonzero(times >= 0)
         order = ok[np.lexsort((ports[ok], times[ok]))]
         np.testing.assert_array_equal(emission, order)
         np.testing.assert_array_equal(stream.times, times[order])
         np.testing.assert_array_equal(stream.channels, ports[order])
+
+    @staticmethod
+    def per_channel_masks(times, ports, channel_ids, dead):
+        """The dead-time keep-mask as one boolean-mask pass per channel."""
+        keep = np.ones(times.shape[0], dtype=bool)
+        for ch in channel_ids:
+            sel = ports == ch
+            keep[sel] = kernels._dead_time_filter_impl(times[sel],
+                                                       np.int64(dead))
+        return keep
+
+    def test_dead_time_keep_matches_per_channel_masks(self):
+        rng = np.random.default_rng(16)
+        channel_sets = ((1, 2, 3, 4, 5, 6), (0, 3, 5, 7), (2,))
+        for trial in range(200):
+            n = int(rng.integers(0, 300))
+            channel_ids = channel_sets[trial % 3]
+            # some ports may be absent, and ports off the station pass
+            ports = rng.choice(channel_ids + (9,), n).astype(np.uint8)
+            times = rng.integers(0, int(rng.choice([50, 2000])), n)
+            order = np.lexsort((ports, times))
+            times, ports = times[order], ports[order]
+            dead = int(rng.integers(0, 40))
+            np.testing.assert_array_equal(
+                optics._dead_time_keep(times, ports, channel_ids, dead),
+                self.per_channel_masks(times, ports, channel_ids, dead))
+
+    def test_finalize_dead_time_matches_per_channel_masks(self):
+        det = DetectorModel(efficiency=1.0, jitter_fwhm_ps=0.0,
+                            dark_rate_hz=0.0, dead_time_ps=25)
+        a = alice_station(ChannelModel(1.0, 0), det)
+        rng = np.random.default_rng(17)
+        n = 5000
+        times = rng.integers(-3, 20_000, n).astype(np.float64)
+        ports = rng.choice(a.channel_ids, n).astype(np.uint8)
+        ok = np.flatnonzero(times >= 0)
+        order = ok[np.lexsort((ports[ok], times[ok]))]
+        keep = self.per_channel_masks(times[order].astype(np.int64),
+                                      ports[order], a.channel_ids, 25)
+        assert 0 < keep.sum() < keep.size
+        order = order[keep]
+        for truth in (False, True):
+            acc = optics._PartyAccumulator(truth)
+            acc.add(times, ports, np.arange(n), np.zeros(n), np.zeros(n),
+                    np.zeros(n))
+            stream, provenance = optics._finalize_party(acc, a, "alice", 100)
+            np.testing.assert_array_equal(stream.times, times[order])
+            np.testing.assert_array_equal(stream.channels, ports[order])
+            if truth:
+                np.testing.assert_array_equal(provenance[0], order)
+            else:
+                assert provenance is None
 
     def test_times_beyond_sort_key_rejected(self):
         src = SourceModel(pair_rate_hz=0.01)
@@ -408,7 +467,8 @@ class TestSimulateSession:
         src = SourceModel(pair_rate_hz=100_000.0, reference_phase=math.pi)
         a, b = ideal_stations()
         drift = DriftModel(kind="none", offset_rad=math.pi)
-        res = simulate_session(src, drift, a, b, 5.0, seed=13)
+        res = simulate_session(src, drift, a, b, 5.0, seed=13,
+                               truth=True)
         tr = res.truth
         ai, bi = tr.true_pairs()
         central = tr.alice_bin[ai] == tr.bob_bin[bi]
@@ -417,6 +477,86 @@ class TestSimulateSession:
             tr.alice_outcome[ai][m].astype(float) * tr.bob_outcome[bi][m]))
         # total phase is 2*pi: back to cos(0) side, E(a0,b1) = -sin(2a) > 0
         assert e_mc == pytest.approx(-0.7071, abs=0.02)
+
+
+class TestGroundTruthOptIn:
+    def test_truth_none_by_default(self):
+        src = SourceModel(pair_rate_hz=20_000.0)
+        a, b = ideal_stations()
+        assert simulate_session(src, DriftModel(), a, b, 0.1, seed=1).truth \
+            is None
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("impaired", [False, True])
+    def test_streams_independent_of_truth(self, seed, impaired):
+        src = SourceModel(pair_rate_hz=2_000_000.0)
+        if impaired:  # jitter, dark counts, dead time
+            det = detector_presets()
+            a = alice_station(ChannelModel(0.3, 150_000), det["spcm"])
+            b = bob_station(ChannelModel(0.2, 900_000), det["sspd"])
+        else:
+            a, b = ideal_stations(delay_b=350_000)
+        drift = DriftModel(kind="linear", rate_rad_per_s=0.5)
+        plain = simulate_session(src, drift, a, b, 0.05, seed=seed)
+        full = simulate_session(src, drift, a, b, 0.05, seed=seed, truth=True)
+        for x, y in ((plain.alice, full.alice), (plain.bob, full.bob)):
+            np.testing.assert_array_equal(x.times, y.times)
+            np.testing.assert_array_equal(x.channels, y.channels)
+        assert len(full.truth.alice_emission) == len(full.alice)
+        assert len(full.truth.bob_emission) == len(full.bob)
+
+
+class TestScalarOracle:
+    """``simulate_session`` against the one-emission-at-a-time model of
+    ``oracle_optics``: the same click statistics per setting and port."""
+
+    @staticmethod
+    def assert_same_shares(counts_a, counts_b):
+        """Per category, the two samples' shares agree within 5 sigma."""
+        n_a, n_b = counts_a.sum(), counts_b.sum()
+        pooled = (counts_a + counts_b) / (n_a + n_b)
+        sigma = np.sqrt(pooled * (1 - pooled) * (1 / n_a + 1 / n_b))
+        diff = np.abs(counts_a / n_a - counts_b / n_b)
+        assert (diff <= 5 * sigma).all(), (counts_a, counts_b)
+
+    def test_click_statistics_match_simulate_session(self):
+        det = DetectorModel(efficiency=1.0, jitter_fwhm_ps=0.0,
+                            dark_rate_hz=0.0, dead_time_ps=0)
+        a = alice_station(ChannelModel(0.7, 0), det)
+        b = bob_station(ChannelModel(0.6, 50_000), det)
+        phase = 2.0
+        pairs, a_ports, b_ports, joint = simulate_clicks(
+            SourceModel(8_000.0, reference_phase=phase), a, b, 1.0,
+            np.random.default_rng(18))
+
+        rate, duration = 200_000.0, 5.0
+        res = simulate_session(SourceModel(rate, reference_phase=phase),
+                               DriftModel(), a, b, duration, seed=19,
+                               truth=True)
+        ai, bi = res.truth.true_pairs()
+
+        # detection probability per emitted pair, per party
+        emitted = rate * duration
+        for clicks, sim in ((len(a_ports), len(res.alice)),
+                            (len(b_ports), len(res.bob))):
+            p = sim / emitted
+            assert abs(clicks - pairs * p) < 5 * math.sqrt(pairs * p * (1 - p))
+
+        # each party's clicks over its ports (setting x outcome)
+        for ports, stream, station in ((a_ports, res.alice, a),
+                                       (b_ports, res.bob, b)):
+            ids = list(station.channel_ids)
+            self.assert_same_shares(
+                np.array([ports.count(ch) for ch in ids]),
+                np.array([(stream.channels == ch).sum() for ch in ids]))
+
+        # coincidences of one emission over (alice port, bob port)
+        cells = [(x, y) for x in a.channel_ids for y in b.channel_ids]
+        sim_joint = list(zip(res.alice.channels[ai].tolist(),
+                             res.bob.channels[bi].tolist()))
+        self.assert_same_shares(
+            np.array([joint.count(c) for c in cells]),
+            np.array([sim_joint.count(c) for c in cells]))
 
 
 class TestTagStreamIO:
