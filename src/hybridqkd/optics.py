@@ -42,7 +42,7 @@ All tag times are int64 picoseconds.
 
 from __future__ import annotations
 
-import io
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -383,7 +383,8 @@ class _PartyAccumulator:
     """Collects click batches for one party before merge/sort/dead-time.
 
     Provenance (emission id, setting, outcome, bin per click) is kept only
-    when ``truth`` is set; otherwise ``add`` drops it.
+    when ``truth`` is set; otherwise ``add`` ignores it, and callers pass
+    None for the arrays that only provenance needs.
     """
 
     def __init__(self, truth: bool = False):
@@ -399,6 +400,16 @@ class _PartyAccumulator:
                                          (emission, setting, outcome, bins),
                                          _PROVENANCE_DTYPES):
                 parts.append(np.asarray(arr, dtype=dtype))
+
+
+def _emission_ids(start: int, n: int, truth: bool) -> np.ndarray | None:
+    """Session-local labels of ``n`` emissions from ``start``; only ground
+    truth reads them, so without it none are built."""
+    return np.arange(start, start + n, dtype=np.int64) if truth else None
+
+
+def _masked(ids: np.ndarray | None, keep: np.ndarray) -> np.ndarray | None:
+    return None if ids is None else ids[keep]
 
 
 def _dead_time_keep(times: np.ndarray, ports: np.ndarray, channel_ids,
@@ -490,7 +501,7 @@ def simulate_session(source: SourceModel, drift: DriftModel, alice: Station,
     # --- pairs with both photons detected -------------------------------
     t_both = _poisson_stream_ps(rng, rate * p_det_a * p_det_b, duration_ps)
     n_both = t_both.shape[0]
-    ids_both = np.arange(next_emission, next_emission + n_both, dtype=np.int64)
+    ids_both = _emission_ids(next_emission, n_both, truth)
     next_emission += n_both
 
     a_set = _setting_choice(rng, n_both, alice.splitting)
@@ -534,14 +545,14 @@ def simulate_session(source: SourceModel, drift: DriftModel, alice: Station,
     # the central/satellite split: central b1 clicks survive, satellites don't.
 
     _emit_clicks(acc_a, alice, rng, t_both, ids_both, a_set, x, bin_a)
-    _emit_clicks(acc_b, bob, rng, t_both[b_keep], ids_both[b_keep],
+    _emit_clicks(acc_b, bob, rng, t_both[b_keep], _masked(ids_both, b_keep),
                  b_set[b_keep], y[b_keep], bin_b[b_keep])
     del t_both, ids_both, a_set, b_set, central, x, y, bin_a, bin_b, b_keep
 
     # --- pairs with only Alice's photon detected -------------------------
     t_a = _poisson_stream_ps(rng, rate * p_det_a * (1.0 - p_det_b), duration_ps)
     n_a = t_a.shape[0]
-    ids_a = np.arange(next_emission, next_emission + n_a, dtype=np.int64)
+    ids_a = _emission_ids(next_emission, n_a, truth)
     next_emission += n_a
     a_set = _setting_choice(rng, n_a, alice.splitting)
     p = (rng.random(n_a) < 0.5).astype(np.int8)
@@ -552,7 +563,7 @@ def simulate_session(source: SourceModel, drift: DriftModel, alice: Station,
     # --- pairs with only Bob's photon detected ---------------------------
     t_b = _poisson_stream_ps(rng, rate * (1.0 - p_det_a) * p_det_b, duration_ps)
     n_b = t_b.shape[0]
-    ids_b = np.arange(next_emission, next_emission + n_b, dtype=np.int64)
+    ids_b = _emission_ids(next_emission, n_b, truth)
     next_emission += n_b
     b_set = _setting_choice(rng, n_b, bob.splitting)
     is_time = _mode_mask(bob, b_set, "time")
@@ -560,8 +571,8 @@ def simulate_session(source: SourceModel, drift: DriftModel, alice: Station,
     c = (rng.random(n_b) < 0.5).astype(np.int8)
     y = np.where(is_time, np.where(c == 0, 1, -1),
                  (rng.random(n_b) < 0.5).astype(np.int8) * 2 - 1).astype(np.int8)
-    _emit_clicks(acc_b, bob, rng, t_b[keep], ids_b[keep], b_set[keep],
-                 y[keep], c[keep])
+    _emit_clicks(acc_b, bob, rng, t_b[keep], _masked(ids_b, keep),
+                 b_set[keep], y[keep], c[keep])
     del t_b, ids_b, b_set, is_time, keep, c, y
 
     # --- dark counts ------------------------------------------------------
@@ -573,9 +584,14 @@ def simulate_session(source: SourceModel, drift: DriftModel, alice: Station,
         for ch in station.channel_ids:
             n_dark = rng.poisson(dark * duration_s_exact)
             t_dark = rng.integers(0, duration_ps, size=n_dark, dtype=np.int64)
+            provenance = (None,) * 4
+            if truth:
+                provenance = (np.full(n_dark, -1, np.int64),
+                              np.full(n_dark, -1, np.int8),
+                              np.zeros(n_dark, np.int8),
+                              np.full(n_dark, -1, np.int8))
             acc.add(t_dark.astype(np.float64), np.full(n_dark, ch, np.uint8),
-                    np.full(n_dark, -1, np.int64), np.full(n_dark, -1, np.int8),
-                    np.zeros(n_dark, np.int8), np.full(n_dark, -1, np.int8))
+                    *provenance)
 
     stream_a, prov_a = _finalize_party(acc_a, alice, "alice", duration_ps)
     stream_b, prov_b = _finalize_party(acc_b, bob, "bob", duration_ps)
@@ -631,24 +647,46 @@ _HEADER_RE = re.compile(
     r"^#tagstream v1 party=(alice|bob) duration_ps=(\d+)\s*$")
 
 
+# rows formatted per write: bounds the Python ints and the text in flight
+# (about 70 bytes of objects per row) whatever the stream's length
+_DUMP_ROWS = 1 << 16
+
+
 def dump_tagstream(stream: TagStream, path_or_file) -> None:
-    """Write the plain-text tag dump: a one-line header, then one
-    ``channel<TAB>time_ps`` line per tag in stream order."""
+    """Write the plain-text ``#tagstream v1`` dump: a one-line header,
+    then one ``channel<TAB>time_ps`` line per tag in stream order.
+
+    ``path_or_file`` is a path or an open text file.  Rows are formatted
+    a fixed-size slice at a time, so memory stays bounded by the slice.
+    The bytes are those ``np.savetxt`` writes for the (channel, time)
+    rows with ``fmt="%d"`` and a tab delimiter.
+    """
     own = isinstance(path_or_file, (str, bytes))
     f = open(path_or_file, "w") if own else path_or_file
     try:
         f.write(f"#tagstream v1 party={stream.party} "
                 f"duration_ps={stream.duration_ps}\n")
-        out = np.empty((len(stream), 2), dtype=np.int64)
-        out[:, 0] = stream.channels
-        out[:, 1] = stream.times
-        np.savetxt(f, out, fmt="%d", delimiter="\t")
+        for lo in range(0, len(stream), _DUMP_ROWS):
+            hi = min(lo + _DUMP_ROWS, len(stream))
+            pairs = np.empty((hi - lo, 2), dtype=np.int64)
+            pairs[:, 0] = stream.channels[lo:hi]
+            pairs[:, 1] = stream.times[lo:hi]
+            f.write(("%d\t%d\n" * (hi - lo)) % tuple(pairs.ravel().tolist()))
     finally:
         if own:
             f.close()
 
 
 def load_tagstream(path_or_file) -> TagStream:
+    """Read a ``#tagstream v1`` dump written by :func:`dump_tagstream`.
+
+    ``path_or_file`` is a path or an open text file, read from its
+    current position.  After the header, ``np.loadtxt`` parses the open
+    file line by line, so memory stays bounded by its chunks and the
+    output arrays.  A body of blank lines gives an empty stream.  Raises
+    ``ValueError`` on a bad header, a row that is not two integer
+    columns, a channel outside [0, 255], or times out of order.
+    """
     own = isinstance(path_or_file, (str, bytes))
     f = open(path_or_file, "r") if own else path_or_file
     try:
@@ -657,15 +695,20 @@ def load_tagstream(path_or_file) -> TagStream:
         if not m:
             raise ValueError(f"bad tag-stream header: {header!r}")
         party, duration = m.group(1), int(m.group(2))
-        body = f.read()
+        # a body of only blank lines is an empty stream (np.loadtxt would
+        # warn on it); the lines read here go to the parser unchanged
+        lead = []
+        for line in f:
+            lead.append(line)
+            if line.strip():
+                data = np.loadtxt(itertools.chain(lead, f), dtype=np.int64,
+                                  delimiter="\t", ndmin=2)
+                break
+        else:
+            data = np.empty((0, 2), dtype=np.int64)
     finally:
         if own:
             f.close()
-    if body.strip():
-        data = np.loadtxt(io.StringIO(body), dtype=np.int64, delimiter="\t",
-                          ndmin=2)
-    else:
-        data = np.empty((0, 2), dtype=np.int64)
     if data.shape[1] != 2:
         raise ValueError("tag lines must be 'channel<TAB>time_ps'")
     if data.size and ((data[:, 0] < 0).any() or (data[:, 0] > 255).any()):

@@ -1,9 +1,11 @@
-"""Byte-identity gate for the simulator.
+"""Byte-identity gate for the simulator and the tag-file writer.
 
 Pins the SHA-256 of both tag streams of every shipped preset, simulated
-at the preset's own seed for a short duration, and of the paper preset's
-ground truth.  Any change to the random draws, their order, the routing,
-the rounding, the sort or the dead-time filter changes a digest.
+at the preset's own seed for a short duration, of the paper preset's
+ground truth, and of the ``dump_tagstream`` text of every stream.  Any
+change to the random draws, their order, the routing, the rounding, the
+sort or the dead-time filter changes a stream digest; any change to the
+bytes of the ``#tagstream v1`` text changes a dump digest.
 
 The digests were captured with numpy 2.4.6.  numpy does not promise the
 same variates from ``Generator`` methods across releases, so after a
@@ -13,6 +15,7 @@ simulator.  ``python tests/test_golden.py`` prints the current digests.
 
 import hashlib
 import inspect
+import io
 import sys
 
 import numpy as np
@@ -45,6 +48,30 @@ STREAM_DIGESTS = {
     ),
 }
 
+# SHA-256 of the UTF-8 text dump_tagstream writes for each stream above
+DUMP_DIGESTS = {
+    "ideal": (
+        "5ffc8050f3260d8d956ac6c0d18cdf751025fb36e4aff9cd5bc51bb14d9b055c",
+        "fe2c7da1f805e219b8e10195d3c900fbe42191dd1840f238ceb9821ec426d469",
+    ),
+    "paper": (
+        "daf7d156053fd1705c2afafdb31c50f1818ede84861e68a27a13ade6e85c8f86",
+        "22a6a4eac8e037179c728f0076b2436d238c73d1fc6ac8bcdedd8694ff7cab69",
+    ),
+    "phase_sweep": (
+        "7f9533007475194b8e5339089a2843e3c2a651eb47488b6e89f0c39de2947930",
+        "21bf115e0fb7113f07461d3bf39ea018d3ec91de91bb9da40871fba6b4e5518d",
+    ),
+    "stability": (
+        "c98fbaf8ea9e6eb7ea30c9c0d1e078155a4292356033abbbfb978b5389dedf46",
+        "c6e823140801358b237f26217ac67f69e5ab42d304349ee918c901f566598355",
+    ),
+    "window_sweep": (
+        "ab5a4c4850f98ce7fdb851961bc5a1fb152550c331bba4020acd77f15a821816",
+        "258fe7f6216ae1bffa732077f4e639609e77529c74f1fbf9407381660aa68ec4",
+    ),
+}
+
 PAPER_TRUTH_DIGEST = (
     "0ead0372e4758009218bceeedf9b11f1634f053ac0f40566465e0528272fe924")
 
@@ -69,6 +96,12 @@ def _stream_digest(stream):
     return h.hexdigest()
 
 
+def _dump_digest(stream):
+    buf = io.StringIO()
+    optics.dump_tagstream(stream, buf)
+    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
 def _truth_digest(truth):
     h = hashlib.sha256(str(truth.emission_count).encode())
     for name in ("alice_emission", "alice_setting", "alice_outcome",
@@ -88,6 +121,13 @@ def test_stream_digests(preset):
         STREAM_DIGESTS[preset]
 
 
+@pytest.mark.parametrize("preset", sorted(DUMP_DIGESTS))
+def test_dump_digests(preset):
+    res = _simulate(preset)
+    assert (_dump_digest(res.alice), _dump_digest(res.bob)) == \
+        DUMP_DIGESTS[preset]
+
+
 def test_paper_truth_digest():
     res = _simulate("paper", **_TRUTH)
     assert (_stream_digest(res.alice), _stream_digest(res.bob)) == \
@@ -101,5 +141,7 @@ if __name__ == "__main__":
         res = _simulate(name, **(_TRUTH if name == "paper" else {}))
         print(f"{name}: {_stream_digest(res.alice)} {_stream_digest(res.bob)}"
               f" {len(res.alice)} {len(res.bob)}")
+        print(f"{name} dump: {_dump_digest(res.alice)}"
+              f" {_dump_digest(res.bob)}")
         if name == "paper":
             print(f"paper truth: {_truth_digest(res.truth)}")

@@ -6,6 +6,7 @@ quantum correlations, so they are deterministic despite being Monte Carlo.
 
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -559,11 +560,92 @@ class TestScalarOracle:
             np.array([sim_joint.count(c) for c in cells]))
 
 
+def savetxt_dump(stream, f):
+    """The tag writer before it was chunked, kept as the byte reference."""
+    f.write(f"#tagstream v1 party={stream.party} "
+            f"duration_ps={stream.duration_ps}\n")
+    out = np.empty((len(stream), 2), dtype=np.int64)
+    out[:, 0] = stream.channels
+    out[:, 1] = stream.times
+    np.savetxt(f, out, fmt="%d", delimiter="\t")
+
+
+def edge_stream(n, seed=0):
+    """``n`` tags on channels 0 to 255 (both ends present), with runs of
+    equal times, all at or past 10^15 ps."""
+    rng = np.random.default_rng(seed)
+    channels = rng.integers(0, 256, size=n).astype(np.uint8)
+    channels[:1] = 0
+    channels[-1:] = 255
+    times = 10**15 + np.sort(rng.integers(0, 4 * n + 1, size=n))
+    return TagStream(party="bob", duration_ps=2 * 10**15,
+                     channels=channels, times=times)
+
+
+CHUNK = optics._DUMP_ROWS
+
+
 class TestTagStreamIO:
     def make_stream(self):
         return TagStream(party="alice", duration_ps=10**9,
                          channels=np.array([1, 3, 2, 6], dtype=np.uint8),
                          times=np.array([100, 250, 250, 901], dtype=np.int64))
+
+    @pytest.mark.parametrize("n", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1,
+                                   2 * CHUNK + 1])
+    def test_matches_savetxt_and_round_trips(self, n):
+        stream = edge_stream(n)
+        assert len(stream) == n
+        if n > 1:
+            assert (np.diff(stream.times) == 0).any()
+        buf, ref = io.StringIO(), io.StringIO()
+        dump_tagstream(stream, buf)
+        savetxt_dump(stream, ref)
+        assert buf.getvalue() == ref.getvalue()
+        buf.seek(0)
+        loaded = load_tagstream(buf)
+        assert (loaded.party, loaded.duration_ps) == ("bob", 2 * 10**15)
+        assert np.array_equal(loaded.channels, stream.channels)
+        assert np.array_equal(loaded.times, stream.times)
+
+    def test_path_and_file_write_the_same_bytes(self, tmp_path):
+        stream = edge_stream(CHUNK + 1)
+        path = tmp_path / "bob.tags"
+        dump_tagstream(stream, str(path))
+        buf = io.StringIO()
+        dump_tagstream(stream, buf)
+        assert path.read_bytes() == buf.getvalue().encode()
+
+    @pytest.mark.parametrize("body", [
+        "1\n",             # one column
+        "1\t2\t3\n",       # three columns
+        "1\t2.5\n",        # not an integer
+        "1\t5\nx\t6\n",    # not an integer, after a good row
+        "-1\t5\n",         # channel below 0
+        "256\t5\n",        # channel above 255
+        "1\t9\n2\t5\n",    # times out of order
+    ])
+    def test_malformed_body_rejected(self, body):
+        buf = io.StringIO("#tagstream v1 party=bob duration_ps=10\n" + body)
+        with pytest.raises(ValueError):
+            load_tagstream(buf)
+
+    @pytest.mark.parametrize("body", ["", "\n", "\n  \n\t\n"])
+    def test_blank_body_is_empty_without_warning(self, body):
+        buf = io.StringIO("#tagstream v1 party=bob duration_ps=10\n" + body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loaded = load_tagstream(buf)
+        assert len(loaded) == 0
+        assert loaded.channels.dtype == np.uint8
+        assert loaded.times.dtype == np.int64
+
+    def test_trailing_blank_line_loads(self):
+        buf = io.StringIO("#tagstream v1 party=alice duration_ps=10\n"
+                          "3\t4\n0\t7\n\n")
+        loaded = load_tagstream(buf)
+        assert loaded.channels.tolist() == [3, 0]
+        assert loaded.times.tolist() == [4, 7]
 
     def test_round_trip(self, tmp_path):
         stream = self.make_stream()
