@@ -19,13 +19,13 @@ tags whose choices conflict, where it runs the loop itself.
 
 ``binned_correlation`` has one build.  It counts the pairs of two streams
 by the difference of their binned times with FFTs, at a cost that grows
-with the time the streams span rather than with the number of pairs.
-``tags.estimate_delay`` uses it to locate a dense correlation peak before
-counting exactly near it.  Measured with numpy 2.4 on a 2-vCPU x86 VM on
-the 2**18-tag prefixes of the 1 s paper streams: the numpy difference
-histogram costs about 7 ns per pair, and the correlation at 4 x 4096 ps
-bins costs about 15 ns per 4096 ps of span.  The numba build's per-pair
-cost has not been measured against it.
+with the number of bins the streams span rather than with the number of
+pairs.  ``tags.estimate_delay`` uses it to locate a correlation peak
+before counting exactly near it, and picks the bin width from the two
+costs, measured with numpy 2.4 on a 2-vCPU x86 VM (see its docstring):
+about 10 ns per pair of the numpy difference histogram and about 100 ns
+per bin spanned by the correlation.  The numba build's per-pair cost has
+not been measured against it.
 
 All times are int64 picoseconds and all inputs must be sorted ascending.
 """
@@ -334,8 +334,11 @@ def binned_correlation(a, b, lo: int, nlags: int, bin_width: int,
     overlap-save with real FFTs of length ``_block`` (at least 2 * nlags),
     the cross-spectrum of every block summed, one inverse transform.
     The float error of an entry grows with the product of the two
-    streams' norms; for prefixes of 2**18 tags it is below 1e-6, so
-    rounding recovers the integer counts.
+    streams' norms, so with the bin width as more tags share a bin.  For
+    2**18 random tags over 0.1 s, or 10**5 over 0.5 s, it measured below
+    1e-8 at bins of 4 to 2**17 times 4096 ps (``tags.estimate_delay``
+    picks up to 2568 times 4096 ps on such streams), so rounding
+    recovers the integer counts.
     """
     a = _as_i64(a)
     b = _as_i64(b)

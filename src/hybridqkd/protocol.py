@@ -941,8 +941,14 @@ class BobSession:
         if bob_index.size and (bob_index.min() < 0
                                or bob_index.max() >= len(self.stream)):
             raise ProtocolViolation("pair references an unknown tag index")
-        if np.unique(bob_index).size != bob_index.size:
-            raise ProtocolViolation("a tag index appears in two pairs")
+        # greedy pairs never cross, so Alice sends ascending indices
+        if (np.diff(bob_index) <= 0).any():
+            raise ProtocolViolation("pair tag indices are not strictly "
+                                    "increasing")
+        if (alice_setting > 2).any():
+            raise ProtocolViolation("pair setting out of range")
+        if ((alice_outcome > 1) & (alice_outcome != OUTCOME_HIDDEN)).any():
+            raise ProtocolViolation("pair outcome out of range")
         if bob_index.size:
             my_label = labels[bob_index]
             my_is_key = my_label == LABEL_KEY_BASIS
@@ -1043,6 +1049,14 @@ class AliceSession:
         channel.send(MSG_HELLO, _encode_hello(params))
         bob_times, bob_labels = _recv_chunked(channel, MSG_TAG_ANNOUNCE,
                                               _decode_tag_chunk)
+        # a wire time of 2**63 or more decodes negative
+        if (bob_times < 0).any():
+            raise ProtocolViolation("announced tag time out of range")
+        if (np.diff(bob_times) < 0).any():
+            raise ProtocolViolation("announced tag times are not in "
+                                    "ascending order")
+        if (bob_labels > LABEL_TEST_MINUS).any():
+            raise ProtocolViolation("announced tag label out of range")
 
         delay = tags.estimate_delay(self.stream.times, bob_times).delay_ps
         ai, bi = tags.match_coincidences(self.stream.times, bob_times,

@@ -70,11 +70,14 @@ class InsufficientStatisticsError(ValueError):
 # delay estimation
 # ---------------------------------------------------------------------------
 
-# The coarse search locates a dense prefix's peak by FFT instead of
-# visiting every pair (see ``estimate_delay``): at this many coarse bins
-# per correlation bin, and above this many pairs per coarse bin spanned.
+# The coarse search's cost model (see ``estimate_delay``): measured ns per
+# pair of ``kernels.diff_histogram`` and per grid bin spanned by
+# ``kernels.binned_correlation``.  Each retry's grid is ``_LADDER_STEP``
+# times narrower, down to ``_LOCATE_BINS`` coarse bins per grid bin.
+_PAIR_NS = 10.0
+_GRID_BIN_NS = 100.0
+_LADDER_STEP = 8
 _LOCATE_BINS = 4
-_FFT_PAIRS_PER_BIN = 3
 
 
 @dataclass(frozen=True)
@@ -189,21 +192,42 @@ def _check_peak(peak_count: int, mu: float, nbins: int,
     return significance
 
 
+def _locate_widths(pairs: int, spanned: int, nbins: int) -> list:
+    """Grid widths, in coarse bins per grid bin, to locate the coarse
+    peak on, widest first (see ``estimate_delay``): the width of least
+    predicted cost, L = sqrt(``_GRID_BIN_NS`` * spanned / (3 *
+    ``_PAIR_NS`` * pairs / nbins)), then ``_LADDER_STEP`` times narrower
+    down to ``_LOCATE_BINS``.  The cost grows as the width falls below
+    L, so the ladder stops at the first width predicted to cost more
+    than the full histogram.
+    """
+    per_bin = pairs / nbins
+    width = max(_LOCATE_BINS, round(math.sqrt(
+        _GRID_BIN_NS * spanned / (3 * _PAIR_NS * per_bin))))
+    widths = []
+    while (_GRID_BIN_NS * spanned / width
+           + _PAIR_NS * per_bin * (3 * width + 6) < _PAIR_NS * pairs):
+        widths.append(width)
+        if width == _LOCATE_BINS:
+            break
+        width = max(_LOCATE_BINS, width // _LADDER_STEP)
+    return widths
+
+
 def _located_coarse_peak(ca, cb, lo: int, hi: int, width: int, nbins: int,
-                         pairs: int, checks) -> int | None:
+                         pairs: int, step: int, checks) -> int | None:
     """The coarse peak bin of the full histogram, found from exact counts
     near the peak of an FFT cross-correlation, or None if those counts
     fail the checks.
 
-    ``kernels.binned_correlation`` at ``_LOCATE_BINS`` coarse bins per
-    bin puts a pair of located bin K in entry K or K + 1.  Exact counts on
-    the coarse bins of located bins K - 1 to K + 1, and three more on each
+    ``kernels.binned_correlation`` at ``step`` coarse bins per bin puts a
+    pair of located bin K in entry K or K + 1.  Exact counts on the
+    coarse bins of located bins K - 1 to K + 1, and three more on each
     side, give ``_peak_bin``'s choice among those centres and the five
     bins ``_background_mean`` leaves out; the remaining bins hold
     ``pairs`` minus those five, so the mean is the one the full
     histogram gives.
     """
-    step = _LOCATE_BINS
     corr = kernels.binned_correlation(ca, cb, lo, -(-nbins // step) + 1,
                                       step * width)
     located = _peak_bin(corr[:-1] + corr[1:], smooth_bins=3)
@@ -241,23 +265,37 @@ def estimate_delay(a, b, search_range_ps: int = 2**28, bin_width_ps: int = 16,
     An exact fine histogram at ``bin_width_ps`` around the coarse peak then
     gives the delay as the peak bin's center.
 
-    How the coarse peak is found depends on how dense the prefixes are.
-    Two ``searchsorted`` calls count the pairs in range first.
+    The coarse peak is located with an FFT cross-correlation on a grid of
+    L coarse bins per bin, and only the coarse bins near the located peak
+    are counted exactly (``_located_coarse_peak``).  Two ``searchsorted``
+    calls count the pairs in range first; that count gives the background
+    mean the full histogram would give.  The grid width balances two
+    predicted costs (``_locate_widths``):
 
-    * Sparse prefixes, with at most ``_FFT_PAIRS_PER_BIN`` pairs per coarse
-      bin spanned (the span of Alice's prefix plus the search range), get
-      the full histogram: every pair is visited.
-    * Dense prefixes locate the peak with an FFT cross-correlation and
-      count exactly only the coarse bins near it (``_located_coarse_peak``).
-      The pair count gives the background mean the full histogram would
-      give.  If those counts fail the peak checks, the full histogram
-      decides, so a rejection carries the same message on both paths.
+    * the FFT, ``_GRID_BIN_NS`` per grid bin over the coarse bins spanned
+      (the span of Alice's prefix plus the search range), which falls as
+      L grows;
+    * the exact counts, ``_PAIR_NS`` per pair over 3L + 6 coarse bins,
+      which grows with L.
+
+    The first grid takes the L of least total.  A wide grid blurs a weak
+    peak into its background, so when the exact counts near the located
+    peak fail the peak checks, a grid ``_LADDER_STEP`` times narrower
+    tries again, down to ``_LOCATE_BINS``, as long as its predicted cost
+    stays below the full histogram's (``_PAIR_NS`` per pair).  If no grid
+    is tried or none passes, the full histogram decides, so a rejection
+    carries the same message on every path.
 
     The paths pick the same peak unless some background bin far from the
     located peak beats it, which is what the false-alarm test bounds.  The
-    threshold of 3 is a little above the measured break-even of about 2.2:
-    7 ns per pair against 15 ns per coarse bin spanned (numpy build; see
-    ``kernels``).
+    two costs were measured with numpy 2.4 on a 2-vCPU x86 VM on the
+    2**18-tag prefixes of 1 s paper streams and the whole 0.5 s ideal
+    streams: 9.5-14 ns per pair of ``kernels.diff_histogram`` and
+    85-180 ns per grid bin of ``kernels.binned_correlation`` at 4 to 4096
+    coarse bins per bin.  Only their ratio moves L, and the total changes
+    little near its least, so the round figures serve.  Those ideal
+    streams take L of about 2,600 and the paper streams about 190; both
+    pass on that first grid.
 
     Raises InsufficientDataError for empty streams and NoCorrelationError
     when no significant peak exists (e.g. independent streams).
@@ -283,9 +321,12 @@ def estimate_delay(a, b, search_range_ps: int = 2**28, bin_width_ps: int = 16,
     spanned = int(ca[-1] - ca[0]) // coarse_bin_ps + nbins
     peak = None
     # on three bins or fewer _peak_bin does not smooth; keep those exact
-    if nbins > 3 and pairs > _FFT_PAIRS_PER_BIN * spanned:
-        peak = _located_coarse_peak(ca, cb, lo, hi, coarse_bin_ps, nbins,
-                                    pairs, checks)
+    if nbins > 3 and pairs:
+        for step in _locate_widths(pairs, spanned, nbins):
+            peak = _located_coarse_peak(ca, cb, lo, hi, coarse_bin_ps, nbins,
+                                        pairs, step, checks)
+            if peak is not None:
+                break
     if peak is None:
         hist = kernels.diff_histogram(ca, cb, lo, hi, coarse_bin_ps)
         peak = _peak_bin(hist, smooth_bins=3)
@@ -355,9 +396,9 @@ def build_matrix(a: TagStream, b: TagStream, pairs, window_ps: int,
     counts: dict = {}
     if len(ai):
         combo = a.channels[ai].astype(np.int64) * 256 + b.channels[bi]
-        uniq, n = np.unique(combo, return_counts=True)
-        counts = {(int(u) // 256, int(u) % 256): int(c)
-                  for u, c in zip(uniq, n)}
+        n = np.bincount(combo)
+        counts = {(int(u) // 256, int(u) % 256): int(n[u])
+                  for u in np.flatnonzero(n)}
     return CoincidenceMatrix(counts=counts, window_ps=window_ps,
                              delay_ps=delay_ps,
                              accumulation_ps=a.duration_ps)

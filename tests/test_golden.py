@@ -2,10 +2,11 @@
 
 Pins the SHA-256 of both tag streams of every shipped preset, simulated
 at the preset's own seed for a short duration, of the paper preset's
-ground truth, and of the ``dump_tagstream`` text of every stream.  Any
-change to the random draws, their order, the routing, the rounding, the
-sort or the dead-time filter changes a stream digest; any change to the
-bytes of the ``#tagstream v1`` text changes a dump digest.
+ground truth, and of the ``dump_tagstream`` text of every stream, and
+pins every preset's delay estimate on those streams.  Any change to the
+random draws, their order, the routing, the rounding, the sort or the
+dead-time filter changes a stream digest; any change to the bytes of the
+``#tagstream v1`` text changes a dump digest.
 
 The digests were captured with numpy 2.4.6.  numpy does not promise the
 same variates from ``Generator`` methods across releases, so after a
@@ -21,7 +22,8 @@ import sys
 import numpy as np
 import pytest
 
-from hybridqkd import harness, optics
+from hybridqkd import harness, optics, tags
+import oracle_delay
 
 DURATION_S = 0.2
 
@@ -70,6 +72,19 @@ DUMP_DIGESTS = {
         "ab5a4c4850f98ce7fdb851961bc5a1fb152550c331bba4020acd77f15a821816",
         "258fe7f6216ae1bffa732077f4e639609e77529c74f1fbf9407381660aa68ec4",
     ),
+}
+
+# tags.estimate_delay on the streams above: (delay_ps, significance,
+# peak_count, background_mean, bin_width_ps)
+DELAY_ESTIMATES = {
+    "ideal": (200008, 6329.647575508713, 19887, 9.861629048086359, 16),
+    "paper": (107649996, 57.43909555621789, 326, 27.08243375858685, 16),
+    "phase_sweep": (200008, 4535.6634123574495, 10159, 5.011776251226693,
+                    16),
+    "stability": (200008, 1999.7262170869517, 1979, 0.9784102060843964,
+                  16),
+    "window_sweep": (200004, 314.6662955331613, 5526, 278.1403336604514,
+                     16),
 }
 
 PAPER_TRUTH_DIGEST = (
@@ -128,6 +143,14 @@ def test_dump_digests(preset):
         DUMP_DIGESTS[preset]
 
 
+@pytest.mark.parametrize("preset", sorted(DELAY_ESTIMATES))
+def test_delay_estimates(preset):
+    res = _simulate(preset)
+    est = tags.estimate_delay(res.alice, res.bob)
+    assert est == tags.DelayEstimate(*DELAY_ESTIMATES[preset])
+    assert est == oracle_delay.estimate_delay(res.alice.times, res.bob.times)
+
+
 def test_paper_truth_digest():
     res = _simulate("paper", **_TRUTH)
     assert (_stream_digest(res.alice), _stream_digest(res.bob)) == \
@@ -143,5 +166,9 @@ if __name__ == "__main__":
               f" {len(res.alice)} {len(res.bob)}")
         print(f"{name} dump: {_dump_digest(res.alice)}"
               f" {_dump_digest(res.bob)}")
+        est = tags.estimate_delay(res.alice, res.bob)
+        print(f"{name} delay: ({est.delay_ps}, {est.significance!r},"
+              f" {est.peak_count}, {est.background_mean!r},"
+              f" {est.bin_width_ps})")
         if name == "paper":
             print(f"paper truth: {_truth_digest(res.truth)}")

@@ -309,6 +309,28 @@ class TestBinnedCorrelation:
         assert (total[1:] >= np.cumsum(hist)).all()
         assert (total[:-1] <= np.cumsum(hist) + below).all()
 
+    @pytest.mark.parametrize("n_a, n_b, span, grid", [
+        (100_000, 75_000, 5 * 10**11, 2568),   # 0.5 s ideal streams
+        (1 << 18, 1 << 18, 10**11, 193),       # 1 s paper prefixes
+    ])
+    def test_exact_at_the_widest_located_grid(self, n_a, n_b, span, grid):
+        # the widest grids tags.estimate_delay picks on the benchmark's
+        # ideal and paper streams (seeds 1-10), at 4096 ps coarse bins:
+        # rounding still recovers every count, the correlated peak's too
+        rng = np.random.default_rng(12)
+        a = random_sorted_times(rng, n_a, span)
+        b = np.sort(np.concatenate([
+            rng.choice(a, n_b // 2, replace=False) + 107_650_000,
+            random_sorted_times(rng, n_b - n_b // 2, span)]))
+        lo, w = -2**28, grid * 4096
+        nlags = -(-2**17 // grid) + 1
+        got = kernels.binned_correlation(a, b, lo, nlags, w)
+        origin = min(a[0] + lo, b[0])
+        ca = np.bincount((a + lo - origin) // w)
+        cb = np.bincount((b - origin) // w, minlength=ca.size + nlags)
+        expected = [int(ca @ cb[k:k + ca.size]) for k in range(nlags)]
+        np.testing.assert_array_equal(got, expected)
+
     def test_empty(self):
         one = np.array([5], np.int64)
         empty = np.empty(0, np.int64)

@@ -496,6 +496,77 @@ class TestSessionFailures:
         assert "closed mid-session" in str(info.value.peer_error)
 
 
+def tamper_sends(monkeypatch, msg_type, tamper):
+    """Pass the arrays of every ``msg_type`` message through ``tamper``
+    before they are chunked and encoded."""
+    send = protocol._send_chunked
+
+    def tampered(channel, kind, arrays, encode, chunk_size):
+        if kind == msg_type:
+            arrays = tamper(*(a.copy() for a in arrays))
+        return send(channel, kind, arrays, encode, chunk_size)
+    monkeypatch.setattr(protocol, "_send_chunked", tampered)
+
+
+def swap_first_two(values):
+    values[[0, 1]] = values[[1, 0]]
+    return values
+
+
+def wrap_last(values):
+    values = values.astype(np.uint64)
+    values[-1] = 2**63
+    return values
+
+
+def set_first(value):
+    def tamper(values):
+        values[0] = value
+        return values
+    return tamper
+
+
+class TestPeerValidation:
+    """Each party checks what its peer sends and names itself when it
+    refuses it."""
+
+    def refused(self, monkeypatch, msg_type, tamper):
+        tamper_sends(monkeypatch, msg_type, tamper)
+        res = simulate(duration=1.0)
+        p = params_for(duration=1.0)
+        with pytest.raises(SessionAbort) as info:
+            run_session(alice_endpoint(p), bob_endpoint(p), res.alice,
+                        res.bob, transport="in-process")
+        assert info.value.peer_error.peer_stopped
+        return info.value
+
+    @pytest.mark.parametrize("tamper, reason", [
+        (lambda t, lab: (swap_first_two(t), lab),
+         "announced tag times are not in ascending order"),
+        (lambda t, lab: (wrap_last(t), lab),
+         "announced tag time out of range"),
+        (lambda t, lab: (t, set_first(3)(lab)),
+         "announced tag label out of range"),
+    ], ids=["unsorted", "wrapped", "label"])
+    def test_bad_tag_announce_names_alice(self, monkeypatch, tamper, reason):
+        error = self.refused(monkeypatch, protocol.MSG_TAG_ANNOUNCE, tamper)
+        assert error.party == "alice"
+        assert str(error) == f"alice: protocol violation: {reason}"
+
+    @pytest.mark.parametrize("tamper, reason", [
+        (lambda i, r, s, o: (swap_first_two(i), r, s, o),
+         "pair tag indices are not strictly increasing"),
+        (lambda i, r, s, o: (i, r, set_first(3)(s), o),
+         "pair setting out of range"),
+        (lambda i, r, s, o: (i, r, s, set_first(2)(o)),
+         "pair outcome out of range"),
+    ], ids=["decreasing", "setting", "outcome"])
+    def test_bad_basis_reveal_names_bob(self, monkeypatch, tamper, reason):
+        error = self.refused(monkeypatch, protocol.MSG_BASIS_REVEAL, tamper)
+        assert error.party == "bob"
+        assert str(error) == f"bob: protocol violation: {reason}"
+
+
 class TestReportAgreement:
     def test_verdicts_always_agree(self):
         for phase in (math.pi, 2.2, 0.0):

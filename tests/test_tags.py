@@ -101,16 +101,28 @@ def dense_pair(delay, jitter_ps, seed, correlated=400):
     return a, np.sort(np.concatenate([copies, noise]))
 
 
+def flat_pair(delay, seed, correlated):
+    """Streams whose uncorrelated pairs are flat over the search range:
+    2**15 tags each over 2**36 ps, ``correlated`` of Bob's copied from
+    Alice's at ``delay``."""
+    rng = np.random.default_rng(seed)
+    a = np.sort(rng.integers(0, 2**36, 2**15))
+    copies = rng.choice(a, correlated, replace=False) + delay
+    noise = rng.integers(0, 2**36, 2**15 - correlated)
+    return a, np.sort(np.concatenate([copies, noise]))
+
+
 def spy_coarse_search(monkeypatch):
-    """Record the coarse peak bin of every FFT-located search (None when
-    it fell back to the full histogram) and the (peak count, background
-    mean, bins) of every peak check."""
+    """Record the (grid width, coarse peak bin or None) of every rung of
+    the FFT-located search and the (peak count, background mean, bins) of
+    every peak check."""
     located, checked = [], []
     locate, check = tags._located_coarse_peak, tags._check_peak
 
-    def locate_spy(*args):
-        located.append(locate(*args))
-        return located[-1]
+    def locate_spy(ca, cb, lo, hi, width, nbins, pairs, step, checks):
+        located.append((step, locate(ca, cb, lo, hi, width, nbins, pairs,
+                                     step, checks)))
+        return located[-1][1]
 
     def check_spy(peak_count, mu, nbins, *checks):
         checked.append((peak_count, mu, nbins))
@@ -120,9 +132,28 @@ def spy_coarse_search(monkeypatch):
     return located, checked
 
 
+def assert_ladder(located, checked, a, b):
+    """The rungs narrow by ``_LADDER_STEP`` down to ``_LOCATE_BINS``;
+    every rung but the last found nothing, and a last rung that found a
+    peak found the full histogram's, with its count, background mean and
+    bins.  Returns that peak, or None when every rung failed."""
+    widths = [step for step, _ in located]
+    assert all(narrow == max(tags._LOCATE_BINS, wide // tags._LADDER_STEP)
+               for wide, narrow in zip(widths, widths[1:]))
+    assert all(peak is None for _, peak in located[:-1])
+    if not located or located[-1][1] is None:
+        return None
+    hist = kernels.diff_histogram(a, b, -2**28, 2**28, 4096)
+    peak = tags._peak_bin(hist, smooth_bins=3)
+    assert located[-1][1] == peak
+    full = oracle_delay.check_peak(hist, peak, 5.0, 1e-6, 8)
+    assert checked[len(located) - 1] == (full[0], full[1], hist.size)
+    return peak
+
+
 class TestCoarseSearchAgainstOracle:
     """The FFT-located coarse stage returns what the full pair histogram
-    gives, field for field."""
+    gives, field for field, on whichever rung of the ladder finds it."""
 
     @pytest.mark.parametrize("delay, jitter_ps", [
         (-250_000, 100),
@@ -141,22 +172,18 @@ class TestCoarseSearchAgainstOracle:
         located, checked = spy_coarse_search(monkeypatch)
         est = tags.estimate_delay(a, b)
         assert est == oracle_delay.estimate_delay(a, b)
-        # the located search checked the full histogram's peak and background
-        hist = kernels.diff_histogram(a, b, -2**28, 2**28, 4096)
-        peak = tags._peak_bin(hist, smooth_bins=3)
-        assert located == [peak]
-        full = oracle_delay.check_peak(hist, peak, 5.0, 1e-6, 8)
-        assert checked[0] == (full[0], full[1], hist.size)
+        assert assert_ladder(located, checked, a, b) is not None
         assert abs(est.delay_ps - delay) <= 2 * est.bin_width_ps + jitter_ps
 
     @pytest.mark.parametrize("seed, located", [(0, True), (1, False)])
     def test_weak_peak(self, monkeypatch, seed, located):
-        # a peak near the detection limit: where the FFT misses it, the
-        # full histogram still finds it
+        # a peak near the detection limit: where no rung finds it, the
+        # full histogram still does
         a, b = dense_pair(107_800_000, 30, seed=seed, correlated=70)
-        peaks, _ = spy_coarse_search(monkeypatch)
+        rungs, checked = spy_coarse_search(monkeypatch)
         est = tags.estimate_delay(a, b)
-        assert len(peaks) == 1 and (peaks[0] is not None) == located
+        assert rungs
+        assert (assert_ladder(rungs, checked, a, b) is not None) == located
         assert est == oracle_delay.estimate_delay(a, b)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -164,20 +191,76 @@ class TestCoarseSearchAgainstOracle:
         a, b = dense_pair(0, 0, seed=seed, correlated=0)
         with pytest.raises(tags.NoCorrelationError) as expected:
             oracle_delay.estimate_delay(a, b)
-        located, _ = spy_coarse_search(monkeypatch)
+        located, checked = spy_coarse_search(monkeypatch)
         with pytest.raises(tags.NoCorrelationError) as got:
             tags.estimate_delay(a, b)
-        assert located == [None]  # the FFT path tried, then fell back
+        # every rung tried down to the narrowest, then the full histogram
+        assert located and located[-1][0] == tags._LOCATE_BINS
+        assert assert_ladder(located, checked, a, b) is None
         assert str(got.value) == str(expected.value)
 
+    @pytest.mark.parametrize("correlated, seed, rungs, found", [
+        (1200, 1, 1, True),
+        (600, 0, 2, True),     # blurred away on the widest grid
+        (300, 0, 2, False),    # missed on both; the full histogram finds it
+    ])
+    def test_flat_background(self, monkeypatch, correlated, seed, rungs,
+                             found):
+        a, b = flat_pair(107_800_000, seed, correlated)
+        located, checked = spy_coarse_search(monkeypatch)
+        est = tags.estimate_delay(a, b)
+        assert est == oracle_delay.estimate_delay(a, b)
+        assert len(located) == rungs
+        assert (assert_ladder(located, checked, a, b) is not None) == found
+        assert abs(est.delay_ps - 107_800_000) <= est.bin_width_ps
+
+    def test_sparse_strong_peak_located_on_first_rung(self, monkeypatch):
+        # like a 0.5 s ideal run: a tall peak over few pairs per coarse
+        # bin, found on a grid of thousands of coarse bins per bin
+        res = make_streams(rate=200_000.0, duration=0.5, delay=200_000,
+                           seed=39)
+        located, checked = spy_coarse_search(monkeypatch)
+        est = tags.estimate_delay(res.alice, res.bob)
+        assert len(located) == 1 and located[0][0] > 1000
+        assert assert_ladder(located, checked, res.alice.times,
+                             res.bob.times) is not None
+        assert est == oracle_delay.estimate_delay(res.alice.times,
+                                                  res.bob.times)
+
     def test_sparse_streams_keep_the_full_histogram(self, monkeypatch):
-        res = make_streams(rate=20_000.0, duration=1.0, seed=38,
+        # so few pairs that every grid is predicted dearer than visiting
+        # them all
+        res = make_streams(rate=5_000.0, duration=1.0, seed=38,
                            jitter_a=400.0, dark_a=3000.0)
         located, _ = spy_coarse_search(monkeypatch)
         est = tags.estimate_delay(res.alice, res.bob)
         assert not located
         assert est == oracle_delay.estimate_delay(res.alice.times,
                                                   res.bob.times)
+
+    @pytest.mark.parametrize("pairs, spanned", [
+        (8_195_527, 122_199_648),    # 0.5 s ideal prefixes
+        (286_809_411, 24_218_851),   # 1 s paper prefixes
+        (8_400_000, 1_180_000),      # dense_pair
+        (54_000, 244_000_000),       # too sparse to locate
+    ])
+    def test_ladder_starts_at_least_predicted_cost(self, pairs, spanned):
+        nbins = 2**17
+
+        def cost(width):
+            return (tags._GRID_BIN_NS * spanned / width + tags._PAIR_NS
+                    * pairs / nbins * (3 * width + 6))
+        full = tags._PAIR_NS * pairs
+        widths = tags._locate_widths(pairs, spanned, nbins)
+        assert all(cost(w) < full for w in widths)
+        best = min(range(tags._LOCATE_BINS, nbins), key=cost)
+        if cost(best) >= full:
+            assert widths == []
+            return
+        assert abs(widths[0] - best) <= 1
+        last = widths[-1]
+        assert last == tags._LOCATE_BINS or \
+            cost(max(tags._LOCATE_BINS, last // tags._LADDER_STEP)) >= full
 
 
 class TestMatchCoincidences:
