@@ -267,7 +267,7 @@ class TagStream:
         self.times = np.asarray(self.times, dtype=np.int64)
         if self.channels.shape != self.times.shape:
             raise ValueError("channels and times must have equal length")
-        if self.times.size and (np.diff(self.times) < 0).any():
+        if (self.times[1:] < self.times[:-1]).any():
             raise ValueError("tag times must be sorted ascending")
         if self.times.size and self.times[0] < 0:
             raise ValueError("tag times must be >= 0")

@@ -791,11 +791,14 @@ class _SharedComputation:
                  bob_test_bit: np.ndarray):
         self.params = params
         self.pair_block = pair_block
-        self.roles = roles
-        self.alice_setting = alice_setting
-        self.alice_test_bit = alice_test_bit
-        self.bob_label = bob_label
-        self.bob_test_bit = bob_test_bit
+        # per pair, the CHSH term and the agreement of a test pair: 4 *
+        # Alice's setting + 2 * (Bob measured in his test basis) + (the
+        # two outcome bits agree); 8 and above for every other pair
+        code = alice_setting.astype(np.intp) * 4
+        code += 2 * (bob_label != LABEL_KEY_BASIS)
+        code += alice_test_bit == bob_test_bit
+        code[roles != ROLE_TEST] = 8
+        self.chsh_code = code
 
     def block_ids(self):
         n_blocks = max(1, -(-self.params.duration_ps // self.params.block_ps))
@@ -804,20 +807,19 @@ class _SharedComputation:
     def chsh_for_block(self, block_id: int):
         """CHSH value from the test pairs of one block (or all blocks
         for the aggregate when block_id is AGGREGATE_BLOCK_ID)."""
-        test = self.roles == ROLE_TEST
+        code = self.chsh_code
         if block_id != AGGREGATE_BLOCK_ID:
-            test = test & (self.pair_block == block_id)
+            code = code[self.pair_block == block_id]
+        counts = np.bincount(code, minlength=8)
         s = 0.0
         var = 0.0
-        for a_idx, a_name in ((0, "a0"), (1, "a1")):
+        for a_idx in (0, 1):
             for b_idx in (0, 1):
-                mask = (test & (self.alice_setting == a_idx)
-                        & ((self.bob_label == LABEL_KEY_BASIS) == (b_idx == 0)))
-                n = int(mask.sum())
+                term = 4 * a_idx + 2 * b_idx
+                same = int(counts[term + 1])
+                n = int(counts[term]) + same
                 if n == 0:
                     return 0.0, float("inf")
-                same = int((self.alice_test_bit[mask]
-                            == self.bob_test_bit[mask]).sum())
                 e = (2 * same - n) / n
                 sign = -1.0 if (a_idx, b_idx) == (1, 1) else 1.0
                 s += sign * e
@@ -835,10 +837,8 @@ class _SharedComputation:
         """
         p = self.params
         offline = p.qber_mode == "offline"
-        rows = []
-        for block_id in self.block_ids():
-            in_block = key_block == block_id
-            disclosed = sampled_mask & in_block
+
+        def row(block_id, disclosed, key_bits, duration_ps):
             n_disc = int(disclosed.sum())
             if n_disc:
                 mism = int((alice_key_bits[disclosed]
@@ -846,24 +846,20 @@ class _SharedComputation:
                 qber = mism / n_disc
             else:
                 qber = float("nan")
-            raw = int(in_block.sum()) - (0 if offline else n_disc)
-            start = block_id * p.block_ps
-            dur = min(p.block_ps, p.duration_ps - start) / PS_PER_SECOND
+            raw = key_bits - (0 if offline else n_disc)
             s, s_err = self.chsh_for_block(block_id)
-            rows.append(build_report(block_id, s, s_err, qber, raw, dur,
-                                     p.abort_sigma))
-        disclosed = sampled_mask
-        n_disc = int(disclosed.sum())
-        if n_disc:
-            mism = int((alice_key_bits[disclosed]
-                        != bob_key_bits[disclosed]).sum())
-            qber = mism / n_disc
-        else:
-            qber = float("nan")
-        raw = alice_key_bits.shape[0] - (0 if offline else n_disc)
-        s, s_err = self.chsh_for_block(AGGREGATE_BLOCK_ID)
-        aggregate = build_report(AGGREGATE_BLOCK_ID, s, s_err, qber, raw,
-                                 p.duration_ps / PS_PER_SECOND, p.abort_sigma)
+            return build_report(block_id, s, s_err, qber, raw,
+                                duration_ps / PS_PER_SECOND, p.abort_sigma)
+
+        rows = []
+        for block_id in self.block_ids():
+            in_block = key_block == block_id
+            start = block_id * p.block_ps
+            rows.append(row(block_id, sampled_mask & in_block,
+                            int(in_block.sum()),
+                            min(p.block_ps, p.duration_ps - start)))
+        aggregate = row(AGGREGATE_BLOCK_ID, sampled_mask,
+                        alice_key_bits.shape[0], p.duration_ps)
         return SecurityReport(blocks=tuple(rows), aggregate=aggregate)
 
 
@@ -942,7 +938,7 @@ class BobSession:
                                or bob_index.max() >= len(self.stream)):
             raise ProtocolViolation("pair references an unknown tag index")
         # greedy pairs never cross, so Alice sends ascending indices
-        if (np.diff(bob_index) <= 0).any():
+        if (bob_index[1:] <= bob_index[:-1]).any():
             raise ProtocolViolation("pair tag indices are not strictly "
                                     "increasing")
         if (alice_setting > 2).any():
@@ -979,7 +975,7 @@ class BobSession:
         if positions.size and (positions.min() < 0
                                or positions.max() >= key_count):
             raise ProtocolViolation("sample position out of range")
-        if (np.diff(positions) <= 0).any():
+        if (positions[1:] <= positions[:-1]).any():
             raise ProtocolViolation("sample positions are not strictly "
                                     "increasing")
         if positions.size != alice_sample_bits.size:
@@ -998,7 +994,7 @@ class BobSession:
         # reconstruct the shared view and verify Alice's report
         alice_key_bits = np.full(key_count, OUTCOME_HIDDEN, dtype=np.uint8)
         alice_key_bits[positions] = alice_sample_bits
-        shared, keys, report, csv_bytes = _assemble(
+        keys, report, csv_bytes = _assemble(
             params, self.stream.times[bob_index], roles, alice_setting,
             alice_outcome, my_label, reveal_mask,
             test_bits_to_send, positions, alice_key_bits, my_key_bits,
@@ -1052,7 +1048,7 @@ class AliceSession:
         # a wire time of 2**63 or more decodes negative
         if (bob_times < 0).any():
             raise ProtocolViolation("announced tag time out of range")
-        if (np.diff(bob_times) < 0).any():
+        if (bob_times[1:] < bob_times[:-1]).any():
             raise ProtocolViolation("announced tag times are not in "
                                     "ascending order")
         if (bob_labels > LABEL_TEST_MINUS).any():
@@ -1107,7 +1103,7 @@ class AliceSession:
 
         bob_key_bits = np.full(key_count, OUTCOME_HIDDEN, dtype=np.uint8)
         bob_key_bits[positions] = bob_sample_bits
-        shared, keys, report, csv_bytes = _assemble(
+        keys, report, csv_bytes = _assemble(
             params, bob_times[bi], roles, setting_idx, outcome, my_label,
             reveal_mask, bob_test_bits, positions, my_key_bits,
             bob_key_bits, party="alice")
@@ -1124,7 +1120,7 @@ class AliceSession:
 def _assemble(params, pair_times, roles, alice_setting, alice_outcome,
               bob_label, reveal_mask, revealed_test_bits,
               positions, alice_key_bits, bob_key_bits, party):
-    """Build the shared view, final keys, and report for one party.
+    """Build the final keys and the report for one party.
 
     ``alice_key_bits`` / ``bob_key_bits`` hold the key-position bits each
     side knows (its own in full; the peer's only at disclosed positions).
@@ -1163,7 +1159,7 @@ def _assemble(params, pair_times, roles, alice_setting, alice_outcome,
     abort_block = report.abort_block()
     if abort_block is not None:
         keys = [k for k in keys if k.block_id < abort_block]
-    return shared, keys, report, csv_bytes
+    return keys, report, csv_bytes
 
 
 # ---------------------------------------------------------------------------

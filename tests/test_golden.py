@@ -3,7 +3,8 @@
 Pins the SHA-256 of both tag streams of every shipped preset, simulated
 at the preset's own seed for a short duration, of the paper preset's
 ground truth, and of the ``dump_tagstream`` text of every stream, and
-pins every preset's delay estimate on those streams.  Any change to the
+pins every preset's delay estimate on those streams and the coincidences
+``tags.match_coincidences`` finds at that delay.  Any change to the
 random draws, their order, the routing, the rounding, the sort or the
 dead-time filter changes a stream digest; any change to the bytes of the
 ``#tagstream v1`` text changes a dump digest.
@@ -87,6 +88,21 @@ DELAY_ESTIMATES = {
                      16),
 }
 
+# SHA-256 of tags.match_coincidences's (ai, bi) on the streams above, at
+# the preset's protocol.window_ps and the delay in DELAY_ESTIMATES
+MATCH_DIGESTS = {
+    "ideal":
+        "e71ab1e7030a936e6f13ad750d642faff27888120192f70504e10aae77f84395",
+    "paper":
+        "5216775eddd9e2d16d1587263a81ae2c33cc5643144451cb785ec553e3c2c8fa",
+    "phase_sweep":
+        "234ac744114e93e3530a3f8936e9028e69f322ba71a0cd107e5223aefdd38d8e",
+    "stability":
+        "61f6edd57b1e45dfe315a9f8fdc37dd0a85b8eed9a42b3645a813bc37987ed3f",
+    "window_sweep":
+        "a3756ba8f237d1a0f87430d4414a47030aa57bc04d7dc9abd2b56f1a893b99d1",
+}
+
 PAPER_TRUTH_DIGEST = (
     "0ead0372e4758009218bceeedf9b11f1634f053ac0f40566465e0528272fe924")
 
@@ -115,6 +131,16 @@ def _dump_digest(stream):
     buf = io.StringIO()
     optics.dump_tagstream(stream, buf)
     return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
+def _match_digest(res, preset):
+    cfg = harness.load_config(harness.preset_path(preset))
+    delay = DELAY_ESTIMATES[preset][0]
+    ai, bi = tags.match_coincidences(res.alice, res.bob,
+                                     cfg["protocol.window_ps"], delay)
+    h = hashlib.sha256(np.ascontiguousarray(ai, dtype="<i8").tobytes())
+    h.update(np.ascontiguousarray(bi, dtype="<i8").tobytes())
+    return h.hexdigest()
 
 
 def _truth_digest(truth):
@@ -151,6 +177,11 @@ def test_delay_estimates(preset):
     assert est == oracle_delay.estimate_delay(res.alice.times, res.bob.times)
 
 
+@pytest.mark.parametrize("preset", sorted(MATCH_DIGESTS))
+def test_match_digests(preset):
+    assert _match_digest(_simulate(preset), preset) == MATCH_DIGESTS[preset]
+
+
 def test_paper_truth_digest():
     res = _simulate("paper", **_TRUTH)
     assert (_stream_digest(res.alice), _stream_digest(res.bob)) == \
@@ -170,5 +201,6 @@ if __name__ == "__main__":
         print(f"{name} delay: ({est.delay_ps}, {est.significance!r},"
               f" {est.peak_count}, {est.background_mean!r},"
               f" {est.bin_width_ps})")
+        print(f"{name} match: {_match_digest(res, name)}")
         if name == "paper":
             print(f"paper truth: {_truth_digest(res.truth)}")

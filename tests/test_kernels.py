@@ -153,6 +153,11 @@ class TestMatchNearest:
         ([10, 10, 20], [10, 10, 10, 20], 3),  # equal times across streams
         ([0, 4, 8, 12], [2, 6, 10, 14], 2),   # one chain of eight tags
         ([100, 102], [97, 103], 3),           # distance ties
+        # few tags with a candidate (the sparse side of _window_ranges)
+        ([0, 4, 8, 12, 100, 200, 300, 400, 500, 600], [2, 6, 10, 14, 900], 2),
+        ([100, 102, 500, 600, 700, 800], [97, 103, 900], 3),
+        ([0, 1000, 2000, 3000, 4000], list(range(990, 1011)), 10),
+        ([5, 5, 9, 50, 60, 70, 80, 90], [5, 9, 9, 200], 0),
     ])
     def test_numpy_build_exact_cases(self, impls, a, b, w):
         a = np.array(a, dtype=np.int64)
@@ -168,7 +173,7 @@ class TestMatchNearest:
         # pairing order included; sparse instances are mostly single-edge
         # components, dense ones mostly components of many tags
         rng = np.random.default_rng(8)
-        multi = 0
+        multi = sparse_multi = 0
         for trial in range(300):
             n = int(rng.integers(0, 300))
             m = int(rng.integers(0, 300))
@@ -186,7 +191,10 @@ class TestMatchNearest:
                 lo = np.searchsorted(b, a - w, side="left")
                 hi = np.searchsorted(b, a + w, side="right")
                 multi += int((hi - lo >= 2).any())
+                sparse = kernels._window_ranges(a, b, -w, w + 1)[0] is not None
+                sparse_multi += int(sparse and (hi - lo >= 2).any())
         assert multi > 100  # components of more than two tags were covered
+        assert sparse_multi > 30  # ... also among few tags with a candidate
 
     def test_builds_agree(self, impls):
         if impls["numba"] is None:
@@ -202,6 +210,72 @@ class TestMatchNearest:
             rb = impls["numba"]["match_nearest"](a, b, np.int64(w))
             np.testing.assert_array_equal(ra[0], rb[0])
             np.testing.assert_array_equal(ra[1], rb[1])
+
+
+class TestWindowRanges:
+    """``_window_ranges`` against two binary searches per tag."""
+
+    @staticmethod
+    def dense(a, b, lo, hi):
+        """Check the ranges; return whether the dense case ran."""
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
+        tags, first, count = kernels._window_ranges(a, b, lo, hi)
+        ref_first = np.searchsorted(b, a + lo, side="left")
+        ref_count = np.searchsorted(b, a + hi, side="left") - ref_first
+        dense = tags is None
+        if dense:
+            tags = np.arange(a.shape[0])
+        else:
+            np.testing.assert_array_equal(tags, np.flatnonzero(ref_count))
+        assert first.dtype == np.int64 and count.dtype == np.int64
+        np.testing.assert_array_equal(first, ref_first[tags])
+        np.testing.assert_array_equal(count, ref_count[tags])
+        return dense
+
+    @pytest.mark.parametrize("a, b, lo, hi, dense", [
+        ([], [1, 2], 0, 5, False),                      # empty a
+        ([1, 2, 3], [], 0, 5, False),                   # empty b
+        ([0, 10, 50, 60], [2, 11], 0, 3, False),        # queries past b[-1]
+        ([0, 1000, 2000, 3000, 5000], [3001, 3002, 3003], 0, 10, False),
+        ([5, 5, 5, 9], [5, 5, 9, 9, 9], 0, 1, True),    # equal times
+        ([5, 5, 6, 20, 30, 40, 50], [5, 5, 7], 0, 1, False),
+        ([10, 20, 30], [7, 13, 17, 23, 33], -3, 4, True),  # as the matcher
+        ([10, 20, 30, 40, 50], [7, 13, 17, 60], -3, 4, False),
+        ([100, 200], [0, 1, 2], -100, -97, False),      # a window behind a
+    ])
+    def test_cases(self, a, b, lo, hi, dense):
+        assert self.dense(a, b, lo, hi) == dense
+
+    @pytest.mark.parametrize("count", [1, 2, 8, 9, 10, 64, 1000])
+    def test_long_walk(self, count):
+        # one tag among a thousand has every partner, so the walk takes
+        # the sparse case up to and past its last round
+        a = np.arange(0, 10**6, 1000, dtype=np.int64)
+        b = 500_000 + np.arange(count, dtype=np.int64)
+        assert not self.dense(a, b, 0, 1000)
+        tags, _, got = kernels._window_ranges(a, b, 0, 1000)
+        assert tags.tolist() == [500] and got.tolist() == [count]
+
+    def test_share_picks_the_case(self):
+        # k of 100 tags have one partner each: up to _DENSE_SHARE of them
+        # take the sparse case, one more the dense case
+        a = np.arange(0, 1000, 10, dtype=np.int64)
+        k = int(kernels._DENSE_SHARE * 100)
+        assert not self.dense(a, a[:k] + 3, 0, 5)
+        assert self.dense(a, a[:k + 1] + 3, 0, 5)
+
+    def test_random(self):
+        rng = np.random.default_rng(13)
+        cases = {True: 0, False: 0}
+        for trial in range(300):
+            span = int(rng.choice([100, 10_000, 10**6]))
+            a = random_sorted_times(rng, int(rng.integers(0, 500)), span)
+            b = random_sorted_times(rng, int(rng.integers(0, 500)), span)
+            lo = int(rng.integers(-300, 300))
+            hi = lo + int(rng.integers(1, 300))
+            cases[self.dense(a, b, lo, hi)] += 1
+        assert min(cases.values()) > 50
 
 
 class TestDiffHistogram:
@@ -252,6 +326,23 @@ class TestDiffHistogram:
             for chunk in (1, 7, 1000):
                 got = fn(a, b, np.int64(lo), np.int64(hi), np.int64(w), chunk)
                 assert got.dtype == np.int64
+                np.testing.assert_array_equal(got, ref)
+        # few tags with a pair (the sparse side of _window_ranges), some
+        # of them with a burst of more pairs than the walk takes rounds
+        for trial in range(40):
+            a = random_sorted_times(rng, int(rng.integers(1, 400)), 10**5)
+            b = random_sorted_times(rng, int(rng.integers(1, 400)), 10**5)
+            if trial % 2:
+                burst = int(rng.integers(0, 10**5))
+                b = np.sort(np.concatenate(
+                    [b, burst + random_sorted_times(rng, 30, 100)]))
+            lo = int(rng.integers(-200, 200))
+            hi = lo + int(rng.integers(1, 200))
+            w = int(rng.integers(1, 50))
+            assert kernels._window_ranges(a, b, lo, hi)[0] is not None
+            ref = kernels._diff_histogram_impl(a, b, lo, hi, w)
+            for chunk in (1, 7, 1000):
+                got = fn(a, b, np.int64(lo), np.int64(hi), np.int64(w), chunk)
                 np.testing.assert_array_equal(got, ref)
         # several default-size chunks
         a = random_sorted_times(rng, 3000, 400_000)
