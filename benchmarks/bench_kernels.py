@@ -1,20 +1,19 @@
-"""Benchmark the compiled kernels against their pure-numpy fallbacks.
+"""Input and timing helpers for the kernel benchmark.
 
-Runs every kernel from both builds on realistically sized inputs (tag
-counts of a busy 10 s accumulation block) and prints a comparison
-table.  The numbers justify shipping the compiled path as the default;
-the fallback exists for environments without a working numba
-(select it at import time with HYBRIDQKD_DISABLE_NUMBA=1).
+``perfbench/kernel_bench.py`` times the kernels on realistically sized
+inputs (tag counts of a busy 10 s accumulation block) and imports these
+helpers from here:
 
-Usage: python benchmarks/bench_kernels.py [--repeat N] [--scale X]
+    python3 perfbench/kernel_bench.py [--repeat N] [--scale X]
 """
 
-import argparse
 import time
 
 import numpy as np
 
-from hybridqkd.kernels import NUMBA_AVAILABLE, implementations
+# perfbench/kernel_bench.py imports only the package, then this module,
+# and reads the kernels as its ``kernels`` attribute, which this sets
+import hybridqkd.kernels  # noqa: F401
 
 
 def make_streams(rate_hz, duration_s, jitter_sigma_ps, extra_fraction, rng):
@@ -48,55 +47,3 @@ def check_equal(name, got, want):
     for g, w in zip(got, want):
         if not np.array_equal(g, w):
             raise AssertionError(f"{name}: builds disagree")
-
-
-def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeat", type=int, default=3,
-                        help="timed repetitions per case (best is kept)")
-    parser.add_argument("--scale", type=float, default=1.0,
-                        help="multiply all input sizes by this factor")
-    args = parser.parse_args()
-
-    rng = np.random.default_rng(2718)
-    duration = 10.0 * args.scale
-    a, b = make_streams(2e5, duration, 170.0, 0.5, rng)
-    dense = np.sort(rng.integers(0, int(1e12 * args.scale),
-                                 size=int(3e6 * args.scale)))
-
-    shifted = b - 350_000
-    cases = [
-        ("dead_time_filter", f"{dense.size:.2e} tags, 50 ns dead time",
-         lambda fn: fn(dense, np.int64(50_000))),
-        ("match_nearest", f"{a.size:.2e} x {b.size:.2e} tags, w/2 = 32 ps",
-         lambda fn: fn(a, shifted, np.int64(32))),
-        ("diff_histogram",
-         f"{min(a.size, 2**18):.2e} tags, 2^28 ps span, 4 ns bins",
-         lambda fn: fn(a[:2**18], b[:2**18], np.int64(-2**28),
-                       np.int64(2**28), np.int64(4096))),
-    ]
-
-    builds = implementations()
-    if builds["numba"] is None:
-        print("note: numba unavailable in this environment; "
-              "comparing the numpy build against itself\n")
-        builds["numba"] = builds["numpy"]
-
-    header = (f"{'kernel':<18} {'input':<34} {'numpy':>10} "
-              f"{'compiled':>10} {'speedup':>8}")
-    print(header)
-    print("-" * len(header))
-    for name, label, call in cases:
-        fn_np = builds["numpy"][name]
-        fn_fast = builds["numba"][name]
-        fn_fast_warm = call(fn_fast)  # trigger JIT outside the timing
-        t_np, out_np = best_of(lambda: call(fn_np), args.repeat)
-        t_fast, out_fast = best_of(lambda: call(fn_fast), args.repeat)
-        check_equal(name, out_fast, out_np)
-        check_equal(name, fn_fast_warm, out_np)
-        print(f"{name:<18} {label:<34} {t_np * 1e3:>8.1f}ms "
-              f"{t_fast * 1e3:>8.1f}ms {t_np / t_fast:>7.1f}x")
-
-
-if __name__ == "__main__":
-    main()

@@ -9,7 +9,7 @@ that turns coincidences into a sifted key with a CHSH-based security verdict.
 Modules:
     quantum   -- states, measurement settings, CHSH, key-rate information math
     optics    -- Monte-Carlo session simulator producing time-tag streams
-    kernels   -- numba-accelerated inner loops with a pure-numpy fallback
+    kernels   -- vectorized numpy inner loops over time-tag arrays
     tags      -- delay recovery, coincidence matching, correlation estimates
     protocol  -- sifting, error sampling, security reports, wire transport
     harness   -- scenario configs, calibration, CSV/manifest outputs

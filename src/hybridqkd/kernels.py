@@ -1,21 +1,18 @@
 """Inner loops over time-tag arrays: dead-time filtering, coincidence
 matching, and windowed difference histograms.
 
-Each kernel exists twice: a numba ``@njit`` build and a numpy build that
-produces bit-identical output.  The numba build is used unless the
-environment variable ``HYBRIDQKD_DISABLE_NUMBA`` is set to a truthy value or
-numba is not importable.  ``implementations()`` exposes both builds so tests
-can assert equality and the benchmark can time them against each other.
-
-The scalar loops (``_*_impl``) define each kernel and are what numba
-compiles.  The numpy builds vectorize them: the dead-time filter by one
-``diff`` that finds the runs of tags closer than the dead time, then
-vectorized rounds over those runs only (a tag far from both neighbours
-always survives; on each channel of the paper preset about one tag in
-twenty is in a run), the difference histogram by expanding pairs in
-chunks of about 2**17 (about 1 MB per array, so a chunk stays in cache),
-and coincidence matching everywhere except inside the rare clusters of
-tags whose choices conflict, where it runs the loop itself.
+Each kernel vectorizes a scalar reference loop with numpy.  The loops
+of the dead-time filter and the difference histogram are kept with the
+tests, which compare against them; the matcher's loop,
+``_match_nearest_impl``, stays here because the matcher runs it.  The
+dead-time filter takes one ``diff`` that finds the runs of tags closer
+than the dead time, then vectorized rounds over those runs only (a tag
+far from both neighbours always survives; on each channel of the paper
+preset about one tag in twenty is in a run), the difference histogram
+expands pairs in chunks of about 2**17 (about 1 MB per array, so a chunk
+stays in cache), and coincidence matching works with arrays everywhere
+except inside the rare clusters of tags whose choices conflict, where it
+runs the loop itself.
 
 Both pair kernels find their windows with ``_window_ranges`` and then
 work only on the tags with a partner when at most 80% have one: 5.4% of
@@ -27,75 +24,45 @@ whose partners per tag grow with the share, the two cost the same at a
 share of 0.65-0.8 (numpy 2.4, 2-vCPU x86 VM); the ideal preset's streams
 have about one partner per tag, and there the walk is a third faster.
 
-``binned_correlation`` has one build.  It counts the pairs of two streams
-by the difference of their binned times with FFTs, at a cost that grows
-with the number of bins the streams span rather than with the number of
-pairs.  ``tags.estimate_delay`` uses it to locate a correlation peak
+``binned_correlation`` counts the pairs of two streams by the difference
+of their binned times with FFTs, at a cost that grows with the number of
+bins the streams span rather than with the number of pairs.
+``tags.estimate_delay`` uses it to locate a correlation peak
 before counting exactly near it, and picks the bin width from the two
 costs, measured with numpy 2.4 on a 2-vCPU x86 VM (see its docstring):
 about 10 ns per pair of the numpy difference histogram and about 100 ns
-per bin spanned by the correlation.  The numba build's per-pair cost has
-not been measured against it.
+per bin spanned by the correlation.
 
 All times are int64 picoseconds and all inputs must be sorted ascending.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_FLAG = os.environ.get("HYBRIDQKD_DISABLE_NUMBA", "").strip().lower()
-NUMBA_DISABLED = _FLAG not in ("", "0", "false", "no")
 
-try:
-    if NUMBA_DISABLED:
-        raise ImportError("numba disabled by HYBRIDQKD_DISABLE_NUMBA")
-    from numba import njit
-
-    NUMBA_AVAILABLE = True
-except ImportError:
-    NUMBA_AVAILABLE = False
-
-    def njit(*args, **kwargs):  # type: ignore[misc]
-        def wrap(fn):
-            return fn
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
+def _as_i64(x):
+    return np.ascontiguousarray(x, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
 # dead-time filter
 # ---------------------------------------------------------------------------
 
-def _dead_time_filter_impl(times, dead_ps):
-    n = times.shape[0]
-    keep = np.zeros(n, dtype=np.bool_)
-    last = np.int64(-1) - dead_ps
-    for i in range(n):
-        t = times[i]
-        if t - last >= dead_ps:
-            keep[i] = True
-            last = t
-    return keep
+def dead_time_filter(times, dead_ps: int) -> np.ndarray:
+    """Boolean keep-mask: a tag survives if it is at least ``dead_ps`` after
+    the previous surviving tag of the same array.
 
-
-_dead_time_filter_nb = njit(cache=True)(_dead_time_filter_impl) if NUMBA_AVAILABLE else None
-
-
-def _dead_time_filter_np(times, dead_ps):
-    """``_dead_time_filter_impl`` in vectorized rounds over the close runs.
-
-    A tag at least ``dead_ps`` after its predecessor always survives, so
-    only runs of tags closer than ``dead_ps`` to their neighbours need
-    work, and each run starts from a survivor.  Each round drops the
-    first tag of every close run (its predecessor survives), then keeps
-    only the tags still next to a close gap.  Gaps only grow as tags drop
-    out, so a tag with far neighbours on both sides is settled, and two
-    runs never become close to each other.
+    Computed in vectorized rounds over the close runs.  A tag at least
+    ``dead_ps`` after its predecessor always survives, so only runs of
+    tags closer than ``dead_ps`` to their neighbours need work, and each
+    run starts from a survivor.  Each round drops the first tag of every
+    close run (its predecessor survives), then keeps only the tags still
+    next to a close gap.  Gaps only grow as tags drop out, so a tag with
+    far neighbours on both sides is settled, and two runs never become
+    close to each other.
     """
+    times, dead_ps = _as_i64(times), np.int64(dead_ps)
     n = times.shape[0]
     keep = np.ones(n, dtype=np.bool_)
     if n < 2 or dead_ps <= 0:
@@ -129,7 +96,7 @@ def _dead_time_filter_np(times, dead_ps):
 
 
 # ---------------------------------------------------------------------------
-# partner ranges (numpy build)
+# partner ranges
 # ---------------------------------------------------------------------------
 
 # above this share of tags with a partner, search twice (module docstring)
@@ -264,13 +231,12 @@ def _match_nearest_impl(a, b, half_window):
     return out_a[:npairs], out_b[:npairs]
 
 
-_match_nearest_nb = njit(cache=True)(_match_nearest_impl) if NUMBA_AVAILABLE else None
+def match_nearest(a, b, half_window: int):
+    """Greedy nearest-counterpart pairing of two sorted tag-time arrays.
 
-
-def _match_nearest_np(a, b, half_window):
-    """``_match_nearest_impl`` with the loop run only where choices conflict.
-
-    Greedy decisions interact only inside connected components of the
+    See ``_match_nearest_impl`` for the exact policy.  Returns (ai, bi)
+    int64 index arrays.  The loop runs only where choices conflict:
+    greedy decisions interact only inside connected components of the
     bipartite graph whose edges join tags within ``half_window``.  A
     component of one edge always pairs, a lone tag never does, and the
     loop on the remaining tags (whole components, in the same relative
@@ -286,6 +252,7 @@ def _match_nearest_np(a, b, half_window):
     order is ascending index on both streams, and the two sets of pairs
     merge by Alice index.
     """
+    a, b, half_window = _as_i64(a), _as_i64(b), np.int64(half_window)
     n = a.shape[0]
     m = b.shape[0]
     if n == 0 or m == 0 or half_window < 0:
@@ -331,39 +298,24 @@ def _match_nearest_np(a, b, half_window):
 # windowed difference histogram
 # ---------------------------------------------------------------------------
 
-def _diff_histogram_impl(a, b, lo, hi, bin_width):
-    """Histogram of (b[j] - a[i]) over all pairs with lo <= diff < hi.
+def diff_histogram(a, b, lo: int, hi: int, bin_width: int,
+                   _chunk: int = 1 << 17) -> np.ndarray:
+    """Histogram of pairwise differences b - a restricted to [lo, hi).
 
-    Bin k covers [lo + k*w, lo + (k+1)*w).  Both inputs sorted ascending.
+    Bin k covers [lo + k*w, lo + (k+1)*w).  ``_window_ranges`` gives the
+    tags with a pair and their ranges of b (on the paper preset's streams
+    5.4% of the fine stage's tags have one).  Pairs are numbered in
+    a-major order; pair p of a[i] pairs it with b[first[i] + p -
+    start[i]], where start[i] is the number of pairs of the tags before
+    a[i].  They are expanded in chunks of about ``_chunk`` pairs, each
+    holding the pairs of whole a-tags.
     """
-    nbins = int((hi - lo + bin_width - 1) // bin_width)
-    counts = np.zeros(nbins, dtype=np.int64)
-    m = b.shape[0]
-    start = 0
-    for i in range(a.shape[0]):
-        t = a[i]
-        while start < m and b[start] - t < lo:
-            start += 1
-        k = start
-        while k < m and b[k] - t < hi:
-            counts[(b[k] - t - lo) // bin_width] += 1
-            k += 1
-    return counts
-
-
-_diff_histogram_nb = njit(cache=True)(_diff_histogram_impl) if NUMBA_AVAILABLE else None
-
-
-def _diff_histogram_np(a, b, lo, hi, bin_width, _chunk=1 << 17):
-    """``_diff_histogram_impl`` expanding the pairs in cache-sized chunks.
-
-    ``_window_ranges`` gives the tags with a pair and their ranges of b
-    (on the paper preset's streams 5.4% of the fine stage's tags have
-    one).  Pairs are numbered in a-major order; pair p of a[i] pairs it
-    with b[first[i] + p - start[i]], where start[i] is the number of
-    pairs of the tags before a[i].  Each chunk holds the pairs of whole
-    a-tags.
-    """
+    if hi <= lo:
+        raise ValueError("empty difference range")
+    if bin_width <= 0:
+        raise ValueError("bin_width must be positive")
+    a, b = _as_i64(a), _as_i64(b)
+    lo, hi, bin_width = np.int64(lo), np.int64(hi), np.int64(bin_width)
     nbins = int((hi - lo + bin_width - 1) // bin_width)
     counts = np.zeros(nbins, dtype=np.int64)
     tags, first, per_a = _window_ranges(a, b, lo, hi)
@@ -403,8 +355,7 @@ def binned_correlation(a, b, lo: int, nlags: int, bin_width: int,
 
     A pair with b[j] - a[i] in [lo + k*w, lo + (k+1)*w) lands in entry k
     or k + 1, so these are counts of ``diff_histogram`` bins blurred by
-    one bin, computed without visiting the pairs.  One numpy build:
-    overlap-save with real FFTs of length ``_block`` (at least 2 * nlags),
+    one bin, computed without visiting the pairs: overlap-save with real FFTs of length ``_block`` (at least 2 * nlags),
     the cross-spectrum of every block summed, one inverse transform.
     The float error of an entry grows with the product of the two
     streams' norms, so with the bin width as more tags share a bin.  For
@@ -445,63 +396,15 @@ def binned_correlation(a, b, lo: int, nlags: int, bin_width: int,
     return np.rint(corr).astype(np.int64)
 
 
-# ---------------------------------------------------------------------------
-# public dispatch
-# ---------------------------------------------------------------------------
-
-def _as_i64(x):
-    return np.ascontiguousarray(x, dtype=np.int64)
-
-
-def dead_time_filter(times, dead_ps: int) -> np.ndarray:
-    """Boolean keep-mask: a tag survives if it is at least ``dead_ps`` after
-    the previous surviving tag of the same array."""
-    times = _as_i64(times)
-    if NUMBA_AVAILABLE:
-        return _dead_time_filter_nb(times, np.int64(dead_ps))
-    return _dead_time_filter_np(times, np.int64(dead_ps))
-
-
-def match_nearest(a, b, half_window: int):
-    """Greedy nearest-counterpart pairing of two sorted tag-time arrays.
-
-    See ``_match_nearest_impl`` for the exact policy.  Returns (ai, bi)
-    int64 index arrays.
-    """
-    a = _as_i64(a)
-    b = _as_i64(b)
-    fn = _match_nearest_nb if NUMBA_AVAILABLE else _match_nearest_np
-    return fn(a, b, np.int64(half_window))
-
-
-def diff_histogram(a, b, lo: int, hi: int, bin_width: int) -> np.ndarray:
-    """Histogram of pairwise differences b - a restricted to [lo, hi)."""
-    if hi <= lo:
-        raise ValueError("empty difference range")
-    if bin_width <= 0:
-        raise ValueError("bin_width must be positive")
-    a = _as_i64(a)
-    b = _as_i64(b)
-    fn = _diff_histogram_nb if NUMBA_AVAILABLE else _diff_histogram_np
-    return fn(a, b, np.int64(lo), np.int64(hi), np.int64(bin_width))
-
-
 def implementations() -> dict:
-    """Both kernel builds, keyed by path name, for tests and benchmarks."""
-    numpy_build = {
-        "dead_time_filter": _dead_time_filter_np,
-        "match_nearest": _match_nearest_np,
-        "diff_histogram": _diff_histogram_np,
-    }
-    numba_build = None
-    if NUMBA_AVAILABLE:
-        numba_build = {
-            "dead_time_filter": _dead_time_filter_nb,
-            "match_nearest": _match_nearest_nb,
-            "diff_histogram": _diff_histogram_nb,
-        }
+    """The kernels by name, in the layout the benchmark reads: one build,
+    "numpy", which is the active one, and None for the absent second."""
     return {
-        "active": "numba" if NUMBA_AVAILABLE else "numpy",
-        "numpy": numpy_build,
-        "numba": numba_build,
+        "active": "numpy",
+        "numpy": {
+            "dead_time_filter": dead_time_filter,
+            "match_nearest": match_nearest,
+            "diff_histogram": diff_histogram,
+        },
+        "numba": None,
     }

@@ -115,6 +115,11 @@ LABEL_TEST_MINUS = 2
 
 OUTCOME_HIDDEN = 255
 
+# the settings each role's channels can name; a setting's index on the
+# wire and in ``Endpoint.channel_setting`` is its position here
+_SETTINGS = {"alice": ("a0", "a1", "a2"), "bob": ("b0", "b1")}
+UNMAPPED = 255  # ``Endpoint.channel_setting`` of a channel with no setting
+
 _HELLO = struct.Struct(">QQQdBd")
 _FRAME_HEAD = struct.Struct(">IBQ")
 
@@ -184,6 +189,11 @@ class SessionParams:
         if self.abort_sigma < 0.0:
             raise ValueError("abort_sigma must be >= 0")
 
+    @property
+    def n_blocks(self) -> int:
+        """Accumulation blocks in the session; the last may be shorter."""
+        return max(1, -(-self.duration_ps // self.block_ps))
+
 
 @dataclass(frozen=True)
 class Endpoint:
@@ -193,22 +203,37 @@ class Endpoint:
     party's detector channels; ``outcome_bit`` gives the bit value each
     channel encodes (0 for the analyzer's + port, 1 for the - port, with
     any flipped analyzer's sign convention already folded in, so equal
-    bits always mean a +1 outcome product).
+    bits always mean a +1 outcome product).  ``channel_setting`` and
+    ``channel_bit`` are the two maps as tables indexed by channel id, with
+    ``UNMAPPED`` as the setting of a channel the endpoint does not map.
     """
 
     role: str
     setting_map: dict
     outcome_bit: dict
     params: SessionParams
+    channel_setting: np.ndarray = field(init=False, repr=False,
+                                        compare=False)
+    channel_bit: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.role not in ("alice", "bob"):
+        if self.role not in _SETTINGS:
             raise ValueError("role must be 'alice' or 'bob'")
         if set(self.setting_map) != set(self.outcome_bit):
             raise ValueError("setting_map and outcome_bit must cover the "
                              "same detector channels")
         if not self.setting_map:
             raise ValueError("endpoint must map at least one channel")
+        names = _SETTINGS[self.role]
+        setting = np.full(256, UNMAPPED, dtype=np.uint8)
+        bit = np.zeros(256, dtype=np.uint8)
+        for channel, name in self.setting_map.items():
+            if name not in names:
+                raise ValueError(f"{self.role} has no setting {name!r}")
+            setting[channel] = names.index(name)
+            bit[channel] = self.outcome_bit[channel]
+        object.__setattr__(self, "channel_setting", setting)
+        object.__setattr__(self, "channel_bit", bit)
 
 
 def alice_endpoint(params: SessionParams) -> Endpoint:
@@ -263,13 +288,14 @@ def sift(alice_channels, bob_basis_labels, alice_ep: Endpoint):
     bob_basis_labels = np.asarray(bob_basis_labels)
     if alice_channels.shape != bob_basis_labels.shape:
         raise ValueError("per-pair arrays must have equal length")
-    settings = np.full(alice_channels.shape[0], "??", dtype="U2")
-    for channel_id, name in alice_ep.setting_map.items():
-        settings[alice_channels == channel_id] = name
-    bob_is_key = bob_basis_labels == LABEL_KEY_BASIS
-    roles = np.full(alice_channels.shape[0], ROLE_DISCARD, dtype=np.uint8)
-    roles[(settings == "a2") & bob_is_key] = ROLE_KEY
-    roles[(settings == "a0") | (settings == "a1")] = ROLE_TEST
+    return _roles(alice_ep.channel_setting[alice_channels], bob_basis_labels)
+
+
+def _roles(alice_setting, bob_label):
+    """The sifting rule on Alice's setting indices and Bob's labels."""
+    roles = np.full(alice_setting.shape[0], ROLE_DISCARD, dtype=np.uint8)
+    roles[(alice_setting == 2) & (bob_label == LABEL_KEY_BASIS)] = ROLE_KEY
+    roles[alice_setting < 2] = ROLE_TEST
     return roles
 
 
@@ -409,8 +435,9 @@ def frame_message(msg_type: int, seq: int, payload: bytes) -> bytes:
     return _FRAME_HEAD.pack(length, msg_type, seq) + payload
 
 
-def parse_frame(data: bytes):
-    """Parse one complete frame; returns (type, seq, payload, bytes used)."""
+def _frame_length(data) -> int:
+    """The declared length of the frame that ``data`` starts with, checked
+    before any of the frame past the length prefix is read."""
     if len(data) < 4:
         raise ProtocolViolation("truncated frame: missing length prefix")
     length = int.from_bytes(data[:4], "big")
@@ -420,6 +447,12 @@ def parse_frame(data: bytes):
     if length < 9:
         raise ProtocolViolation("declared frame length too small for the "
                                 "type and sequence fields")
+    return length
+
+
+def parse_frame(data: bytes):
+    """Parse one complete frame; returns (type, seq, payload, bytes used)."""
+    length = _frame_length(data)
     if len(data) < 4 + length:
         raise ProtocolViolation("truncated frame: incomplete payload")
     msg_type = data[4]
@@ -585,15 +618,11 @@ class MessageChannel:
 
     def recv(self, expected_type: int):
         self._fill(4)
-        length = int.from_bytes(self._buffer[:4], "big")
-        if length > MAX_FRAME_BYTES:
-            raise ProtocolViolation(
-                f"declared frame length {length} exceeds the "
-                f"{MAX_FRAME_BYTES}-byte limit")
-        if length < 9:
-            raise ProtocolViolation("declared frame length too small")
-        self._fill(4 + length)
-        msg_type, seq, payload, used = parse_frame(bytes(self._buffer))
+        self._fill(4 + _frame_length(self._buffer))
+        # parse in place and copy only the payload out of the buffer
+        with memoryview(self._buffer) as frame:
+            msg_type, seq, payload, used = parse_frame(frame)
+            payload = bytes(payload)
         del self._buffer[:used]
         if seq != self._recv_seq:
             raise ProtocolViolation(
@@ -801,8 +830,7 @@ class _SharedComputation:
         self.chsh_code = code
 
     def block_ids(self):
-        n_blocks = max(1, -(-self.params.duration_ps // self.params.block_ps))
-        return range(int(n_blocks))
+        return range(self.params.n_blocks)
 
     def chsh_for_block(self, block_id: int):
         """CHSH value from the test pairs of one block (or all blocks
@@ -869,8 +897,7 @@ def _final_keys(bits, pair_ids, block, sampled_mask, params):
     keep = ~sampled_mask if params.qber_mode == "sample" else np.ones(
         bits.shape[0], dtype=bool)
     keys = []
-    n_blocks = max(1, -(-params.duration_ps // params.block_ps))
-    for block_id in range(int(n_blocks)):
+    for block_id in range(params.n_blocks):
         mask = keep & (block == block_id)
         keys.append(SiftedKey(bits=bits[mask].copy(),
                               pair_ids=pair_ids[mask].copy(),
@@ -891,25 +918,30 @@ class SessionOutcome:
     report_bytes: bytes
 
 
+def _refuse_unmapped(endpoint: Endpoint, stream: TagStream):
+    """Refuse a stream with a tag on a channel ``endpoint`` does not map."""
+    unmapped = endpoint.channel_setting[stream.channels] == UNMAPPED
+    if unmapped.any():
+        channel = stream.channels[unmapped.argmax()]
+        raise ValueError(f"{endpoint.role}'s stream has a tag on channel "
+                         f"{channel}, which the endpoint does not map")
+
+
 class BobSession:
     """Bob's sequential state machine."""
 
     def __init__(self, endpoint: Endpoint, stream: TagStream):
         if endpoint.role != "bob":
             raise ValueError("BobSession needs a bob endpoint")
+        _refuse_unmapped(endpoint, stream)
         self.endpoint = endpoint
         self.stream = stream
 
     def _labels(self) -> np.ndarray:
-        labels = np.empty(len(self.stream), dtype=np.uint8)
-        for channel, setting in self.endpoint.setting_map.items():
-            mask = self.stream.channels == channel
-            if setting == "b0":
-                labels[mask] = LABEL_KEY_BASIS
-            else:
-                bit = self.endpoint.outcome_bit[channel]
-                labels[mask] = LABEL_TEST_MINUS if bit else LABEL_TEST_PLUS
-        return labels
+        # the key basis b0 hides the port, the test basis b1 names it
+        table = self.endpoint.channel_bit + LABEL_TEST_PLUS
+        table[self.endpoint.channel_setting == 0] = LABEL_KEY_BASIS
+        return table[self.stream.channels]
 
     def run(self, transport) -> SessionOutcome:
         channel = MessageChannel(transport)
@@ -947,13 +979,7 @@ class BobSession:
             raise ProtocolViolation("pair outcome out of range")
         if bob_index.size:
             my_label = labels[bob_index]
-            my_is_key = my_label == LABEL_KEY_BASIS
-            expect_key = (alice_setting == 2) & my_is_key
-            expect_test = alice_setting < 2
-            expected = np.where(expect_key, ROLE_KEY,
-                                np.where(expect_test, ROLE_TEST,
-                                         ROLE_DISCARD)).astype(np.uint8)
-            if not np.array_equal(expected, roles):
+            if not np.array_equal(_roles(alice_setting, my_label), roles):
                 raise ProtocolViolation("pair roles do not follow the "
                                         "sifting rule")
             if ((roles == ROLE_TEST) & (alice_outcome == OUTCOME_HIDDEN)).any():
@@ -964,7 +990,7 @@ class BobSession:
 
         key_mask = roles == ROLE_KEY
         test_mask = roles == ROLE_TEST
-        my_bits = self._outcome_bits(bob_index)
+        my_bits = self.endpoint.channel_bit[self.stream.channels[bob_index]]
         # test pairs measured in my key basis: disclose those outcomes
         reveal_mask = test_mask & (my_label == LABEL_KEY_BASIS)
         test_bits_to_send = my_bits[reveal_mask]
@@ -1010,13 +1036,6 @@ class BobSession:
         return SessionOutcome(keys=keys, report=report,
                               report_bytes=csv_bytes)
 
-    def _outcome_bits(self, bob_index: np.ndarray) -> np.ndarray:
-        bits = np.zeros(bob_index.shape[0], dtype=np.uint8)
-        chans = self.stream.channels[bob_index]
-        for channel_id, bit in self.endpoint.outcome_bit.items():
-            bits[chans == channel_id] = bit
-        return bits
-
 
 class AliceSession:
     """Alice's sequential state machine."""
@@ -1024,6 +1043,7 @@ class AliceSession:
     def __init__(self, endpoint: Endpoint, stream: TagStream):
         if endpoint.role != "alice":
             raise ValueError("AliceSession needs an alice endpoint")
+        _refuse_unmapped(endpoint, stream)
         self.endpoint = endpoint
         self.stream = stream
 
@@ -1060,12 +1080,8 @@ class AliceSession:
         my_channels = self.stream.channels[ai]
         my_label = bob_labels[bi]
         roles = sift(my_channels, my_label, self.endpoint)
-        setting_idx = np.zeros(ai.shape[0], dtype=np.uint8)
-        my_bits = np.zeros(ai.shape[0], dtype=np.uint8)
-        for channel_id, name in self.endpoint.setting_map.items():
-            mask = my_channels == channel_id
-            setting_idx[mask] = {"a0": 0, "a1": 1, "a2": 2}[name]
-            my_bits[mask] = self.endpoint.outcome_bit[channel_id]
+        setting_idx = self.endpoint.channel_setting[my_channels]
+        my_bits = self.endpoint.channel_bit[my_channels]
         outcome = np.where(roles == ROLE_TEST, my_bits,
                            OUTCOME_HIDDEN).astype(np.uint8)
 
@@ -1136,9 +1152,8 @@ def _assemble(params, pair_times, roles, alice_setting, alice_outcome,
     # blocks are cut on Bob's clock (the only per-pair time both sides
     # share); tags pushed past the declared span by the channel delay
     # fold into the last block
-    n_blocks = max(1, -(-params.duration_ps // params.block_ps))
     pair_block = np.minimum(pair_times // params.block_ps,
-                            n_blocks - 1).astype(np.int64)
+                            params.n_blocks - 1).astype(np.int64)
     shared = _SharedComputation(
         params=params, pair_block=pair_block, roles=roles,
         alice_setting=alice_setting, alice_test_bit=alice_outcome,

@@ -1,10 +1,7 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
+import oracle_kernels
 from hybridqkd import kernels
 
 
@@ -62,7 +59,7 @@ class TestDeadTime:
     ])
     def test_numpy_build_exact_cases(self, impls, times, dead):
         times = np.array(times, dtype=np.int64)
-        ref = kernels._dead_time_filter_impl(times, np.int64(dead))
+        ref = oracle_kernels.dead_time_filter(times, np.int64(dead))
         got = impls["numpy"]["dead_time_filter"](times, np.int64(dead))
         assert got.dtype == np.bool_
         np.testing.assert_array_equal(got, ref)
@@ -77,21 +74,12 @@ class TestDeadTime:
             span = int(rng.choice([20, 500, 5_000, 100_000]))
             times = random_sorted_times(rng, n, span)
             dead = int(rng.integers(0, 80))
-            ref = kernels._dead_time_filter_impl(times, np.int64(dead))
+            ref = oracle_kernels.dead_time_filter(times, np.int64(dead))
             got = impls["numpy"]["dead_time_filter"](times, np.int64(dead))
             np.testing.assert_array_equal(got, ref)
             close = np.diff(times) < dead
             multi += int((close[1:] & close[:-1]).any())
         assert multi > 150  # runs of three or more tags were covered
-
-    def test_builds_agree(self, impls):
-        rng = np.random.default_rng(3)
-        for n in (0, 1, 2, 100, 4096):
-            times = random_sorted_times(rng, n, 50_000)
-            ref = impls["numpy"]["dead_time_filter"](times, np.int64(40))
-            if impls["numba"] is not None:
-                fast = impls["numba"]["dead_time_filter"](times, np.int64(40))
-                np.testing.assert_array_equal(ref, fast)
 
 
 class TestMatchNearest:
@@ -195,21 +183,6 @@ class TestMatchNearest:
                 sparse_multi += int(sparse and (hi - lo >= 2).any())
         assert multi > 100  # components of more than two tags were covered
         assert sparse_multi > 30  # ... also among few tags with a candidate
-
-    def test_builds_agree(self, impls):
-        if impls["numba"] is None:
-            pytest.skip("numba not active")
-        rng = np.random.default_rng(5)
-        for trial in range(20):
-            n = int(rng.integers(0, 3000))
-            m = int(rng.integers(0, 3000))
-            a = random_sorted_times(rng, n, 80_000)
-            b = random_sorted_times(rng, m, 80_000)
-            w = int(rng.integers(1, 200))
-            ra = impls["numpy"]["match_nearest"](a, b, np.int64(w))
-            rb = impls["numba"]["match_nearest"](a, b, np.int64(w))
-            np.testing.assert_array_equal(ra[0], rb[0])
-            np.testing.assert_array_equal(ra[1], rb[1])
 
 
 class TestWindowRanges:
@@ -322,7 +295,7 @@ class TestDiffHistogram:
             lo = int(rng.integers(-span, span // 4))
             hi = lo + int(rng.integers(1, span))
             w = int(rng.integers(1, 500))
-            ref = kernels._diff_histogram_impl(a, b, lo, hi, w)
+            ref = oracle_kernels.diff_histogram(a, b, lo, hi, w)
             for chunk in (1, 7, 1000):
                 got = fn(a, b, np.int64(lo), np.int64(hi), np.int64(w), chunk)
                 assert got.dtype == np.int64
@@ -340,7 +313,7 @@ class TestDiffHistogram:
             hi = lo + int(rng.integers(1, 200))
             w = int(rng.integers(1, 50))
             assert kernels._window_ranges(a, b, lo, hi)[0] is not None
-            ref = kernels._diff_histogram_impl(a, b, lo, hi, w)
+            ref = oracle_kernels.diff_histogram(a, b, lo, hi, w)
             for chunk in (1, 7, 1000):
                 got = fn(a, b, np.int64(lo), np.int64(hi), np.int64(w), chunk)
                 np.testing.assert_array_equal(got, ref)
@@ -348,22 +321,9 @@ class TestDiffHistogram:
         a = random_sorted_times(rng, 3000, 400_000)
         b = random_sorted_times(rng, 3000, 400_000)
         args = (np.int64(-40_000), np.int64(50_000), np.int64(1000))
-        ref = kernels._diff_histogram_impl(a, b, *args)
+        ref = oracle_kernels.diff_histogram(a, b, *args)
         assert ref.sum() > 3 * (1 << 17)
         np.testing.assert_array_equal(fn(a, b, *args), ref)
-
-    def test_builds_agree(self, impls):
-        if impls["numba"] is None:
-            pytest.skip("numba not active")
-        rng = np.random.default_rng(7)
-        for trial in range(10):
-            a = random_sorted_times(rng, int(rng.integers(0, 2000)), 60_000)
-            b = random_sorted_times(rng, int(rng.integers(0, 2000)), 60_000)
-            args = (np.int64(-4096), np.int64(4096), np.int64(64))
-            np.testing.assert_array_equal(
-                impls["numpy"]["diff_histogram"](a, b, *args),
-                impls["numba"]["diff_histogram"](a, b, *args),
-            )
 
 
 class TestBinnedCorrelation:
@@ -430,18 +390,12 @@ class TestBinnedCorrelation:
         assert kernels.binned_correlation(one, empty, 0, 4, 8).sum() == 0
 
 
-class TestDispatch:
-    def test_active_build_reported(self, impls):
-        assert impls["active"] in ("numba", "numpy")
-
-    def test_disable_flag_selects_numpy(self):
-        code = (
-            "from hybridqkd import kernels; "
-            "print(kernels.implementations()['active'])"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True, text=True,
-            env={**os.environ, "HYBRIDQKD_DISABLE_NUMBA": "1"},
-        )
-        assert out.stdout.strip() == "numpy", out.stderr
+class TestImplementations:
+    def test_shape_read_by_the_benchmark(self, impls):
+        # the perfbench harness reads these keys: the active build's name,
+        # the numpy build's three kernels, and "numba" (no second build)
+        assert impls["active"] == "numpy"
+        assert impls["numba"] is None
+        assert set(impls["numpy"]) == {"dead_time_filter", "match_nearest",
+                                       "diff_histogram"}
+        assert all(callable(fn) for fn in impls["numpy"].values())

@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from hybridqkd import kernels, optics, quantum
+from hybridqkd import optics, quantum
 from hybridqkd.optics import (
     BIN_SEPARATION_PS,
     ChannelModel,
@@ -28,6 +28,7 @@ from hybridqkd.optics import (
     phase_at,
     simulate_session,
 )
+import oracle_kernels
 from oracle_optics import (
     detect,
     generate_pair_times,
@@ -410,8 +411,8 @@ class TestSimulateSession:
         keep = np.ones(times.shape[0], dtype=bool)
         for ch in channel_ids:
             sel = ports == ch
-            keep[sel] = kernels._dead_time_filter_impl(times[sel],
-                                                       np.int64(dead))
+            keep[sel] = oracle_kernels.dead_time_filter(times[sel],
+                                                        np.int64(dead))
         return keep
 
     def test_dead_time_keep_matches_per_channel_masks(self):

@@ -13,6 +13,7 @@ from hybridqkd.optics import (
     DetectorModel,
     DriftModel,
     SourceModel,
+    TagStream,
     alice_station,
     bob_station,
     simulate_session,
@@ -89,6 +90,18 @@ class TestEndpoints:
         # the flipped analyzer: channel 6 is the + port of a1
         assert a.outcome_bit[6] == 0 and a.outcome_bit[5] == 1
         assert a.setting_map[1] == "a2" and a.outcome_bit[1] == 0
+
+    def test_channel_tables(self):
+        p = params_for()
+        a = alice_endpoint(p)
+        assert a.channel_setting[1:7].tolist() == [2, 2, 0, 0, 1, 1]
+        assert a.channel_bit[1:7].tolist() == [0, 1, 0, 1, 1, 0]
+        unmapped = np.delete(np.arange(256), np.arange(1, 7))
+        assert (a.channel_setting[unmapped] == protocol.UNMAPPED).all()
+        assert bob_endpoint(p).channel_setting[1:5].tolist() == [0, 0, 1, 1]
+        with pytest.raises(ValueError, match="bob has no setting 'a2'"):
+            Endpoint(role="bob", setting_map={1: "a2"}, outcome_bit={1: 0},
+                     params=p)
 
 
 class TestSift:
@@ -241,6 +254,23 @@ class TestFraming:
         chan.recv(MSG_HELLO)
         with pytest.raises(ProtocolViolation):
             chan.recv(MSG_HELLO)
+
+    @pytest.mark.parametrize("length, payload, reason", [
+        (MAX_FRAME_BYTES + 1, b"",
+         f"declared frame length {MAX_FRAME_BYTES + 1} exceeds the "
+         f"{MAX_FRAME_BYTES}-byte limit"),
+        (5, b"\x01" * 5,
+         "declared frame length too small for the type and sequence fields"),
+    ], ids=["oversized", "too-small"])
+    def test_channel_refuses_declared_length(self, length, payload, reason):
+        # refused from the length prefix alone: the sender closes without
+        # sending the rest, which would end a wait for it as SessionAbort
+        ta, tb = transport_pair()
+        ta.sendall(length.to_bytes(4, "big") + payload)
+        ta.close()
+        with pytest.raises(ProtocolViolation) as info:
+            protocol.MessageChannel(tb).recv(MSG_HELLO)
+        assert str(info.value) == reason
 
     def test_abort_message_raises(self):
         ta, tb = transport_pair()
@@ -493,6 +523,27 @@ class TestSessionFailures:
             run_session(alice_endpoint(p), bob_endpoint(p), res.alice,
                         res.bob)
         assert info.value.party == "bob"
+        assert "closed mid-session" in str(info.value.peer_error)
+
+    @pytest.mark.parametrize("party, channel", [("alice", 9), ("bob", 7)])
+    def test_unmapped_channel_is_refused(self, party, channel):
+        # a tag on a channel the endpoint does not map has no setting, so
+        # the session refuses the stream before anything is sent
+        res = simulate(duration=1.0)
+        streams = {"alice": res.alice, "bob": res.bob}
+        stream = streams[party]
+        channels = stream.channels.copy()
+        channels[::50] = channel
+        streams[party] = TagStream(party, stream.duration_ps, channels,
+                                   stream.times)
+        p = params_for(duration=1.0)
+        with pytest.raises(ValueError) as info:
+            run_session(alice_endpoint(p), bob_endpoint(p), streams["alice"],
+                        streams["bob"])
+        assert str(info.value) == (f"{party}'s stream has a tag on channel "
+                                   f"{channel}, which the endpoint does not "
+                                   f"map")
+        assert info.value.party == party
         assert "closed mid-session" in str(info.value.peer_error)
 
 
