@@ -30,9 +30,9 @@ would record are never instantiated, which keeps 1e8-pairs-per-second
 configurations tractable; the thinning is statistically exact.
 
 :func:`simulate_session` draws whole streams at once.  Each party's
-clicks are merged, ordered by time then port with one stable sort, and
-the dead time is applied channel by channel on contiguous slices of a
-port-major order.  Per-tag ground truth (:class:`GroundTruth`) is
+clicks are sorted by time then port as packed keys, and the dead time is
+applied channel by channel to the close runs (tags next to a shorter
+gap) only.  Per-tag ground truth (:class:`GroundTruth`) is
 produced only on request (``truth=True``); the streams do not depend on
 it.  A scalar one-emission-at-a-time model of the same physics lives in
 ``tests/oracle_optics.py`` as the tests' reference.
@@ -66,7 +66,6 @@ __all__ = [
     "TagStream",
     "GroundTruth",
     "SessionResult",
-    "combined_fwhm",
     "detector_presets",
     "alice_station",
     "bob_station",
@@ -125,11 +124,6 @@ class DetectorModel:
     @property
     def jitter_sigma_ps(self) -> float:
         return self.jitter_fwhm_ps * FWHM_TO_SIGMA
-
-
-def combined_fwhm(*fwhms: float) -> float:
-    """Quadrature sum, for folding detector and decoder jitter into one FWHM."""
-    return math.sqrt(sum(f * f for f in fwhms))
 
 
 def detector_presets() -> dict[str, DetectorModel]:
@@ -275,9 +269,6 @@ class TagStream:
     def __len__(self):
         return self.times.shape[0]
 
-    def channel_times(self, channel: int) -> np.ndarray:
-        return self.times[self.channels == channel]
-
     def rate_hz(self) -> float:
         if self.duration_ps == 0:
             return 0.0
@@ -334,16 +325,16 @@ def _poisson_stream_ps(rng: np.random.Generator, rate_hz: float,
     expected = duration_ps / mean_gap_ps
     chunk = int(expected + 6.0 * math.sqrt(expected + 1.0) + 16)
     parts = []
-    total = 0.0
     while True:
         gaps = rng.exponential(mean_gap_ps, size=chunk)
-        times = total + np.cumsum(gaps)
+        times = np.cumsum(gaps, out=gaps)
+        if parts:
+            times += parts[-1][-1]
         parts.append(times)
-        total = float(times[-1])
-        if total >= duration_ps:
+        if times[-1] >= duration_ps:
             break
     times = np.concatenate(parts) if len(parts) > 1 else parts[0]
-    return times[times < duration_ps]
+    return times[:np.searchsorted(times, duration_ps)]
 
 
 def _setting_choice(rng, n, splitting):
@@ -355,12 +346,6 @@ def _setting_choice(rng, n, splitting):
     for edge in np.cumsum(splitting)[:-1]:
         idx += r >= edge
     return idx
-
-
-def _plus_probability_by_path(station: Station) -> np.ndarray:
-    """P(outcome +1 | path) per setting; column 0 for path 0, column 1 for path 1."""
-    nz = np.array([s.bloch[2] for s in station.settings])
-    return np.stack([(1.0 + nz) / 2.0, (1.0 - nz) / 2.0], axis=1)
 
 
 def _ports_for(station: Station, setting_idx: np.ndarray,
@@ -416,23 +401,33 @@ def _dead_time_keep(times: np.ndarray, ports: np.ndarray, channel_ids,
                     dead_ps: int) -> np.ndarray:
     """Keep-mask of the per-channel dead time over time-sorted tags.
 
-    One stable sort of the 8-bit ports (a radix sort) makes each channel's
-    tags a contiguous, still time-sorted slice; each slice is filtered on
-    its own and the mask is scattered back once.
+    Only the close runs, the tags next to a gap shorter than ``dead_ps``
+    whatever their channels, are filtered.  That is exact: a tag at least
+    ``dead_ps`` after its predecessor survives; a tag whose next tag is
+    also that far away cannot block any later tag; and every same-channel
+    tag within ``dead_ps`` before a tag lies in the same run, so runs never
+    interact.  One stable sort of the run tags' 8-bit ports (a radix sort)
+    makes each channel's run tags a contiguous, still time-sorted slice;
+    each slice is filtered on its own and the mask is scattered back once.
     """
     n = times.shape[0]
-    if dead_ps <= 0:
-        return np.ones(n, dtype=bool)
-    by_port = np.argsort(ports, kind="stable")
-    counts = np.bincount(ports, minlength=256)
+    keep = np.ones(n, dtype=bool)
+    if n < 2 or dead_ps <= 0:
+        return keep
+    close = np.diff(times) < dead_ps       # close[i]: tags i and i + 1
+    in_run = np.append(close, False)
+    in_run[1:] |= close
+    run = np.flatnonzero(in_run)
+    run_ports = ports[run]
+    run = run[np.argsort(run_ports, kind="stable")]
+    counts = np.bincount(run_ports, minlength=256)
     ends = np.cumsum(counts)
-    port_times = times[by_port]
-    port_keep = np.ones(n, dtype=bool)
+    port_times = times[run]
+    port_keep = np.ones(run.shape[0], dtype=bool)
     for ch in channel_ids:
         lo, hi = int(ends[ch] - counts[ch]), int(ends[ch])
         port_keep[lo:hi] = kernels.dead_time_filter(port_times[lo:hi], dead_ps)
-    keep = np.empty(n, dtype=bool)
-    keep[by_port] = port_keep
+    keep[run] = port_keep
     return keep
 
 
@@ -442,7 +437,9 @@ def _finalize_party(acc: _PartyAccumulator, station: Station, party: str,
     stream.  Returns the stream and, when ``acc`` kept provenance, the
     per-tag (emission, setting, outcome, bin) arrays aligned with it
     (else None)."""
-    times = np.concatenate(acc.times) if acc.times else np.empty(0)
+    times = (np.concatenate([np.rint(t, out=t) for t in acc.times],
+                            dtype=np.int64, casting="unsafe")
+             if acc.times else np.empty(0, np.int64))
     ports = np.concatenate(acc.ports) if acc.ports else np.empty(0, np.uint8)
     provenance = None
     if acc.provenance is not None:
@@ -451,18 +448,25 @@ def _finalize_party(acc: _PartyAccumulator, station: Station, party: str,
                                               _PROVENANCE_DTYPES)]
     acc.times = acc.ports = acc.provenance = None
 
-    times = np.rint(times, out=times).astype(np.int64)
-    ok = times >= 0
-    if not ok.all():
+    if times.size and times.min() < 0:
+        ok = times >= 0
         times, ports = times[ok], ports[ok]
         if provenance is not None:
             provenance = [p[ok] for p in provenance]
 
-    # time-major, port-minor order from one stable sort of a packed key
+    # time-major, port-minor order from one stable sort (the batches come
+    # nearly in order) of packed keys; only provenance needs the order
     if times.size and times.max() >= 2**55:
         raise ValueError("tag times of 2**55 ps or more overflow the sort key")
-    order = np.argsort((times << 8) | ports, kind="stable")
-    times, ports = times[order], ports[order]
+    times <<= 8
+    times |= ports
+    if provenance is None:
+        times.sort(kind="stable")
+    else:
+        order = np.argsort(times, kind="stable")
+        times = times[order]
+    ports = times.astype(np.uint8)       # the low byte
+    times >>= 8
 
     keep = _dead_time_keep(times, ports, station.channel_ids,
                            station.detector.dead_time_ps)
@@ -520,7 +524,7 @@ def simulate_session(source: SourceModel, drift: DriftModel, alice: Station,
         phases = phase_at(source, drift, t_both[idx_c])
         e_pair = _pair_correlation_table(alice, bob, a_set[idx_c], b_set[idx_c], phases)
         same_sign = rng.random(idx_c.size) < (1.0 + e_pair) / 2.0
-        xc = (rng.random(idx_c.size) < 0.5).astype(np.int8) * 2 - 1
+        xc = _signs(rng.random(idx_c.size) < 0.5)
         yc = np.where(same_sign, xc, -xc).astype(np.int8)
         x[idx_c], y[idx_c] = xc, yc
         is_time = _mode_mask(bob, b_set[idx_c], "time")
@@ -536,7 +540,7 @@ def simulate_session(source: SourceModel, drift: DriftModel, alice: Station,
         p = (1 - c).astype(np.int8)
         x[idx_s] = _path_outcomes(alice, a_set[idx_s], p, rng)
         is_time = _mode_mask(bob, b_set[idx_s], "time")
-        y[idx_s] = np.where(c == 0, 1, -1).astype(np.int8)
+        y[idx_s] = _signs(c == 0)
         bin_a[idx_s] = p
         bin_b[idx_s] = c
         b_keep[idx_s] = is_time          # interference satellites are discarded
@@ -544,8 +548,9 @@ def simulate_session(source: SourceModel, drift: DriftModel, alice: Station,
     # interferometric post-selection on central clicks is already folded into
     # the central/satellite split: central b1 clicks survive, satellites don't.
 
+    t_bob = t_both[b_keep]       # taken before Alice's clicks add into t_both
     _emit_clicks(acc_a, alice, rng, t_both, ids_both, a_set, x, bin_a)
-    _emit_clicks(acc_b, bob, rng, t_both[b_keep], _masked(ids_both, b_keep),
+    _emit_clicks(acc_b, bob, rng, t_bob, _masked(ids_both, b_keep),
                  b_set[b_keep], y[b_keep], bin_b[b_keep])
     del t_both, ids_both, a_set, b_set, central, x, y, bin_a, bin_b, b_keep
 
@@ -555,7 +560,7 @@ def simulate_session(source: SourceModel, drift: DriftModel, alice: Station,
     ids_a = _emission_ids(next_emission, n_a, truth)
     next_emission += n_a
     a_set = _setting_choice(rng, n_a, alice.splitting)
-    p = (rng.random(n_a) < 0.5).astype(np.int8)
+    p = (rng.random(n_a) < 0.5).view(np.int8)
     x = _path_outcomes(alice, a_set, p, rng)
     _emit_clicks(acc_a, alice, rng, t_a, ids_a, a_set, x, p)
     del t_a, ids_a, a_set, p, x
@@ -568,9 +573,8 @@ def simulate_session(source: SourceModel, drift: DriftModel, alice: Station,
     b_set = _setting_choice(rng, n_b, bob.splitting)
     is_time = _mode_mask(bob, b_set, "time")
     keep = is_time | (rng.random(n_b) < 0.5)     # central-peak post-selection
-    c = (rng.random(n_b) < 0.5).astype(np.int8)
-    y = np.where(is_time, np.where(c == 0, 1, -1),
-                 (rng.random(n_b) < 0.5).astype(np.int8) * 2 - 1).astype(np.int8)
+    c = (rng.random(n_b) < 0.5).view(np.int8)
+    y = np.where(is_time, _signs(c == 0), _signs(rng.random(n_b) < 0.5))
     _emit_clicks(acc_b, bob, rng, t_b[keep], _masked(ids_b, keep),
                  b_set[keep], y[keep], c[keep])
     del t_b, ids_b, b_set, is_time, keep, c, y
@@ -616,27 +620,43 @@ def _pair_correlation_table(alice: Station, bob: Station, a_idx, b_idx,
     return np.where(is_time, nz[a_idx], nx[a_idx] * np.cos(phases))
 
 
+def _signs(draw: np.ndarray) -> np.ndarray:
+    """+1 where the boolean ``draw`` is set, else -1, as int8 in its buffer."""
+    signs = draw.view(np.int8)
+    signs *= 2
+    signs -= 1
+    return signs
+
+
 def _path_outcomes(station: Station, setting_idx, path, rng) -> np.ndarray:
-    p_plus = _plus_probability_by_path(station)[setting_idx, path]
-    return np.where(rng.random(setting_idx.shape[0]) < p_plus, 1, -1).astype(np.int8)
+    """+-1 per photon, drawn from P(+1) in a flat (setting, path) table."""
+    nz = np.array([s.bloch[2] for s in station.settings])
+    table = np.stack([(1.0 + nz) / 2.0, (1.0 - nz) / 2.0], axis=1).ravel()
+    key = setting_idx * np.int8(2)
+    key += path
+    return _signs(rng.random(setting_idx.shape[0]) < table[key])
 
 
 def _emit_clicks(acc: _PartyAccumulator, station: Station, rng,
                  t_emit, emission_ids, setting_idx, outcome, bins):
     """Turn sampled outcomes into detector clicks: port routing, bin offset,
-    channel delay, jitter."""
+    channel delay, jitter, added into ``t_emit`` (the caller's to give)."""
     n = t_emit.shape[0]
     if n == 0:
         return
     ports = _ports_for(station, setting_idx, outcome)
     # emit + delay + bin offset + jitter, added left to right: the float
     # rounding, and so every tag time, depends on this order
-    t = t_emit + station.channel.delay_ps
-    t += bins * float(BIN_SEPARATION_PS)
+    t_emit += station.channel.delay_ps
+    offset = bins * float(BIN_SEPARATION_PS)
+    t_emit += offset
     sigma = station.detector.jitter_sigma_ps
     if sigma > 0:
-        t += rng.normal(0.0, sigma, size=n)
-    acc.add(t, ports, emission_ids, setting_idx, outcome, bins)
+        # the draws of rng.normal(0.0, sigma), which is 0 + sigma * z
+        jitter = rng.standard_normal(n, out=offset)
+        jitter *= sigma
+        t_emit += jitter
+    acc.add(t_emit, ports, emission_ids, setting_idx, outcome, bins)
 
 
 # ---------------------------------------------------------------------------

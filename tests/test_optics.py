@@ -21,7 +21,6 @@ from hybridqkd.optics import (
     TagStream,
     alice_station,
     bob_station,
-    combined_fwhm,
     detector_presets,
     dump_tagstream,
     load_tagstream,
@@ -69,10 +68,6 @@ class TestModels:
         det = DetectorModel(efficiency=1.0, jitter_fwhm_ps=400.0,
                             dark_rate_hz=0.0, dead_time_ps=0)
         assert det.jitter_sigma_ps == pytest.approx(400.0 / 2.3548)
-
-    def test_combined_fwhm_quadrature(self):
-        assert combined_fwhm(300.0, 400.0) == pytest.approx(500.0)
-        assert combined_fwhm(70.0) == pytest.approx(70.0)
 
     def test_drift_kind_validation(self):
         with pytest.raises(ValueError):
@@ -152,6 +147,33 @@ class TestGeneratePairTimes:
         t1 = generate_pair_times(src, 1.0, np.random.default_rng(3))
         t2 = generate_pair_times(src, 1.0, np.random.default_rng(3))
         assert np.array_equal(t1, t2)
+
+
+class FixedGaps:
+    """Generator stand-in whose exponential draws are all ``gap`` ps."""
+
+    def __init__(self, gap):
+        self.gap = gap
+        self.sizes = []
+
+    def exponential(self, scale, size):
+        self.sizes.append(size)
+        assert len(self.sizes) <= 10, "the arrivals never reach the end"
+        return np.full(size, self.gap, dtype=np.float64)
+
+
+class TestPoissonStream:
+    # 1 GHz over 100 ns: 100 arrivals expected, so each chunk draws
+    # int(100 + 6 * sqrt(101) + 16) = 176 gaps
+    @pytest.mark.parametrize("gap, chunks", [(500.0, 2), (250.0, 3)])
+    def test_later_chunks_continue_from_the_last_arrival(self, gap, chunks):
+        rng = FixedGaps(gap)
+        times = optics._poisson_stream_ps(rng, 1e9, 100_000)
+        assert rng.sizes == [176] * chunks
+        # the arrival at exactly 100_000 ps is outside [0, duration)
+        np.testing.assert_array_equal(
+            times, np.cumsum(np.full(int(100_000 / gap) - 1, gap)))
+        assert times[-1] == 100_000 - gap
 
 
 class TestSamplePairOutcome:
@@ -359,7 +381,7 @@ class TestSimulateSession:
         res = simulate_session(src, DriftModel(), a, b, 2.0, seed=9)
         for stream in (res.alice, res.bob):
             for ch in np.unique(stream.channels):
-                t = stream.channel_times(int(ch))
+                t = stream.times[stream.channels == ch]
                 if len(t) > 1:
                     assert np.diff(t).min() >= 40_000
 
@@ -373,7 +395,7 @@ class TestSimulateSession:
                                truth=True)
         lam = 3000 * 4
         for ch in range(1, 7):
-            n = len(res.alice.channel_times(ch))
+            n = len(res.alice.times[res.alice.channels == ch])
             assert abs(n - lam) < 5 * math.sqrt(lam)
         assert (res.truth.alice_emission == -1).all()
         assert (res.truth.alice_setting == -1).all()
@@ -427,6 +449,31 @@ class TestSimulateSession:
             order = np.lexsort((ports, times))
             times, ports = times[order], ports[order]
             dead = int(rng.integers(0, 40))
+            np.testing.assert_array_equal(
+                optics._dead_time_keep(times, ports, channel_ids, dead),
+                self.per_channel_masks(times, ports, channel_ids, dead))
+        # inputs that stress the close runs, the only tags the filter visits
+        channel_ids = (1, 2, 3, 4, 5, 6)
+        channels = np.array(channel_ids, dtype=np.uint8)
+        # sparse: most tags lie outside any close run
+        sparse = np.sort(rng.integers(0, 10**6, 300))
+        assert (np.diff(sparse) < 2000).mean() < 0.5
+        cases = [
+            (sparse, rng.choice(channels, 300), 2000),
+            # one close run that crosses every channel, between isolated tags
+            (np.concatenate([[0, 20_000], 50_000 + 10 * np.arange(40),
+                             [90_000, 120_000]]),
+             np.concatenate([[1, 1], np.tile(channels, 7)[:40], [1, 2]]), 25),
+            # every tag isolated
+            (5000 * np.arange(100) + rng.integers(0, 1000, 100),
+             rng.choice(channels, 100), 3000),
+            # a dead time longer than the whole span
+            (np.sort(rng.integers(0, 10_000, 200)),
+             rng.choice(channels, 200), 20_000),
+        ]
+        for times, ports, dead in cases:
+            times = np.asarray(times, dtype=np.int64)
+            ports = np.asarray(ports, dtype=np.uint8)
             np.testing.assert_array_equal(
                 optics._dead_time_keep(times, ports, channel_ids, dead),
                 self.per_channel_masks(times, ports, channel_ids, dead))
