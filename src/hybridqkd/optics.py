@@ -29,6 +29,16 @@ counts, and enforces a per-channel dead time.  Emissions that no detector
 would record are never instantiated, which keeps 1e8-pairs-per-second
 configurations tractable; the thinning is statistically exact.
 
+Only the pairs both parties detect carry the model above.  A single, a
+pair only one party detects, is never matched and correlates with
+nothing, and its port does not depend on its time: at the paper's
+operating point singles are about 97% of the tags.  Each party's singles
+are one Poisson stream at its singles rate, shifted by the channel delay,
+with one port draw per tag at P(port) = splitting x 1/2 (a polarizer or
+the time basis) or x 1/4 (the interference basis, after post-selection);
+no setting, path, outcome, bin or jitter is drawn for them.  Only their
+few ns at the span's ends differ from the per-photon model.
+
 :func:`simulate_session` draws whole streams at once.  Each party's
 clicks are sorted by time then port as packed keys, and the dead time is
 applied channel by channel to the close runs (tags next to a shorter
@@ -279,10 +289,13 @@ class TagStream:
 class GroundTruth:
     """Per-tag provenance, index-aligned with the two tag streams.
 
-    emission ids are session-local labels (-1 for dark counts); a pair of
-    tags with the same nonnegative id came from the same emission.  setting
-    is the index into the station's settings tuple (-1 dark), outcome the
-    quantum +-1 (0 dark), bin the time-bin offset count (-1 dark).
+    emission ids are session-local labels of the pairs both parties
+    detected, ``emission_count`` of them; a pair of tags with the same
+    nonnegative id came from the same emission.  -1 means no recorded
+    partner: a single (its partner photon went undetected) or a dark
+    count.  setting is the index into the station's settings tuple (-1
+    dark), outcome the quantum +-1 (0 dark), both read back from the port
+    for a single; bin is the time-bin offset count (-1 single or dark).
     """
 
     emission_count: int
@@ -337,13 +350,14 @@ def _poisson_stream_ps(rng: np.random.Generator, rate_hz: float,
     return times[:np.searchsorted(times, duration_ps)]
 
 
-def _setting_choice(rng, n, splitting):
-    """Setting index per event: the number of inner splitting edges at or
-    below a uniform draw (``searchsorted(side="right")`` capped at the
-    last setting)."""
+def _setting_choice(rng, n, probs):
+    """Index per event drawn from the probabilities ``probs`` (a setting
+    from the splitting, or a port): the number of inner cumulative edges
+    at or below a uniform draw (``searchsorted(side="right")`` capped at
+    the last index)."""
     r = rng.random(n)
     idx = np.zeros(n, dtype=np.int8)
-    for edge in np.cumsum(splitting)[:-1]:
+    for edge in np.cumsum(probs)[:-1]:
         idx += r >= edge
     return idx
 
@@ -385,16 +399,6 @@ class _PartyAccumulator:
                                          (emission, setting, outcome, bins),
                                          _PROVENANCE_DTYPES):
                 parts.append(np.asarray(arr, dtype=dtype))
-
-
-def _emission_ids(start: int, n: int, truth: bool) -> np.ndarray | None:
-    """Session-local labels of ``n`` emissions from ``start``; only ground
-    truth reads them, so without it none are built."""
-    return np.arange(start, start + n, dtype=np.int64) if truth else None
-
-
-def _masked(ids: np.ndarray | None, keep: np.ndarray) -> np.ndarray | None:
-    return None if ids is None else ids[keep]
 
 
 def _dead_time_keep(times: np.ndarray, ports: np.ndarray, channel_ids,
@@ -500,13 +504,12 @@ def simulate_session(source: SourceModel, drift: DriftModel, alice: Station,
 
     acc_a = _PartyAccumulator(truth)
     acc_b = _PartyAccumulator(truth)
-    next_emission = 0
 
     # --- pairs with both photons detected -------------------------------
     t_both = _poisson_stream_ps(rng, rate * p_det_a * p_det_b, duration_ps)
     n_both = t_both.shape[0]
-    ids_both = _emission_ids(next_emission, n_both, truth)
-    next_emission += n_both
+    # session-local emission labels; only ground truth reads them
+    ids_both = np.arange(n_both, dtype=np.int64) if truth else None
 
     a_set = _setting_choice(rng, n_both, alice.splitting)
     b_set = _setting_choice(rng, n_both, bob.splitting)
@@ -550,34 +553,16 @@ def simulate_session(source: SourceModel, drift: DriftModel, alice: Station,
 
     t_bob = t_both[b_keep]       # taken before Alice's clicks add into t_both
     _emit_clicks(acc_a, alice, rng, t_both, ids_both, a_set, x, bin_a)
-    _emit_clicks(acc_b, bob, rng, t_bob, _masked(ids_both, b_keep),
+    _emit_clicks(acc_b, bob, rng, t_bob,
+                 None if ids_both is None else ids_both[b_keep],
                  b_set[b_keep], y[b_keep], bin_b[b_keep])
     del t_both, ids_both, a_set, b_set, central, x, y, bin_a, bin_b, b_keep
 
-    # --- pairs with only Alice's photon detected -------------------------
-    t_a = _poisson_stream_ps(rng, rate * p_det_a * (1.0 - p_det_b), duration_ps)
-    n_a = t_a.shape[0]
-    ids_a = _emission_ids(next_emission, n_a, truth)
-    next_emission += n_a
-    a_set = _setting_choice(rng, n_a, alice.splitting)
-    p = (rng.random(n_a) < 0.5).view(np.int8)
-    x = _path_outcomes(alice, a_set, p, rng)
-    _emit_clicks(acc_a, alice, rng, t_a, ids_a, a_set, x, p)
-    del t_a, ids_a, a_set, p, x
-
-    # --- pairs with only Bob's photon detected ---------------------------
-    t_b = _poisson_stream_ps(rng, rate * (1.0 - p_det_a) * p_det_b, duration_ps)
-    n_b = t_b.shape[0]
-    ids_b = _emission_ids(next_emission, n_b, truth)
-    next_emission += n_b
-    b_set = _setting_choice(rng, n_b, bob.splitting)
-    is_time = _mode_mask(bob, b_set, "time")
-    keep = is_time | (rng.random(n_b) < 0.5)     # central-peak post-selection
-    c = (rng.random(n_b) < 0.5).view(np.int8)
-    y = np.where(is_time, _signs(c == 0), _signs(rng.random(n_b) < 0.5))
-    _emit_clicks(acc_b, bob, rng, t_b[keep], _masked(ids_b, keep),
-                 b_set[keep], y[keep], c[keep])
-    del t_b, ids_b, b_set, is_time, keep, c, y
+    # --- pairs with only one photon detected ----------------------------
+    _emit_singles(acc_a, alice, rng, rate * p_det_a * (1.0 - p_det_b),
+                  duration_ps)
+    _emit_singles(acc_b, bob, rng, rate * (1.0 - p_det_a) * p_det_b,
+                  duration_ps)
 
     # --- dark counts ------------------------------------------------------
     duration_s_exact = duration_ps / PS_PER_SECOND
@@ -601,7 +586,7 @@ def simulate_session(source: SourceModel, drift: DriftModel, alice: Station,
     stream_b, prov_b = _finalize_party(acc_b, bob, "bob", duration_ps)
     ground = None
     if truth:
-        ground = GroundTruth(next_emission, *prov_a, *prov_b)
+        ground = GroundTruth(n_both, *prov_a, *prov_b)
     return SessionResult(alice=stream_a, bob=stream_b, truth=ground)
 
 
@@ -657,6 +642,50 @@ def _emit_clicks(acc: _PartyAccumulator, station: Station, rng,
         jitter *= sigma
         t_emit += jitter
     acc.add(t_emit, ports, emission_ids, setting_idx, outcome, bins)
+
+
+# P(port | setting) of a photon whose partner went unrecorded, by analyzer
+# mode: a polarizer's P(+1 | setting, path) = (1 +- n_z)/2 averages to 1/2
+# over the two equally likely paths; the time basis reads a 50/50 bin; the
+# interference basis keeps the central peak (1/2), then gives +-1 at 50/50
+_SINGLE_PORT_SHARE = {"polarizer": 0.5, "time": 0.5, "interference": 0.25}
+
+
+def _emit_singles(acc: _PartyAccumulator, station: Station, rng,
+                  rate_hz: float, duration_ps: int):
+    """Clicks of the pairs whose partner photon went undetected: one
+    Poisson stream at ``rate_hz`` x P(click), shifted by the channel
+    delay, and one port draw per tag with P(port) = splitting x the mode's
+    port share.
+
+    This is exact in distribution: a single's setting, path and outcome
+    do not depend on its emission time, so its port is a time-independent
+    mark, and the clicks of each port form an independent Poisson process
+    whatever the draw that routes them.  The bin offset and jitter would
+    shift each tag by an iid amount, which leaves each port's process
+    Poisson at the same rate; only the few ns at the span's ends differ,
+    the approximation the dark counts make too.  So no setting, path,
+    outcome, bin or jitter is drawn, and a party whose singles rate is 0
+    draws nothing.  In the ground truth a single has emission and bin -1
+    and its port's setting and outcome.
+    """
+    shares = np.array([split * _SINGLE_PORT_SHARE[mode]
+                       for split, mode in zip(station.splitting, station.modes)
+                       for _ in range(2)])
+    times = _poisson_stream_ps(rng, rate_hz * shares.sum(), duration_ps)
+    n = times.shape[0]
+    if n == 0:
+        return
+    times += station.channel.delay_ps
+    # key 2s + 0 is setting s's plus port, 2s + 1 its minus port
+    key = _setting_choice(rng, n, shares / shares.sum())
+    provenance = (None,) * 4
+    if acc.provenance is not None:
+        signs = np.array([(s.outcome_sign, -s.outcome_sign)
+                          for s in station.settings], dtype=np.int8).ravel()
+        provenance = (np.full(n, -1, np.int64), key // 2, signs[key],
+                      np.full(n, -1, np.int8))
+    acc.add(times, np.array(station.channel_ids, np.uint8)[key], *provenance)
 
 
 # ---------------------------------------------------------------------------

@@ -64,7 +64,6 @@ __all__ = [
     "bob_endpoint",
     "sift",
     "sample_positions",
-    "estimate_qber",
     "build_report",
     "report_csv",
     "frame_message",
@@ -309,25 +308,6 @@ def sample_positions(length: int, fraction: float, rng) -> np.ndarray:
             f"of {fraction}")
     n = max(1, int(length * fraction))
     return np.sort(rng.choice(length, size=n, replace=False))
-
-
-def estimate_qber(alice_key: SiftedKey, bob_key: SiftedKey,
-                  sample_fraction: float, rng):
-    """Publicly compare a random sample of key bits and remove it.
-
-    Returns ``(qber, (alice_remaining, bob_remaining))``; the sampled
-    positions are excluded from both remaining keys.
-    """
-    if len(alice_key) != len(bob_key):
-        raise ValueError("keys must have equal length")
-    positions = sample_positions(len(alice_key), sample_fraction, rng)
-    mism = int((alice_key.bits[positions] != bob_key.bits[positions]).sum())
-    qber = mism / positions.size
-    keep = np.ones(len(alice_key), dtype=bool)
-    keep[positions] = False
-    out = tuple(replace(k, bits=k.bits[keep], pair_ids=k.pair_ids[keep])
-                for k in (alice_key, bob_key))
-    return qber, out
 
 
 # ---------------------------------------------------------------------------

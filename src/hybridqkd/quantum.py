@@ -38,9 +38,7 @@ __all__ = [
     "standard_settings",
     "joint_probability",
     "correlation",
-    "monte_carlo_correlation",
     "chsh_value",
-    "chsh_phase_curve",
     "binary_entropy",
     "mutual_information",
     "holevo_bound",
@@ -197,25 +195,6 @@ def correlation(state: TwoQubitState, a: MeasurementSetting,
     return total
 
 
-def monte_carlo_correlation(state: TwoQubitState, a: MeasurementSetting,
-                            b: MeasurementSetting, n: int,
-                            rng: np.random.Generator):
-    """Estimate E(a, b) by sampling ``n`` outcome pairs from the Born
-    probabilities.  Returns (estimate, std_error) with the binomial
-    error of the estimate itself.
-    """
-    if n < 1:
-        raise ValueError("need at least one sample")
-    probs = np.array([joint_probability(state, a, b, xa, xb)
-                      for xa in (1, -1) for xb in (1, -1)])
-    probs = probs / probs.sum()
-    counts = rng.multinomial(n, probs)
-    same = int(counts[0] + counts[3])
-    value = (2.0 * same - n) / n
-    std_error = math.sqrt(4.0 * same * (n - same) / n**3)
-    return value, std_error
-
-
 def _signed_correlation(state, a, b):
     return a.outcome_sign * b.outcome_sign * correlation(state, a, b)
 
@@ -233,11 +212,6 @@ def chsh_value(state: TwoQubitState, a0: MeasurementSetting, a1: MeasurementSett
         + _signed_correlation(state, a1, b0)
         - _signed_correlation(state, a1, b1)
     )
-
-
-def chsh_phase_curve(phase: float) -> float:
-    """Closed form of S(phase) for the standard settings: sqrt(2)*(1 - cos(phase))."""
-    return SQRT2 * (1.0 - math.cos(phase))
 
 
 def binary_entropy(x: float) -> float:

@@ -46,7 +46,6 @@ __all__ = [
     "chsh_from_counts",
     "qber_from_matrix",
     "window_sweep",
-    "accidental_pair_rate",
     "matrix_csv",
     "estimates_csv",
 ]
@@ -521,13 +520,6 @@ def window_sweep(a: TagStream, b: TagStream, windows, delay_ps: int,
         out.append(WindowPoint(window_ps=int(w), s=s, s_err=err,
                                pairs=len(pairs[0])))
     return out
-
-
-def accidental_pair_rate(a: TagStream, b: TagStream, window_ps: int) -> float:
-    """Diagnostic estimate of uncorrelated pairs per second: the product of
-    the two singles rates times the window width.  Not subtracted from any
-    estimate; matches treating every coincidence as signal."""
-    return a.rate_hz() * b.rate_hz() * (window_ps * 1e-12)
 
 
 # ---------------------------------------------------------------------------

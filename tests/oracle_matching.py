@@ -107,3 +107,9 @@ def matching_cost(a, b, ai, bi):
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     return int(np.abs(a[ai] - b[bi]).sum())
+
+
+def accidental_pair_rate(a, b, window_ps: int) -> float:
+    """Expected uncorrelated pairs per second between two tag streams: the
+    product of the two singles rates times the window width."""
+    return a.rate_hz() * b.rate_hz() * (window_ps * 1e-12)

@@ -4,9 +4,15 @@ Everything here is computed the slow, explicit way: build the 4x4 density
 matrix, build projectors (I ± n.sigma)/2 from Bloch vectors via literal Pauli
 matrices, take traces. The library under test computes the same quantities
 through state-vector amplitudes and closed forms; the two routes share no code.
+The exceptions are at the end: ``chsh_phase_curve``, a closed form, and
+``monte_carlo_correlation``, which samples the library's own probabilities.
 """
 
+import math
+
 import numpy as np
+
+from hybridqkd.quantum import joint_probability
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -71,3 +77,26 @@ def holevo_ref(s):
     if s <= 2.0:
         return 1.0
     return binary_entropy_ref((1.0 + np.sqrt(s * s / 4.0 - 1.0)) / 2.0)
+
+
+def chsh_phase_curve(phase):
+    """Closed form of S(phase) for the standard settings: sqrt(2)*(1 - cos(phase))."""
+    return math.sqrt(2.0) * (1.0 - math.cos(phase))
+
+
+def monte_carlo_correlation(state, a, b, n, rng):
+    """Estimate E(a, b) by sampling ``n`` outcome pairs from the library's
+    Born probabilities ``quantum.joint_probability`` (so this checks the
+    sampling and its error bar, not the Born rule).  Returns (estimate,
+    std_error) with the binomial error of the estimate itself.
+    """
+    if n < 1:
+        raise ValueError("need at least one sample")
+    probs = np.array([joint_probability(state, a, b, xa, xb)
+                      for xa in (1, -1) for xb in (1, -1)])
+    probs = probs / probs.sum()
+    counts = rng.multinomial(n, probs)
+    same = int(counts[0] + counts[3])
+    value = (2.0 * same - n) / n
+    std_error = math.sqrt(4.0 * same * (n - same) / n**3)
+    return value, std_error

