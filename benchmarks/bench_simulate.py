@@ -8,12 +8,16 @@ Runs ``harness._simulate`` for a bundled preset, shortened to
 from outside, on the ``optics`` module where ``simulate_session`` looks
 them up, so the program itself is unchanged.  Prints one JSON object:
 the median over the repeats of the whole call and of each step's total
-time per call.  A step's time includes the wrapped steps it calls:
-``_dead_time_keep`` runs inside ``_finalize_party``, and
+time per call, summed over threads.  A step's time includes the wrapped
+steps it calls: ``_dead_time_keep`` runs inside ``_finalize_party``, and
 ``_poisson_stream_ps`` both in ``simulate_session`` (the coincidences'
-stream) and inside ``_emit_singles``.  ``draws`` is what
-``simulate_session`` spends outside every wrapped step (its random
-draws, outcome tables and masks).
+stream) and inside ``_emit_singles``.  On streams above
+``kernels._SPLIT_TAGS`` tags, Bob's ``_sort_clicks`` runs on a worker
+thread while Alice's runs on the calling thread; ``worker`` is the time
+of the steps on the worker, and it overlaps the caller's.  ``draws`` is
+what ``simulate_session`` spends on its own thread outside every
+wrapped step (its random draws, outcome tables and masks, and any wait
+for the worker).
 """
 
 from __future__ import annotations
@@ -22,38 +26,42 @@ import argparse
 import functools
 import json
 import statistics
+import threading
 import time
 
 from hybridqkd import harness, optics
 
 STEPS = ("_poisson_stream_ps", "_emit_clicks", "_emit_singles",
-         "_finalize_party", "_dead_time_keep")
-# time in the outermost wrapped calls, the ones simulate_session makes
-DIRECT = "direct"
+         "_sort_clicks", "_finalize_party", "_dead_time_keep")
+# time in the outermost wrapped calls on the calling thread (the ones
+# simulate_session makes) and on any other thread
+DIRECT, WORKER = "direct", "worker"
 
 
 def _timed(fn, totals, name, depth):
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
-        depth[0] += 1
+        depth.value = getattr(depth, "value", 0) + 1
         start = time.perf_counter()
         try:
             return fn(*args, **kwargs)
         finally:
             elapsed = time.perf_counter() - start
             totals[name] += elapsed
-            depth[0] -= 1
-            if depth[0] == 0:
-                totals[DIRECT] += elapsed
+            depth.value -= 1
+            if depth.value == 0:
+                outer = (DIRECT if threading.current_thread()
+                         is threading.main_thread() else WORKER)
+                totals[outer] += elapsed
     return wrapper
 
 
 def run(preset, seconds, repeat, seed=None):
     cfg = harness.load_config(harness.preset_path(preset))
     seed = cfg["seed"] if seed is None else seed
-    totals = dict.fromkeys((*STEPS, DIRECT), 0.0)
-    depth = [0]
-    samples = {name: [] for name in ("simulate", *STEPS, "draws")}
+    totals = dict.fromkeys((*STEPS, DIRECT, WORKER), 0.0)
+    depth = threading.local()  # nesting of wrapped calls, per thread
+    samples = {name: [] for name in ("simulate", *STEPS, WORKER, "draws")}
     originals = {name: getattr(optics, name) for name in STEPS}
     try:
         for name, fn in originals.items():
@@ -64,7 +72,7 @@ def run(preset, seconds, repeat, seed=None):
             result = harness._simulate(cfg, seed, duration_s=seconds)
             elapsed = time.perf_counter() - start
             samples["simulate"].append(elapsed)
-            for name in STEPS:
+            for name in (*STEPS, WORKER):
                 samples[name].append(totals[name])
             samples["draws"].append(elapsed - totals[DIRECT])
     finally:

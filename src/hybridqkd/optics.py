@@ -42,7 +42,12 @@ few ns at the span's ends differ from the per-photon model.
 :func:`simulate_session` draws whole streams at once.  Each party's
 clicks are sorted by time then port as packed keys, and the dead time is
 applied channel by channel to the close runs (tags next to a shorter
-gap) only.  Per-tag ground truth (:class:`GroundTruth`) is
+gap) only.  When both parties have more than ``kernels._SPLIT_TAGS``
+clicks and the process may use two CPUs, Bob's clicks are merged and
+sorted on a worker thread while Alice's are on the calling thread
+(``_sort_clicks``); the dead time, which calls the public
+``kernels.dead_time_filter``, stays on the calling thread, and no random
+draw moves.  Per-tag ground truth (:class:`GroundTruth`) is
 produced only on request (``truth=True``); the streams do not depend on
 it.  A scalar one-emission-at-a-time model of the same physics lives in
 ``tests/oracle_optics.py`` as the tests' reference.
@@ -390,6 +395,10 @@ class _PartyAccumulator:
         self.times = []
         self.ports = []
         self.provenance = ([], [], [], []) if truth else None
+        self.merged = None  # set by _sort_clicks
+
+    def __len__(self):
+        return sum(t.shape[0] for t in self.times)
 
     def add(self, times, ports, emission, setting, outcome, bins):
         self.times.append(np.asarray(times))
@@ -435,12 +444,14 @@ def _dead_time_keep(times: np.ndarray, ports: np.ndarray, channel_ids,
     return keep
 
 
-def _finalize_party(acc: _PartyAccumulator, station: Station, party: str,
-                    duration_ps: int):
-    """Merge one party's clicks into a time-sorted, dead-time filtered
-    stream.  Returns the stream and, when ``acc`` kept provenance, the
-    per-tag (emission, setting, outcome, bin) arrays aligned with it
-    (else None)."""
+def _sort_clicks(acc: _PartyAccumulator):
+    """Merge one party's click batches into time-major, port-minor order.
+    Sets ``acc.merged`` to (times, ports, order, provenance): ``order``
+    maps the sorted tags to the merged batches and ``provenance`` holds
+    the per-click (emission, setting, outcome, bin) arrays in batch
+    order, both only when ``acc`` kept provenance (else None).  Runs on a
+    worker thread for Bob (``simulate_session``), so it calls no public
+    function."""
     times = (np.concatenate([np.rint(t, out=t) for t in acc.times],
                             dtype=np.int64, casting="unsafe")
              if acc.times else np.empty(0, np.int64))
@@ -464,6 +475,7 @@ def _finalize_party(acc: _PartyAccumulator, station: Station, party: str,
         raise ValueError("tag times of 2**55 ps or more overflow the sort key")
     times <<= 8
     times |= ports
+    order = None
     if provenance is None:
         times.sort(kind="stable")
     else:
@@ -471,7 +483,17 @@ def _finalize_party(acc: _PartyAccumulator, station: Station, party: str,
         times = times[order]
     ports = times.astype(np.uint8)       # the low byte
     times >>= 8
+    acc.merged = times, ports, order, provenance
 
+
+def _finalize_party(acc: _PartyAccumulator, station: Station, party: str,
+                    duration_ps: int):
+    """One party's dead-time filtered stream from its merged clicks
+    (``_sort_clicks``).  Returns the stream and, when ``acc`` kept
+    provenance, the per-tag (emission, setting, outcome, bin) arrays
+    aligned with it (else None)."""
+    times, ports, order, provenance = acc.merged
+    acc.merged = None  # the filtered arrays replace these
     keep = _dead_time_keep(times, ports, station.channel_ids,
                            station.detector.dead_time_ps)
     times, ports = times[keep], ports[keep]
@@ -582,6 +604,10 @@ def simulate_session(source: SourceModel, drift: DriftModel, alice: Station,
             acc.add(t_dark.astype(np.float64), np.full(n_dark, ch, np.uint8),
                     *provenance)
 
+    # Bob's clicks sort on a worker thread while Alice's sort here; the
+    # dead time (kernels.dead_time_filter) stays on this thread
+    kernels._in_parallel(_sort_clicks, [(acc_a,), (acc_b,)],
+                         kernels._two_threads(min(len(acc_a), len(acc_b))))
     stream_a, prov_a = _finalize_party(acc_a, alice, "alice", duration_ps)
     stream_b, prov_b = _finalize_party(acc_b, bob, "bob", duration_ps)
     ground = None

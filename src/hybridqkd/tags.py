@@ -266,8 +266,9 @@ def estimate_delay(a, b, search_range_ps: int = 2**28, bin_width_ps: int = 16,
 
     The coarse peak is located with an FFT cross-correlation on a grid of
     L coarse bins per bin, and only the coarse bins near the located peak
-    are counted exactly (``_located_coarse_peak``).  Two ``searchsorted``
-    calls count the pairs in range first; that count gives the background
+    are counted exactly (``_located_coarse_peak``).  Two binary searches
+    over the prefix (``kernels._sorted_search``, its queries ascend)
+    count the pairs in range first; that count gives the background
     mean the full histogram would give.  The grid width balances two
     predicted costs (``_locate_widths``):
 
@@ -315,8 +316,8 @@ def estimate_delay(a, b, search_range_ps: int = 2**28, bin_width_ps: int = 16,
     ca, cb = ta[:max_coarse_tags], tb[:max_coarse_tags]
     lo, hi = -search_range_ps, search_range_ps
     nbins = -(-(hi - lo) // coarse_bin_ps)
-    pairs = int((np.searchsorted(cb, ca + hi)
-                 - np.searchsorted(cb, ca + lo)).sum())
+    pairs = int((kernels._sorted_search(cb, ca + hi)
+                 - kernels._sorted_search(cb, ca + lo)).sum())
     spanned = int(ca[-1] - ca[0]) // coarse_bin_ps + nbins
     peak = None
     # on three bins or fewer _peak_bin does not smooth; keep those exact

@@ -268,6 +268,39 @@ class TestWindowRanges:
         np.testing.assert_array_equal(kernels._sorted_search(b, query),
                                       np.searchsorted(b, query))
 
+    @staticmethod
+    def split_above(monkeypatch, n):
+        """Split the work on more than ``n`` tags over two threads."""
+        monkeypatch.setattr(kernels, "_SPLIT_TAGS", n)
+        monkeypatch.setattr(kernels, "_CPUS", 2)
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 66, 200])
+    def test_two_halves(self, monkeypatch, n):
+        # streams at the split threshold of 64 tags and around it
+        self.split_above(monkeypatch, 64)
+        assert len(kernels._halves(n)) == (2 if n > 64 else 1)
+        rng = np.random.default_rng(16 + n)
+        cases = {True: 0, False: 0}
+        for trial in range(60):
+            span = int(rng.choice([100, 10_000, 10**6]))
+            a = random_sorted_times(rng, n, span)
+            b = random_sorted_times(rng, int(rng.integers(0, 300)), span)
+            lo = int(rng.integers(-300, 300))
+            cases[self.dense(a, b, lo, lo + int(rng.integers(1, 300)))] += 1
+        assert min(cases.values()) > 5
+
+    @pytest.mark.parametrize("first, second, dense", [
+        (100, 50, False), (50, 100, False), (100, 70, True), (70, 100, True),
+    ])
+    def test_case_from_both_halves(self, monkeypatch, first, second, dense):
+        # ``first`` of the first half's 100 tags and ``second`` of the
+        # second half's have a partner: one half alone would take the
+        # dense case, the share over both decides
+        self.split_above(monkeypatch, 64)
+        a = np.arange(0, 2000, 10, dtype=np.int64)
+        b = np.concatenate([a[:first], a[100:100 + second]]) + 3
+        assert self.dense(a, b, 0, 5) == dense
+
 
 class TestDiffHistogram:
     def test_known_counts(self):

@@ -421,6 +421,7 @@ class TestSimulateSession:
         acc = optics._PartyAccumulator(truth=True)
         acc.add(times, ports, np.arange(n), np.zeros(n), np.zeros(n),
                 np.zeros(n))
+        optics._sort_clicks(acc)
         stream, (emission, *_) = optics._finalize_party(acc, a, "alice", 100)
         ok = np.flatnonzero(times >= 0)
         order = ok[np.lexsort((ports[ok], times[ok]))]
@@ -497,6 +498,7 @@ class TestSimulateSession:
             acc = optics._PartyAccumulator(truth)
             acc.add(times, ports, np.arange(n), np.zeros(n), np.zeros(n),
                     np.zeros(n))
+            optics._sort_clicks(acc)
             stream, provenance = optics._finalize_party(acc, a, "alice", 100)
             np.testing.assert_array_equal(stream.times, times[order])
             np.testing.assert_array_equal(stream.channels, ports[order])
