@@ -9,15 +9,22 @@ from outside, on the ``optics`` module where ``simulate_session`` looks
 them up, so the program itself is unchanged.  Prints one JSON object:
 the median over the repeats of the whole call and of each step's total
 time per call, summed over threads.  A step's time includes the wrapped
-steps it calls: ``_dead_time_keep`` runs inside ``_finalize_party``, and
-``_poisson_stream_ps`` both in ``simulate_session`` (the coincidences'
-stream) and inside ``_emit_singles``.  On streams above
-``kernels._SPLIT_TAGS`` tags, Bob's ``_sort_clicks`` runs on a worker
-thread while Alice's runs on the calling thread; ``worker`` is the time
-of the steps on the worker, and it overlaps the caller's.  ``draws`` is
-what ``simulate_session`` spends on its own thread outside every
-wrapped step (its random draws, outcome tables and masks, and any wait
-for the worker).
+steps it calls: ``_party_stream`` runs one party's ``_emit_singles``,
+``_sort_clicks`` and ``_finalize_party``; ``_dead_time_keep`` runs
+inside ``_finalize_party``; and ``_poisson_stream_ps`` runs both in
+``simulate_session`` (the coincidences' stream) and inside
+``_emit_singles``.  On streams above ``kernels._SPLIT_TAGS`` tags,
+Bob's ``_party_stream`` runs on a worker thread while Alice's runs on
+the calling thread; ``worker`` is the time of the steps on the worker,
+that is Bob's whole pipeline (singles, sort and dead time), and it
+overlaps the caller's.  ``draws`` is what ``simulate_session`` spends
+on its own thread outside every wrapped step: the coincidences' and
+the dark counts' draws, their outcome tables and masks, and any wait
+for the worker.
+
+On a 2-vCPU x86 VM (numpy 2.4.6, ``--repeat 5``, three runs each), 1 s
+of ``paper`` simulated in 0.32-0.35 s when only Bob's sort ran on the
+worker, and in 0.22-0.27 s with Bob's whole pipeline there.
 """
 
 from __future__ import annotations
@@ -31,8 +38,9 @@ import time
 
 from hybridqkd import harness, optics
 
-STEPS = ("_poisson_stream_ps", "_emit_clicks", "_emit_singles",
-         "_sort_clicks", "_finalize_party", "_dead_time_keep")
+STEPS = ("_poisson_stream_ps", "_emit_clicks", "_party_stream",
+         "_emit_singles", "_sort_clicks", "_finalize_party",
+         "_dead_time_keep")
 # time in the outermost wrapped calls on the calling thread (the ones
 # simulate_session makes) and on any other thread
 DIRECT, WORKER = "direct", "worker"

@@ -44,6 +44,10 @@ alternating perfbench dump_analyze runs peaked at 60-61 MB against
 57-58 MB, with no gain in time (0.249-0.264 s against 0.231-0.266 s).
 A worker thread runs only private helpers; a public function wrapped by
 a tracer would open a span with no parent on the worker.
+``optics.simulate_session`` uses the same worker for Bob's singles,
+sort and dead time, so the simulator filters dead time with the private
+``_dead_time_filter``; the public ``dead_time_filter`` only coerces its
+arguments and calls it.
 
 ``binned_correlation`` counts the pairs of two streams by the difference
 of their binned times with FFTs, at a cost that grows with the number of
@@ -130,7 +134,13 @@ def _in_parallel(fn, calls, parallel=True):
 
 def dead_time_filter(times, dead_ps: int) -> np.ndarray:
     """Boolean keep-mask: a tag survives if it is at least ``dead_ps`` after
-    the previous surviving tag of the same array.
+    the previous surviving tag of the same array."""
+    return _dead_time_filter(_as_i64(times), np.int64(dead_ps))
+
+
+def _dead_time_filter(times, dead_ps):
+    """``dead_time_filter`` of int64 ``times``.  The simulator calls this
+    one, also from a worker thread (module docstring).
 
     Computed in vectorized rounds over the close runs.  A tag at least
     ``dead_ps`` after its predecessor always survives, so only runs of
@@ -141,7 +151,6 @@ def dead_time_filter(times, dead_ps: int) -> np.ndarray:
     far neighbours on both sides is settled, and two runs never become
     close to each other.
     """
-    times, dead_ps = _as_i64(times), np.int64(dead_ps)
     n = times.shape[0]
     keep = np.ones(n, dtype=np.bool_)
     if n < 2 or dead_ps <= 0:

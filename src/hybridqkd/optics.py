@@ -39,15 +39,17 @@ the time basis) or x 1/4 (the interference basis, after post-selection);
 no setting, path, outcome, bin or jitter is drawn for them.  Only their
 few ns at the span's ends differ from the per-photon model.
 
-:func:`simulate_session` draws whole streams at once.  Each party's
-clicks are sorted by time then port as packed keys, and the dead time is
-applied channel by channel to the close runs (tags next to a shorter
-gap) only.  When both parties have more than ``kernels._SPLIT_TAGS``
-clicks and the process may use two CPUs, Bob's clicks are merged and
-sorted on a worker thread while Alice's are on the calling thread
-(``_sort_clicks``); the dead time, which calls the public
-``kernels.dead_time_filter``, stays on the calling thread, and no random
-draw moves.  Per-tag ground truth (:class:`GroundTruth`) is
+:func:`simulate_session` draws whole streams at once.  The session
+generator draws the coincidences and the dark counts; each party then
+draws its singles from a generator of its own, spawned from the
+session's after its last draw.  Each party's clicks are sorted by time
+then port as packed keys, and the dead time is applied channel by
+channel to the close runs (tags next to a shorter gap) only.  When both
+parties expect more than ``kernels._SPLIT_TAGS`` clicks and the process
+may use two CPUs, Bob's singles, sort and dead time (``_party_stream``)
+run on a worker thread while Alice's run on the calling thread.  As
+neither party draws from the other's generator, the streams are the
+same either way.  Per-tag ground truth (:class:`GroundTruth`) is
 produced only on request (``truth=True``); the streams do not depend on
 it.  A scalar one-emission-at-a-time model of the same physics lives in
 ``tests/oracle_optics.py`` as the tests' reference.
@@ -313,15 +315,6 @@ class GroundTruth:
     bob_outcome: np.ndarray
     bob_bin: np.ndarray
 
-    def true_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Tag-index pairs whose two sides share an emission id."""
-        a_ok = self.alice_emission >= 0
-        b_ok = self.bob_emission >= 0
-        common, ai, bi = np.intersect1d(
-            self.alice_emission[a_ok], self.bob_emission[b_ok],
-            assume_unique=True, return_indices=True)
-        return np.flatnonzero(a_ok)[ai], np.flatnonzero(b_ok)[bi]
-
 
 @dataclass
 class SessionResult:
@@ -397,9 +390,6 @@ class _PartyAccumulator:
         self.provenance = ([], [], [], []) if truth else None
         self.merged = None  # set by _sort_clicks
 
-    def __len__(self):
-        return sum(t.shape[0] for t in self.times)
-
     def add(self, times, ports, emission, setting, outcome, bins):
         self.times.append(np.asarray(times))
         self.ports.append(np.asarray(ports, dtype=np.uint8))
@@ -439,7 +429,8 @@ def _dead_time_keep(times: np.ndarray, ports: np.ndarray, channel_ids,
     port_keep = np.ones(run.shape[0], dtype=bool)
     for ch in channel_ids:
         lo, hi = int(ends[ch] - counts[ch]), int(ends[ch])
-        port_keep[lo:hi] = kernels.dead_time_filter(port_times[lo:hi], dead_ps)
+        port_keep[lo:hi] = kernels._dead_time_filter(port_times[lo:hi],
+                                                     dead_ps)
     keep[run] = port_keep
     return keep
 
@@ -449,9 +440,7 @@ def _sort_clicks(acc: _PartyAccumulator):
     Sets ``acc.merged`` to (times, ports, order, provenance): ``order``
     maps the sorted tags to the merged batches and ``provenance`` holds
     the per-click (emission, setting, outcome, bin) arrays in batch
-    order, both only when ``acc`` kept provenance (else None).  Runs on a
-    worker thread for Bob (``simulate_session``), so it calls no public
-    function."""
+    order, both only when ``acc`` kept provenance (else None)."""
     times = (np.concatenate([np.rint(t, out=t) for t in acc.times],
                             dtype=np.int64, casting="unsafe")
              if acc.times else np.empty(0, np.int64))
@@ -580,12 +569,6 @@ def simulate_session(source: SourceModel, drift: DriftModel, alice: Station,
                  b_set[b_keep], y[b_keep], bin_b[b_keep])
     del t_both, ids_both, a_set, b_set, central, x, y, bin_a, bin_b, b_keep
 
-    # --- pairs with only one photon detected ----------------------------
-    _emit_singles(acc_a, alice, rng, rate * p_det_a * (1.0 - p_det_b),
-                  duration_ps)
-    _emit_singles(acc_b, bob, rng, rate * (1.0 - p_det_a) * p_det_b,
-                  duration_ps)
-
     # --- dark counts ------------------------------------------------------
     duration_s_exact = duration_ps / PS_PER_SECOND
     for station, acc in ((alice, acc_a), (bob, acc_b)):
@@ -604,16 +587,40 @@ def simulate_session(source: SourceModel, drift: DriftModel, alice: Station,
             acc.add(t_dark.astype(np.float64), np.full(n_dark, ch, np.uint8),
                     *provenance)
 
-    # Bob's clicks sort on a worker thread while Alice's sort here; the
-    # dead time (kernels.dead_time_filter) stays on this thread
-    kernels._in_parallel(_sort_clicks, [(acc_a,), (acc_b,)],
-                         kernels._two_threads(min(len(acc_a), len(acc_b))))
-    stream_a, prov_a = _finalize_party(acc_a, alice, "alice", duration_ps)
-    stream_b, prov_b = _finalize_party(acc_b, bob, "bob", duration_ps)
+    # --- pairs with only one photon detected, then sort and dead time -----
+    # each party draws its singles from a generator of its own, derived
+    # after the session generator's last draw, so the streams are the same
+    # whether Bob's work runs on a worker thread or after Alice's
+    rng_a, rng_b = (np.random.default_rng(child) for child in
+                    np.random.SeedSequence(
+                        rng.integers(0, 2**63, size=4)).spawn(2))
+    # the gate: each party's expected clicks, known before its draws
+    expected = duration_s_exact * min(
+        rate * p_det + st.detector.dark_rate_hz * len(st.channel_ids)
+        for st, p_det in ((alice, p_det_a), (bob, p_det_b)))
+    (stream_a, prov_a), (stream_b, prov_b) = kernels._in_parallel(
+        _party_stream,
+        [(acc_a, alice, rng_a, rate * p_det_a * (1.0 - p_det_b), "alice",
+          duration_ps),
+         (acc_b, bob, rng_b, rate * (1.0 - p_det_a) * p_det_b, "bob",
+          duration_ps)],
+        kernels._two_threads(expected))
     ground = None
     if truth:
         ground = GroundTruth(n_both, *prov_a, *prov_b)
     return SessionResult(alice=stream_a, bob=stream_b, truth=ground)
+
+
+def _party_stream(acc: _PartyAccumulator, station: Station, rng,
+                  singles_hz: float, party: str, duration_ps: int):
+    """One party's stream from its coincidence and dark clicks in ``acc``:
+    its singles drawn from ``rng``, the party's own generator, then the
+    sort and the dead time.  Returns what ``_finalize_party`` returns.
+    Runs on a worker thread for Bob (``simulate_session``), so it calls
+    no public function."""
+    _emit_singles(acc, station, rng, singles_hz, duration_ps)
+    _sort_clicks(acc)
+    return _finalize_party(acc, station, party, duration_ps)
 
 
 def _mode_mask(station: Station, setting_idx: np.ndarray, mode: str) -> np.ndarray:
@@ -682,7 +689,9 @@ def _emit_singles(acc: _PartyAccumulator, station: Station, rng,
     """Clicks of the pairs whose partner photon went undetected: one
     Poisson stream at ``rate_hz`` x P(click), shifted by the channel
     delay, and one port draw per tag with P(port) = splitting x the mode's
-    port share.
+    port share.  ``rng`` is the party's own generator, not the session's
+    (``simulate_session``), so each party's singles can be drawn on its
+    own thread.
 
     This is exact in distribution: a single's setting, path and outcome
     do not depend on its emission time, so its port is a time-independent

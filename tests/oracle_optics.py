@@ -143,3 +143,14 @@ def simulate_clicks(source: SourceModel, alice: Station, bob: Station,
         if tag_a is not None and tag_b is not None:
             joint.append((tag_a.channel, tag_b.channel))
     return times.shape[0], alice_ports, bob_ports, joint
+
+
+def true_pairs(truth) -> tuple[np.ndarray, np.ndarray]:
+    """Tag-index pairs of an ``optics.GroundTruth`` whose two sides share
+    an emission id."""
+    a_ok = truth.alice_emission >= 0
+    b_ok = truth.bob_emission >= 0
+    _, ai, bi = np.intersect1d(
+        truth.alice_emission[a_ok], truth.bob_emission[b_ok],
+        assume_unique=True, return_indices=True)
+    return np.flatnonzero(a_ok)[ai], np.flatnonzero(b_ok)[bi]

@@ -34,8 +34,8 @@ STREAM_DIGESTS = {
         "e6a490a709f5572fd5d9dcd137eccdabb69d1805b36cd9151667d1dfa91f21b5",
     ),
     "paper": (
-        "6a95bbaae2511ed175b620e85274b29b4a88857e677bb89e4be53345110756bb",
-        "657b00c881b8f4e290377a28b896d75034e12cddb69eb91815ce2d6615de59be",
+        "c7e901568e709e14f36c905706915b8b32adfb795bb4bad93708bf12daeaee6b",
+        "f027f193a6557bf3aefc18252b3daab3852bc5d44a1cd4271b845a6dd8449fa1",
     ),
     "phase_sweep": (
         "a0617e39119d0805ce757218ad0391a3a08657eb6f1d765eb4026ad77d5ec521",
@@ -58,8 +58,8 @@ DUMP_DIGESTS = {
         "fe2c7da1f805e219b8e10195d3c900fbe42191dd1840f238ceb9821ec426d469",
     ),
     "paper": (
-        "260291b630d7e6b83f3d988754e7d5303e34eefcb1990feb3c5979b3815b57eb",
-        "fad504799d79f80bf00722523addf3ae26c2706ec8c43e05b9245d72a3131014",
+        "1b8728376047649c51114f74640fdae784c6a87490a992b5ee979168a07206c9",
+        "6dfd54942cacb6dfd3869c7f7c1e3b07aff5dd8f6e0b7a73eb1d158e8e56d8d3",
     ),
     "phase_sweep": (
         "7f9533007475194b8e5339089a2843e3c2a651eb47488b6e89f0c39de2947930",
@@ -79,7 +79,7 @@ DUMP_DIGESTS = {
 # peak_count, background_mean, bin_width_ps)
 DELAY_ESTIMATES = {
     "ideal": (200008, 6329.647575508713, 19887, 9.861629048086359, 16),
-    "paper": (107649996, 55.97621567826986, 319, 27.178606476938175, 16),
+    "paper": (107649994, 55.70249638092897, 317, 27.088321884200198, 16),
     "phase_sweep": (200008, 4535.6634123574495, 10159, 5.011776251226693,
                     16),
     "stability": (200008, 1999.7262170869517, 1979, 0.9784102060843964,
@@ -94,7 +94,7 @@ MATCH_DIGESTS = {
     "ideal":
         "e71ab1e7030a936e6f13ad750d642faff27888120192f70504e10aae77f84395",
     "paper":
-        "47ed23a1caa4b3519753020816734c1f51255ca51f4620cc41b395a05c7ed346",
+        "f84b67be0116f81e1640dffe7c8d297f91a100bfa013ff80e811969dd954684e",
     "phase_sweep":
         "234ac744114e93e3530a3f8936e9028e69f322ba71a0cd107e5223aefdd38d8e",
     "stability":
@@ -104,7 +104,7 @@ MATCH_DIGESTS = {
 }
 
 PAPER_TRUTH_DIGEST = (
-    "01e54054b93126209b07eac91e61ebb5e040cab9fcf66d7970d3c9230d431aa1")
+    "8a20e49b1f6b9c3f86adcf042bbd6ee2d00a3feed22920f95bf0ebb4d11a63c8")
 
 # lets the same file check commits from before ground truth was opt-in
 _TRUTH = ({"truth": True}

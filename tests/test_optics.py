@@ -34,6 +34,7 @@ from oracle_optics import (
     generate_pair_times,
     sample_pair_outcome,
     simulate_clicks,
+    true_pairs,
 )
 
 IDEAL_DETECTOR = DetectorModel(efficiency=1.0, jitter_fwhm_ps=0.0,
@@ -314,7 +315,7 @@ class TestSimulateSession:
         res = simulate_session(src, DriftModel(), a, b, 10.0, seed=6,
                                truth=True)
         tr = res.truth
-        ai, bi = tr.true_pairs()
+        ai, bi = true_pairs(tr)
         central = tr.alice_bin[ai] == tr.bob_bin[bi]
         st = quantum.standard_settings()
         state = quantum.hybrid_state(math.pi)
@@ -338,7 +339,7 @@ class TestSimulateSession:
         res = simulate_session(src, DriftModel(), a, b, 5.0, seed=7,
                                truth=True)
         tr = res.truth
-        ai, bi = tr.true_pairs()
+        ai, bi = true_pairs(tr)
         central = tr.alice_bin[ai] == tr.bob_bin[bi]
         dt = res.bob.times[bi] - res.alice.times[ai] - delay
         # without jitter, pair separations are exact
@@ -366,7 +367,7 @@ class TestSimulateSession:
         res = simulate_session(src, DriftModel(), a, b, 5.0, seed=8,
                                truth=True)
         tr = res.truth
-        ai, bi = tr.true_pairs()
+        ai, bi = true_pairs(tr)
         central = tr.alice_bin[ai] == tr.bob_bin[bi]
         dt = (res.bob.times[bi] - res.alice.times[ai])[central]
         expected = math.hypot(400.0, 70.0) / 2.3548
@@ -522,7 +523,7 @@ class TestSimulateSession:
         res = simulate_session(src, drift, a, b, 5.0, seed=13,
                                truth=True)
         tr = res.truth
-        ai, bi = tr.true_pairs()
+        ai, bi = true_pairs(tr)
         central = tr.alice_bin[ai] == tr.bob_bin[bi]
         m = central & (tr.alice_setting[ai] == 1) & (tr.bob_setting[bi] == 1)
         e_mc = float(np.mean(
@@ -610,7 +611,7 @@ class TestScalarOracle:
         res = simulate_session(SourceModel(rate, reference_phase=phase),
                                DriftModel(), a, b, duration, seed=19,
                                truth=True)
-        ai, bi = res.truth.true_pairs()
+        ai, bi = true_pairs(res.truth)
 
         # detection probability per emitted pair, per party
         emitted = rate * duration

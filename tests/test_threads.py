@@ -1,7 +1,8 @@
 """Work split over two threads: exceptions on the worker reach the caller,
-no thread outlives the call, and the public functions a tracer wraps run
-on their caller's thread.  The split threshold is lowered so that short
-streams take the two-thread path, as on a two-CPU host."""
+no thread outlives the call, the streams do not depend on the split, and
+the public functions a tracer wraps run on their caller's thread.  The
+split threshold is lowered so that short streams take the two-thread
+path, as on a two-CPU host."""
 
 import sys
 import threading
@@ -74,6 +75,44 @@ def test_bob_sort_key_overflow_raised_from_worker(split, monkeypatch):
     assert len(set(threads)) == 2 and threading.current_thread() in threads
 
 
+def paper_streams(duration_s, seed, **kwargs):
+    """The paper preset, whose parties both have singles."""
+    cfg = harness.load_config(harness.preset_path("paper"))
+    return simulate_session(harness._source(cfg), harness._drift(cfg),
+                            harness._station(cfg, "alice"),
+                            harness._station(cfg, "bob"), duration_s,
+                            seed=seed, **kwargs)
+
+
+def assert_same_streams(x, y):
+    for party in ("alice", "bob"):
+        a, b = getattr(x, party), getattr(y, party)
+        assert len(a) > 1 << 12
+        np.testing.assert_array_equal(a.times, b.times)
+        np.testing.assert_array_equal(a.channels, b.channels)
+
+
+def test_streams_same_with_and_without_split(split, monkeypatch):
+    # each party draws its singles from its own generator: Bob's on the
+    # worker, or after Alice's on one thread
+    two = paper_streams(0.02, 11, truth=True)
+    assert split and all(split)
+    monkeypatch.setattr(kernels, "_CPUS", 1)
+    del split[:]
+    one = paper_streams(0.02, 11, truth=True)
+    assert split and not any(split)
+    assert_same_streams(two, one)
+    for name, value in vars(two.truth).items():
+        np.testing.assert_array_equal(value, getattr(one.truth, name))
+
+
+def test_one_seed_sequence_gives_same_streams(split):
+    # deriving the parties' generators must not advance the caller's
+    # SeedSequence (Generator.spawn would)
+    seed = np.random.SeedSequence(31)
+    assert_same_streams(paper_streams(0.01, seed), paper_streams(0.01, seed))
+
+
 def test_no_thread_left_running(split):
     a = alice_station(ChannelModel(1.0, 0), PERFECT)
     b = bob_station(ChannelModel(1.0, 5000), PERFECT)
@@ -92,10 +131,10 @@ def test_no_thread_left_running(split):
 def test_public_functions_run_on_their_callers_thread(split, monkeypatch,
                                                       tmp_path):
     # a paper session run from a thread of its own: every traced function
-    # runs on that thread, none on a worker
+    # runs on that thread, and a worker calls only private functions of
+    # the package
     seen = {}
-    for owner, name in ((kernels, "dead_time_filter"),
-                        (kernels, "diff_histogram"),
+    for owner, name in ((kernels, "diff_histogram"),
                         (kernels, "match_nearest"),
                         (tags, "estimate_delay"),
                         (tags, "match_coincidences")):
@@ -107,6 +146,17 @@ def test_public_functions_run_on_their_callers_thread(split, monkeypatch,
     cfg = harness.parse_config(harness.preset_path("paper").read_text()
                                + "\nduration_s = 0.2\nblock_s = 0.1\n")
     failures = []
+    # (name, is a module-level function) of each package call on a worker
+    on_worker = set()
+
+    def profile(frame, event, arg):
+        if threading.current_thread().name != "hybridqkd-worker":
+            sys.setprofile(None)  # this thread is not a worker
+        elif (event == "call" and frame.f_globals.get("__name__", "")
+              .startswith("hybridqkd")):
+            name = frame.f_code.co_name
+            top = getattr(frame.f_globals.get(name), "__code__", None)
+            on_worker.add((name, top is frame.f_code))
 
     def run():
         try:
@@ -115,14 +165,22 @@ def test_public_functions_run_on_their_callers_thread(split, monkeypatch,
             failures.append(exc)
 
     caller = threading.Thread(target=run, name="caller")
-    caller.start()
-    caller.join(timeout=300)
+    threading.setprofile(profile)  # threads started from now on
+    try:
+        caller.start()
+        caller.join(timeout=300)
+    finally:
+        threading.setprofile(None)
     assert not caller.is_alive() and not failures
-    assert sorted(seen) == ["dead_time_filter", "diff_histogram",
-                            "estimate_delay", "match_coincidences",
-                            "match_nearest"]
+    assert sorted(seen) == ["diff_histogram", "estimate_delay",
+                            "match_coincidences", "match_nearest"]
     assert all(threads == {caller} for threads in seen.values())
     assert any(split)
+    # a tracer wraps module-level functions, not methods or closures
+    functions = {name for name, top in on_worker if top}
+    assert {"_party_stream", "_emit_singles", "_sort_clicks",
+            "_finalize_party", "_dead_time_filter"} <= functions
+    assert not [name for name in functions if not name.startswith("_")]
 
 
 def test_concurrent_callers_with_frequent_switches(split):
