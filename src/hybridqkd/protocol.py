@@ -6,19 +6,24 @@ for key sifting and the security test while disclosing as little as
 possible:
 
 1. ``hello`` (Alice -> Bob): session parameters; Bob checks they match his.
+   Layout and checks: ``_SCHEMA[MSG_HELLO]``.
 2. ``tag_announce`` (Bob -> Alice, chunked): Bob's tag times plus a label
    per tag that names his basis, and the port only within the test basis.
    Outcomes in the key basis are never announced.
+   Layout and checks: ``_SCHEMA[MSG_TAG_ANNOUNCE]``.
 3. ``basis_reveal`` (Alice -> Bob, chunked): Alice estimates the clock
    delay, matches coincidences against Bob's times, and reveals per pair
    the Bob tag index, the pair's role (key / test / discard), her setting,
    and — for test pairs only — her outcome bit.
+   Layout and checks: ``_SCHEMA[MSG_BASIS_REVEAL]``.
 4. ``sample_request`` (Alice -> Bob): the key positions she chose to
    sacrifice for error estimation, with her bits at those positions.  In
    offline mode this is every position.
+   Layout and checks: ``_SCHEMA[MSG_SAMPLE_REQUEST]``.
 5. ``sample_reveal`` (Bob -> Alice): Bob's outcome bits for the test pairs
    that landed in his key basis (in pair order) and his key bits at the
    sampled positions.
+   Layout and checks: ``_SCHEMA[MSG_SAMPLE_REVEAL]``.
 6. ``report`` (Alice -> Bob): the canonical report CSV bytes.  Bob
    recomputes the report from the same shared data, verifies it
    byte-for-byte, and echoes it back as his acknowledgement; any mismatch
@@ -41,7 +46,7 @@ import queue
 import socket
 import struct
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -80,8 +85,7 @@ __all__ = [
 PS_PER_SECOND = 10**12
 
 MAX_FRAME_BYTES = 32 * 1024 * 1024
-TAG_CHUNK = 1 << 19
-PAIR_CHUNK = 1 << 19
+CHUNK_ROWS = 1 << 19  # rows a chunk of a chunked message carries
 
 # message types
 MSG_HELLO = 1
@@ -119,12 +123,9 @@ OUTCOME_HIDDEN = 255
 _SETTINGS = {"alice": ("a0", "a1", "a2"), "bob": ("b0", "b1")}
 UNMAPPED = 255  # ``Endpoint.channel_setting`` of a channel with no setting
 
-_HELLO = struct.Struct(">QQQdBd")
 _FRAME_HEAD = struct.Struct(">IBQ")
 
-QBER_SAMPLE = 0
-QBER_OFFLINE = 1
-_QBER_MODES = {"sample": QBER_SAMPLE, "offline": QBER_OFFLINE}
+_QBER_MODES = ("sample", "offline")  # a mode's index is its wire value
 
 
 class ProtocolError(RuntimeError):
@@ -630,154 +631,156 @@ class MessageChannel:
 
 
 # ---------------------------------------------------------------------------
-# payload encoding
+# payload schema
 # ---------------------------------------------------------------------------
 
-def _encode_hello(p: SessionParams) -> bytes:
-    return _HELLO.pack(p.duration_ps, p.window_ps, p.block_ps,
-                       p.sample_fraction, _QBER_MODES[p.qber_mode],
-                       p.abort_sigma)
+_CHUNK_HEAD = struct.Struct(">QQ")  # total rows, the chunk's first row
+_ROWS = struct.Struct(">Q")
+_NATIVE = {">u8": np.int64, "u1": np.uint8}  # the decoded dtypes
+
+# per message: a struct of head fields, then the layout of the rest: a
+# struct holds the row count of the columns after it, and each column,
+# (name, wire dtype, *(check, reason)), lies whole after the one before;
+# a column's range check comes before its order check
+_SCHEMA = {
+    MSG_HELLO: (struct.Struct(">QQQdBd"), ()),
+    MSG_TAG_ANNOUNCE: (_CHUNK_HEAD, (
+        struct.Struct(">I"),
+        ("time", ">u8", ("non-negative", "announced tag time out of range"),
+         ("ascending", "announced tag times are not in ascending order")),
+        ("label", "u1", (range(LABEL_TEST_MINUS + 1),
+                         "announced tag label out of range")))),
+    MSG_BASIS_REVEAL: (_CHUNK_HEAD, (
+        struct.Struct(">I"),
+        # greedy pairs never cross, so Alice sends ascending indices
+        ("tag_index", ">u8",
+         ("non-negative", "pair references an unknown tag index"),
+         ("increasing", "pair tag indices are not strictly increasing")),
+        ("role", "u1"),  # Bob checks it against the sifting rule
+        ("setting", "u1", (range(3), "pair setting out of range")),
+        ("outcome", "u1", ((0, 1, OUTCOME_HIDDEN),
+                           "pair outcome out of range")))),
+    MSG_SAMPLE_REQUEST: (struct.Struct(""), (
+        _ROWS,
+        ("position", ">u8", ("non-negative", "sample position out of range"),
+         ("increasing", "sample positions are not strictly increasing")),
+        ("bit", "u1", (range(2), "sample bit out of range")))),
+    MSG_SAMPLE_REVEAL: (struct.Struct(""), (
+        _ROWS,
+        ("test_bit", "u1", (range(2), "revealed test outcome out of range")),
+        _ROWS,
+        ("key_bit", "u1", (range(2), "revealed sample bit out of range")))),
+}
 
 
-def _decode_hello(payload: bytes) -> SessionParams:
-    if len(payload) != _HELLO.size:
-        raise ProtocolViolation("hello payload has the wrong size")
-    duration, window, block, fraction, mode, sigma = _HELLO.unpack(payload)
-    modes = {v: k for k, v in _QBER_MODES.items()}
-    if mode not in modes:
-        raise ProtocolViolation(f"unknown qber mode {mode}")
+def _fails(check, column) -> bool:
+    """Whether ``column`` fails ``check``: "non-negative", "ascending",
+    "increasing", a ``range`` of values or a tuple of values."""
+    if isinstance(check, range):
+        return (column >= check.stop).any()  # a u1 column has no negatives
+    if isinstance(check, tuple):
+        return np.isin(column, check, invert=True).any()
+    if check == "non-negative":
+        return (column < 0).any()  # wire values of 2**63 and up
+    if check == "ascending":
+        return (column[1:] < column[:-1]).any()
+    return (column[1:] <= column[:-1]).any()
+
+
+def _hello_fields(p: SessionParams) -> tuple:
+    """The head of a hello: every parameter but the sample seed."""
+    return (p.duration_ps, p.window_ps, p.block_ps, p.sample_fraction,
+            _QBER_MODES.index(p.qber_mode), p.abort_sigma)
+
+
+def _encode(msg_type: int, columns, head=()) -> bytes:
+    """A message's payload from its head fields and its columns."""
+    head_struct, layout = _SCHEMA[msg_type]
+    parts = [head_struct.pack(*head)]
+    columns = list(columns)
+    for item in layout:
+        if isinstance(item, struct.Struct):
+            parts.append(item.pack(len(columns[0])))
+        else:
+            parts.append(np.ascontiguousarray(columns.pop(0), item[1]))
+    return b"".join(parts)
+
+
+def _decode(msg_type: int, payload: bytes):
+    """A payload's head fields and its columns as views on the payload."""
+    head_struct, layout = _SCHEMA[msg_type]
     try:
-        return SessionParams(duration_ps=duration, window_ps=window,
-                             block_ps=block, sample_fraction=fraction,
-                             qber_mode=modes[mode], abort_sigma=sigma)
-    except ValueError as exc:
-        raise ProtocolViolation(f"invalid hello parameters: {exc}")
+        head = head_struct.unpack_from(payload)
+        at, columns = head_struct.size, []
+        for item in layout:
+            if isinstance(item, struct.Struct):
+                rows, = item.unpack_from(payload, at)
+                at += item.size
+            else:
+                columns.append(np.frombuffer(payload, item[1], rows, at))
+                at += columns[-1].nbytes
+    except (struct.error, ValueError, OverflowError):  # past the end
+        at = None
+    if at != len(payload):
+        raise ProtocolViolation(f"{_MESSAGE_NAMES[msg_type]} payload has "
+                                f"the wrong size")
+    return head, columns
 
 
-def _chunk_header(total: int, offset: int, n: int) -> bytes:
-    return struct.pack(">QQI", total, offset, n)
+def _send(channel, msg_type: int, *columns, head=()):
+    """Send one message; a chunked one goes ``CHUNK_ROWS`` rows a chunk."""
+    if _SCHEMA[msg_type][0] is not _CHUNK_HEAD:
+        channel.send(msg_type, _encode(msg_type, columns, head))
+        return
+    total = columns[0].shape[0]
+    for offset in range(0, max(total, 1), CHUNK_ROWS):
+        channel.send(msg_type, _encode(
+            msg_type, [c[offset:offset + CHUNK_ROWS] for c in columns],
+            (total, offset)))
 
 
-def _read_chunk_header(payload: bytes):
-    if len(payload) < 20:
-        raise ProtocolViolation("chunk header truncated")
-    return struct.unpack(">QQI", payload[:20])
-
-
-def _encode_tag_chunk(times: np.ndarray, labels: np.ndarray, total: int,
-                      offset: int) -> bytes:
-    head = _chunk_header(total, offset, times.shape[0])
-    return head + times.astype(">u8").tobytes() + labels.astype(
-        np.uint8).tobytes()
-
-
-def _decode_tag_chunk(payload: bytes):
-    total, offset, n = _read_chunk_header(payload)
-    if len(payload) != 20 + 9 * n:
-        raise ProtocolViolation("tag chunk payload has the wrong size")
-    times = np.frombuffer(payload, dtype=">u8", count=n,
-                          offset=20).astype(np.int64)
-    labels = np.frombuffer(payload, dtype=np.uint8, count=n, offset=20 + 8 * n)
-    return total, offset, times, labels.copy()
-
-
-def _encode_pair_chunk(bob_index, role, setting, outcome, total, offset):
-    head = _chunk_header(total, offset, bob_index.shape[0])
-    return (head + bob_index.astype(">u8").tobytes()
-            + role.astype(np.uint8).tobytes()
-            + setting.astype(np.uint8).tobytes()
-            + outcome.astype(np.uint8).tobytes())
-
-
-def _decode_pair_chunk(payload: bytes):
-    total, offset, n = _read_chunk_header(payload)
-    if len(payload) != 20 + 11 * n:
-        raise ProtocolViolation("pair chunk payload has the wrong size")
-    bob_index = np.frombuffer(payload, dtype=">u8", count=n,
-                              offset=20).astype(np.int64)
-    role = np.frombuffer(payload, dtype=np.uint8, count=n, offset=20 + 8 * n)
-    setting = np.frombuffer(payload, dtype=np.uint8, count=n,
-                            offset=20 + 9 * n)
-    outcome = np.frombuffer(payload, dtype=np.uint8, count=n,
-                            offset=20 + 10 * n)
-    return total, offset, bob_index, role.copy(), setting.copy(), outcome.copy()
-
-
-def _encode_sample_request(positions: np.ndarray, bits: np.ndarray) -> bytes:
-    return (struct.pack(">Q", positions.shape[0])
-            + positions.astype(">u8").tobytes()
-            + bits.astype(np.uint8).tobytes())
-
-
-def _decode_sample_request(payload: bytes):
-    if len(payload) < 8:
-        raise ProtocolViolation("sample request truncated")
-    n, = struct.unpack(">Q", payload[:8])
-    if len(payload) != 8 + 9 * n:
-        raise ProtocolViolation("sample request payload has the wrong size")
-    positions = np.frombuffer(payload, dtype=">u8", count=n,
-                              offset=8).astype(np.int64)
-    bits = np.frombuffer(payload, dtype=np.uint8, count=n, offset=8 + 8 * n)
-    return positions, bits.copy()
-
-
-def _encode_sample_reveal(test_bits: np.ndarray, key_bits: np.ndarray) -> bytes:
-    return (struct.pack(">Q", test_bits.shape[0])
-            + test_bits.astype(np.uint8).tobytes()
-            + struct.pack(">Q", key_bits.shape[0])
-            + key_bits.astype(np.uint8).tobytes())
-
-
-def _decode_sample_reveal(payload: bytes):
-    if len(payload) < 8:
-        raise ProtocolViolation("sample reveal truncated")
-    n_test, = struct.unpack(">Q", payload[:8])
-    if len(payload) < 16 + n_test:
-        raise ProtocolViolation("sample reveal payload has the wrong size")
-    test_bits = np.frombuffer(payload, dtype=np.uint8, count=n_test, offset=8)
-    n_key, = struct.unpack(">Q", payload[8 + n_test:16 + n_test])
-    if len(payload) != 16 + n_test + n_key:
-        raise ProtocolViolation("sample reveal payload has the wrong size")
-    key_bits = np.frombuffer(payload, dtype=np.uint8, count=n_key,
-                             offset=16 + n_test)
-    return test_bits.copy(), key_bits.copy()
-
-
-def _send_chunked(channel, msg_type, arrays, encode, chunk_size):
-    total = arrays[0].shape[0]
-    offset = 0
-    while True:
-        n = min(chunk_size, total - offset)
-        parts = tuple(a[offset:offset + n] for a in arrays)
-        channel.send(msg_type, encode(*parts, total, offset))
-        offset += n
-        if offset >= total:
-            break
-
-
-def _recv_chunked(channel, msg_type, decode):
-    parts = []
-    received = 0
-    while True:
-        fields = decode(channel.recv(msg_type))
-        total, offset = fields[0], fields[1]
-        arrays = fields[2:]
-        if offset != received:
-            raise ProtocolViolation(
-                f"chunk offset {offset} does not match the {received} "
-                f"entries received so far")
-        parts.append(arrays)
-        received += arrays[0].shape[0]
-        if received > total:
-            raise ProtocolViolation("chunks exceed the declared total")
-        if received == total:
-            break
-        if not arrays[0].shape[0]:
-            raise ProtocolViolation("empty chunk before the declared total")
-    if not parts:
-        return ()
-    return tuple(np.concatenate([p[i] for p in parts])
-                 for i in range(len(parts[0])))
+def _receive(channel, msg_type: int):
+    """Receive one message: its head fields and its checked columns.  A
+    chunked one is decoded a chunk at a time into arrays of the declared
+    total, and the checks run once on the whole arrays."""
+    head_struct, layout = _SCHEMA[msg_type]
+    specs = [item for item in layout if not isinstance(item, struct.Struct)]
+    head, columns = _decode(msg_type, channel.recv(msg_type))
+    if head_struct is not _CHUNK_HEAD:
+        columns = [c.astype(_NATIVE[s[1]]) for c, s in zip(columns, specs)]
+    else:
+        total, received = head[0], 0
+        try:
+            whole = [np.empty(total, _NATIVE[s[1]]) for s in specs]
+        except (MemoryError, ValueError):
+            raise ProtocolViolation(f"declared total of {total} entries is "
+                                    f"too large") from None
+        while True:
+            rows = columns[0].shape[0]
+            if head[0] != total:
+                raise ProtocolViolation(f"chunk declares a total of "
+                                        f"{head[0]} entries after {total}")
+            if head[1] != received:
+                raise ProtocolViolation(
+                    f"chunk offset {head[1]} does not match the {received} "
+                    f"entries received so far")
+            if received + rows > total:
+                raise ProtocolViolation("chunks exceed the declared total")
+            if not rows and received < total:
+                raise ProtocolViolation("empty chunk before the declared "
+                                        "total")
+            for part, column in zip(whole, columns):
+                part[received:received + rows] = column
+            received += rows
+            if received == total:
+                break
+            head, columns = _decode(msg_type, channel.recv(msg_type))
+        columns = whole
+    for (_name, _dtype, *checks), column in zip(specs, columns):
+        for check, reason in checks:
+            if _fails(check, column):
+                raise ProtocolViolation(reason)
+    return head, columns
 
 
 # ---------------------------------------------------------------------------
@@ -808,9 +811,6 @@ class _SharedComputation:
         code += alice_test_bit == bob_test_bit
         code[roles != ROLE_TEST] = 8
         self.chsh_code = code
-
-    def block_ids(self):
-        return range(self.params.n_blocks)
 
     def chsh_for_block(self, block_id: int):
         """CHSH value from the test pairs of one block (or all blocks
@@ -860,7 +860,7 @@ class _SharedComputation:
                                 duration_ps / PS_PER_SECOND, p.abort_sigma)
 
         rows = []
-        for block_id in self.block_ids():
+        for block_id in range(p.n_blocks):
             in_block = key_block == block_id
             start = block_id * p.block_ps
             rows.append(row(block_id, sampled_mask & in_block,
@@ -869,20 +869,6 @@ class _SharedComputation:
         aggregate = row(AGGREGATE_BLOCK_ID, sampled_mask,
                         alice_key_bits.shape[0], p.duration_ps)
         return SecurityReport(blocks=tuple(rows), aggregate=aggregate)
-
-
-def _final_keys(bits, pair_ids, block, sampled_mask, params):
-    """Assemble per-block SiftedKeys, excluding disclosed bits in sample
-    mode and truncating at the first aborted block."""
-    keep = ~sampled_mask if params.qber_mode == "sample" else np.ones(
-        bits.shape[0], dtype=bool)
-    keys = []
-    for block_id in range(params.n_blocks):
-        mask = keep & (block == block_id)
-        keys.append(SiftedKey(bits=bits[mask].copy(),
-                              pair_ids=pair_ids[mask].copy(),
-                              block_id=block_id))
-    return keys
 
 
 # ---------------------------------------------------------------------------
@@ -898,30 +884,23 @@ class SessionOutcome:
     report_bytes: bytes
 
 
-def _refuse_unmapped(endpoint: Endpoint, stream: TagStream):
-    """Refuse a stream with a tag on a channel ``endpoint`` does not map."""
-    unmapped = endpoint.channel_setting[stream.channels] == UNMAPPED
-    if unmapped.any():
-        channel = stream.channels[unmapped.argmax()]
-        raise ValueError(f"{endpoint.role}'s stream has a tag on channel "
-                         f"{channel}, which the endpoint does not map")
+class _Session:
+    """One party's sequential state machine; ``role`` names the party."""
 
-
-class BobSession:
-    """Bob's sequential state machine."""
+    role = ""
 
     def __init__(self, endpoint: Endpoint, stream: TagStream):
-        if endpoint.role != "bob":
-            raise ValueError("BobSession needs a bob endpoint")
-        _refuse_unmapped(endpoint, stream)
+        if endpoint.role != self.role:
+            raise ValueError(f"{type(self).__name__} needs an endpoint of "
+                             f"role {self.role!r}")
+        # refuse a stream with a tag on a channel the endpoint does not map
+        unmapped = endpoint.channel_setting[stream.channels] == UNMAPPED
+        if unmapped.any():
+            channel = stream.channels[unmapped.argmax()]
+            raise ValueError(f"{endpoint.role}'s stream has a tag on channel "
+                             f"{channel}, which the endpoint does not map")
         self.endpoint = endpoint
         self.stream = stream
-
-    def _labels(self) -> np.ndarray:
-        # the key basis b0 hides the port, the test basis b1 names it
-        table = self.endpoint.channel_bit + LABEL_TEST_PLUS
-        table[self.endpoint.channel_setting == 0] = LABEL_KEY_BASIS
-        return table[self.stream.channels]
 
     def run(self, transport) -> SessionOutcome:
         channel = MessageChannel(transport)
@@ -930,43 +909,43 @@ class BobSession:
         except ProtocolViolation as exc:
             channel.send_abort(str(exc))
             raise SessionAbort(f"protocol violation: {exc}") from exc
+        except (tags.InsufficientDataError, tags.NoCorrelationError) as exc:
+            channel.send_abort(f"coincidence search failed: {exc}")
+            raise SessionAbort(f"coincidence search failed: {exc}") from exc
         finally:
             channel.close()
 
+
+class BobSession(_Session):
+    """Bob's sequential state machine."""
+
+    role = "bob"
+
+    def _labels(self) -> np.ndarray:
+        # the key basis b0 hides the port, the test basis b1 names it
+        table = self.endpoint.channel_bit + LABEL_TEST_PLUS
+        table[self.endpoint.channel_setting == 0] = LABEL_KEY_BASIS
+        return table[self.stream.channels]
+
     def _run(self, channel: MessageChannel) -> SessionOutcome:
         params = self.endpoint.params
-        hello = _decode_hello(channel.recv(MSG_HELLO))
-        if replace(hello, sample_seed=params.sample_seed) != params:
+        head, _ = _receive(channel, MSG_HELLO)
+        if head != _hello_fields(params):
             raise ProtocolViolation("session parameters do not match")
 
         labels = self._labels()
-        times = self.stream.times
-        _send_chunked(channel, MSG_TAG_ANNOUNCE, (times, labels),
-                      _encode_tag_chunk, TAG_CHUNK)
+        _send(channel, MSG_TAG_ANNOUNCE, self.stream.times, labels)
 
-        bob_index, roles, alice_setting, alice_outcome = _recv_chunked(
-            channel, MSG_BASIS_REVEAL, _decode_pair_chunk)
-        if bob_index.size and (bob_index.min() < 0
-                               or bob_index.max() >= len(self.stream)):
+        _, (bob_index, roles, alice_setting, alice_outcome) = _receive(
+            channel, MSG_BASIS_REVEAL)
+        if bob_index.size and bob_index[-1] >= len(self.stream):
             raise ProtocolViolation("pair references an unknown tag index")
-        # greedy pairs never cross, so Alice sends ascending indices
-        if (bob_index[1:] <= bob_index[:-1]).any():
-            raise ProtocolViolation("pair tag indices are not strictly "
-                                    "increasing")
-        if (alice_setting > 2).any():
-            raise ProtocolViolation("pair setting out of range")
-        if ((alice_outcome > 1) & (alice_outcome != OUTCOME_HIDDEN)).any():
-            raise ProtocolViolation("pair outcome out of range")
-        if bob_index.size:
-            my_label = labels[bob_index]
-            if not np.array_equal(_roles(alice_setting, my_label), roles):
-                raise ProtocolViolation("pair roles do not follow the "
-                                        "sifting rule")
-            if ((roles == ROLE_TEST) & (alice_outcome == OUTCOME_HIDDEN)).any():
-                raise ProtocolViolation("test pair without a disclosed "
-                                        "outcome")
-        else:
-            my_label = np.empty(0, dtype=np.uint8)
+        my_label = labels[bob_index]
+        if not np.array_equal(_roles(alice_setting, my_label), roles):
+            raise ProtocolViolation("pair roles do not follow the sifting "
+                                    "rule")
+        if ((roles == ROLE_TEST) & (alice_outcome == OUTCOME_HIDDEN)).any():
+            raise ProtocolViolation("test pair without a disclosed outcome")
 
         key_mask = roles == ROLE_KEY
         test_mask = roles == ROLE_TEST
@@ -975,17 +954,11 @@ class BobSession:
         reveal_mask = test_mask & (my_label == LABEL_KEY_BASIS)
         test_bits_to_send = my_bits[reveal_mask]
 
-        positions, alice_sample_bits = _decode_sample_request(
-            channel.recv(MSG_SAMPLE_REQUEST))
+        _, (positions, alice_sample_bits) = _receive(channel,
+                                                     MSG_SAMPLE_REQUEST)
         key_count = int(key_mask.sum())
-        if positions.size and (positions.min() < 0
-                               or positions.max() >= key_count):
+        if positions.size and positions[-1] >= key_count:
             raise ProtocolViolation("sample position out of range")
-        if (positions[1:] <= positions[:-1]).any():
-            raise ProtocolViolation("sample positions are not strictly "
-                                    "increasing")
-        if positions.size != alice_sample_bits.size:
-            raise ProtocolViolation("sample bits do not match positions")
         if params.qber_mode == "offline":
             if positions.size != key_count:
                 raise ProtocolViolation("offline mode must disclose every "
@@ -993,9 +966,8 @@ class BobSession:
         elif key_count and positions.size > key_count * 0.5 + 1:
             raise ProtocolViolation("sample discloses more than half the key")
         my_key_bits = my_bits[key_mask]
-        channel.send(MSG_SAMPLE_REVEAL,
-                     _encode_sample_reveal(test_bits_to_send,
-                                           my_key_bits[positions]))
+        _send(channel, MSG_SAMPLE_REVEAL, test_bits_to_send,
+              my_key_bits[positions])
 
         # reconstruct the shared view and verify Alice's report
         alice_key_bits = np.full(key_count, OUTCOME_HIDDEN, dtype=np.uint8)
@@ -1017,42 +989,15 @@ class BobSession:
                               report_bytes=csv_bytes)
 
 
-class AliceSession:
+class AliceSession(_Session):
     """Alice's sequential state machine."""
 
-    def __init__(self, endpoint: Endpoint, stream: TagStream):
-        if endpoint.role != "alice":
-            raise ValueError("AliceSession needs an alice endpoint")
-        _refuse_unmapped(endpoint, stream)
-        self.endpoint = endpoint
-        self.stream = stream
-
-    def run(self, transport) -> SessionOutcome:
-        channel = MessageChannel(transport)
-        try:
-            return self._run(channel)
-        except ProtocolViolation as exc:
-            channel.send_abort(str(exc))
-            raise SessionAbort(f"protocol violation: {exc}") from exc
-        except (tags.InsufficientDataError, tags.NoCorrelationError) as exc:
-            channel.send_abort(f"coincidence search failed: {exc}")
-            raise SessionAbort(f"coincidence search failed: {exc}") from exc
-        finally:
-            channel.close()
+    role = "alice"
 
     def _run(self, channel: MessageChannel) -> SessionOutcome:
         params = self.endpoint.params
-        channel.send(MSG_HELLO, _encode_hello(params))
-        bob_times, bob_labels = _recv_chunked(channel, MSG_TAG_ANNOUNCE,
-                                              _decode_tag_chunk)
-        # a wire time of 2**63 or more decodes negative
-        if (bob_times < 0).any():
-            raise ProtocolViolation("announced tag time out of range")
-        if (bob_times[1:] < bob_times[:-1]).any():
-            raise ProtocolViolation("announced tag times are not in "
-                                    "ascending order")
-        if (bob_labels > LABEL_TEST_MINUS).any():
-            raise ProtocolViolation("announced tag label out of range")
+        _send(channel, MSG_HELLO, head=_hello_fields(params))
+        _, (bob_times, bob_labels) = _receive(channel, MSG_TAG_ANNOUNCE)
 
         delay = tags.estimate_delay(self.stream.times, bob_times).delay_ps
         ai, bi = tags.match_coincidences(self.stream.times, bob_times,
@@ -1065,30 +1010,23 @@ class AliceSession:
         outcome = np.where(roles == ROLE_TEST, my_bits,
                            OUTCOME_HIDDEN).astype(np.uint8)
 
-        _send_chunked(channel, MSG_BASIS_REVEAL,
-                      (bi.astype(np.int64), roles, setting_idx, outcome),
-                      _encode_pair_chunk, PAIR_CHUNK)
+        _send(channel, MSG_BASIS_REVEAL, bi, roles, setting_idx, outcome)
 
         key_mask = roles == ROLE_KEY
         my_key_bits = my_bits[key_mask]
         key_count = int(key_mask.sum())
-        rng = np.random.default_rng(params.sample_seed)
         if params.qber_mode == "offline":
             positions = np.arange(key_count, dtype=np.int64)
-        elif key_count:
-            try:
-                positions = sample_positions(key_count,
-                                             params.sample_fraction, rng)
-            except InsufficientKeyError:
-                positions = np.empty(0, dtype=np.int64)
         else:
-            positions = np.empty(0, dtype=np.int64)
-        channel.send(MSG_SAMPLE_REQUEST,
-                     _encode_sample_request(positions,
-                                            my_key_bits[positions]))
-
-        bob_test_bits, bob_sample_bits = _decode_sample_reveal(
-            channel.recv(MSG_SAMPLE_REVEAL))
+            try:
+                positions = sample_positions(
+                    key_count, params.sample_fraction,
+                    np.random.default_rng(params.sample_seed))
+            except InsufficientKeyError:  # also when there is no key
+                positions = np.empty(0, dtype=np.int64)
+        _send(channel, MSG_SAMPLE_REQUEST, positions, my_key_bits[positions])
+        _, (bob_test_bits, bob_sample_bits) = _receive(channel,
+                                                       MSG_SAMPLE_REVEAL)
         reveal_mask = (roles == ROLE_TEST) & (my_label == LABEL_KEY_BASIS)
         if bob_test_bits.shape[0] != int(reveal_mask.sum()):
             raise ProtocolViolation("peer revealed the wrong number of "
@@ -1148,12 +1086,18 @@ def _assemble(params, pair_times, roles, alice_setting, alice_outcome,
                                sampled_mask)
     csv_bytes = report_csv(report).encode("ascii")
 
+    # per-block keys, without the disclosed bits in sample mode, up to the
+    # first aborted block
     own_bits = alice_key_bits if party == "alice" else bob_key_bits
     pair_ids = np.flatnonzero(key_mask)
-    keys = _final_keys(own_bits, pair_ids, key_block, sampled_mask, params)
+    keep = ~sampled_mask if params.qber_mode == "sample" else True
     abort_block = report.abort_block()
-    if abort_block is not None:
-        keys = [k for k in keys if k.block_id < abort_block]
+    keys = []
+    for block_id in range(params.n_blocks if abort_block is None
+                          else abort_block):
+        mask = keep & (key_block == block_id)
+        keys.append(SiftedKey(bits=own_bits[mask], pair_ids=pair_ids[mask],
+                              block_id=block_id))
     return keys, report, csv_bytes
 
 

@@ -1,4 +1,4 @@
-"""Byte-identity gate for the simulator and the tag-file writer.
+"""Byte-identity gate for the simulator, the tag-file writer and the wire.
 
 Pins the SHA-256 of both tag streams of every shipped preset, simulated
 at the preset's own seed for a short duration, of the paper preset's
@@ -7,7 +7,9 @@ pins every preset's delay estimate on those streams and the coincidences
 ``tags.match_coincidences`` finds at that delay.  Any change to the
 random draws, their order, the routing, the rounding, the sort or the
 dead-time filter changes a stream digest; any change to the bytes of the
-``#tagstream v1`` text changes a dump digest.
+``#tagstream v1`` text changes a dump digest.  It also pins every frame
+Alice and Bob send in sessions on the ideal preset's streams, so any
+change to the bytes of a protocol message changes a wire digest.
 
 The digests were captured with numpy 2.4.6.  numpy does not promise the
 same variates from ``Generator`` methods across releases, so after a
@@ -19,11 +21,12 @@ import hashlib
 import inspect
 import io
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from hybridqkd import harness, optics, tags
+from hybridqkd import harness, optics, protocol, tags
 import oracle_delay
 
 DURATION_S = 0.2
@@ -103,6 +106,62 @@ MATCH_DIGESTS = {
         "a3756ba8f237d1a0f87430d4414a47030aa57bc04d7dc9abd2b56f1a893b99d1",
 }
 
+# the sessions whose frames WIRE_DIGESTS pins: (qber_mode, rows per
+# chunk of the chunked messages, None for the default)
+WIRE_SESSIONS = {
+    "sample": ("sample", None),
+    "offline": ("offline", None),
+    "chunked": ("sample", 1 << 13),  # 4 announce and 3 reveal chunks
+}
+
+# SHA-256 of every frame each party sends, in order: (Alice's, Bob's)
+WIRE_DIGESTS = {
+    "chunked": (
+        (
+            "173f19cb802e1fbb4ecf899a2da58a0796fb1ca640c94d4ebc194f1433abfa2e",
+            "abc0d29747652c5755469d9d45e3f1617af237c0ac7411d083a3b620466a6eee",
+            "63d4224d9f3bfc1758b71ba0b5a8abddc0173038647a285b3c701d9c9a366778",
+            "04bfafad2c7b5381e2888e56c881fe91b183800b67f78d9e688a1cbcf39c3228",
+            "9145dd9cfb687820687147301806258c55336b5d55f7e952ac4cca5b882c9b64",
+            "f0428b2cbec83e0425b33108bbf9579e94fcbbe3404a57d107f16c4853f47ebe",
+        ),
+        (
+            "f3c3db264605056b0abf5e85980662f28efe0172ce5480d74d6fc144869ce614",
+            "31ea1532f5e9a1ff4bb06843d95f372e74b9d98e97bd263a804e5d1432453bc1",
+            "4536fcf8ebd26fd05fbf2dd1626f3d357c79cb3304de0012b009be4f24756c8d",
+            "78330d40babaea41aa073c91b2f320189ed6e0575ec32e82cd40dba47d52ee79",
+            "2f720c72ad1592c18934508f182fe889cd979936eca40f7b532a6b7800175c64",
+            "f0428b2cbec83e0425b33108bbf9579e94fcbbe3404a57d107f16c4853f47ebe",
+        ),
+    ),
+    "offline": (
+        (
+            "4e6f0a9278ccabe00b962757cfafb51b231002450cc8461e4f33198ad8f259f9",
+            "187e60e60aee4d30490211ff95b3f9a39aa3d867fc95d9fb250bd10b2027795a",
+            "84717915ccf9f304cb84d7340a154773539e6f92d2dfb5ade4102612b1b674a5",
+            "4b7cde8a178677ce094413c9ffc9ceda8a599cd61c15575b8548713dd11bc31f",
+        ),
+        (
+            "d36c361a07747f7da23bee47f69acf55ae8eb9f8a42652166d12420b68fc8fef",
+            "28eef8e6d23eeb6045537ff653b15876570c175087f8b640f6daa50c9faa9c08",
+            "dfae40d7144182b2e40e1ca79c221cf9a226c555e70735cf10e1acf9c5b6804b",
+        ),
+    ),
+    "sample": (
+        (
+            "173f19cb802e1fbb4ecf899a2da58a0796fb1ca640c94d4ebc194f1433abfa2e",
+            "187e60e60aee4d30490211ff95b3f9a39aa3d867fc95d9fb250bd10b2027795a",
+            "b93e3c092ceb125063768b22ebd52164c23c4bfc7ddcda1fd41b3357939e507d",
+            "82e218a64106abe6da66ecad42021af40c8f3f4a175dec1cfdb5c1b4a7dcf154",
+        ),
+        (
+            "d36c361a07747f7da23bee47f69acf55ae8eb9f8a42652166d12420b68fc8fef",
+            "aa1c989bbe104a6006dfd64f60dff3a871d7f8ec3bbd33875cec412421d387ca",
+            "d3cbd748847915e5df61822b1bf62ddf0707bea83a7eb2c024988b2a959f0768",
+        ),
+    ),
+}
+
 PAPER_TRUTH_DIGEST = (
     "8a20e49b1f6b9c3f86adcf042bbd6ee2d00a3feed22920f95bf0ebb4d11a63c8")
 
@@ -141,6 +200,42 @@ def _match_digest(res, preset):
     h = hashlib.sha256(np.ascontiguousarray(ai, dtype="<i8").tobytes())
     h.update(np.ascontiguousarray(bi, dtype="<i8").tobytes())
     return h.hexdigest()
+
+
+# lets the same file check commits from before the tag announce and the
+# basis reveal shared one chunk constant
+_CHUNK_NAMES = (("CHUNK_ROWS",) if hasattr(protocol, "CHUNK_ROWS")
+                else ("TAG_CHUNK", "PAIR_CHUNK"))
+
+
+def _wire_digests(session):
+    """The SHA-256 of every frame each party sends in a session on the
+    ideal preset's streams."""
+    qber_mode, chunk_rows = WIRE_SESSIONS[session]
+    cfg = harness.load_config(harness.preset_path("ideal"))
+    res = _simulate("ideal")
+    params = replace(harness._session_params(cfg, DURATION_S),
+                     qber_mode=qber_mode)
+    sent = ([], [])
+    transport_pair = protocol.transport_pair
+
+    def recording_pair(timeout=None):
+        ends = transport_pair(timeout)
+        for end, frames in zip(ends, sent):
+            def sendall(frame, send=end.sendall, frames=frames):
+                frames.append(hashlib.sha256(frame).hexdigest())
+                send(frame)
+            end.sendall = sendall
+        return ends
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(protocol, "transport_pair", recording_pair)
+        for name in _CHUNK_NAMES if chunk_rows else ():
+            patch.setattr(protocol, name, chunk_rows)
+        protocol.run_session(protocol.alice_endpoint(params),
+                             protocol.bob_endpoint(params), res.alice,
+                             res.bob)
+    return tuple(tuple(frames) for frames in sent)
 
 
 def _truth_digest(truth):
@@ -182,6 +277,11 @@ def test_match_digests(preset):
     assert _match_digest(_simulate(preset), preset) == MATCH_DIGESTS[preset]
 
 
+@pytest.mark.parametrize("session", sorted(WIRE_SESSIONS))
+def test_wire_digests(session):
+    assert _wire_digests(session) == WIRE_DIGESTS[session]
+
+
 def test_paper_truth_digest():
     res = _simulate("paper", **_TRUTH)
     assert (_stream_digest(res.alice), _stream_digest(res.bob)) == \
@@ -204,3 +304,7 @@ if __name__ == "__main__":
         print(f"{name} match: {_match_digest(res, name)}")
         if name == "paper":
             print(f"paper truth: {_truth_digest(res.truth)}")
+    for session in sorted(WIRE_SESSIONS):
+        alice, bob = _wire_digests(session)
+        print(f"wire {session} alice: {' '.join(alice)}")
+        print(f"wire {session} bob: {' '.join(bob)}")

@@ -371,6 +371,12 @@ class TestRunSession:
         over_tcp, _ = self.run_ideal(transport="tcp", duration=4.0)
         assert in_proc.report_bytes == over_tcp.report_bytes
 
+    def test_report_independent_of_chunk_rows(self, monkeypatch):
+        default, _ = self.run_ideal(duration=1.0)
+        monkeypatch.setattr(protocol, "CHUNK_ROWS", 1000)
+        chunked, _ = self.run_ideal(duration=1.0)
+        assert chunked.report_bytes == default.report_bytes
+
     def test_sampled_bits_never_in_final_key(self):
         sampled_run, _ = self.run_ideal(duration=4.0)
         offline_run, _ = self.run_ideal(duration=4.0, qber_mode="offline")
@@ -493,26 +499,6 @@ class TestSessionFailures:
         assert "timed out" in str(error)
         assert error.peer_error.peer_stopped
 
-    def test_duplicate_sample_positions_name_bob(self, monkeypatch):
-        # key_count copies of position 0 are in range and, in offline
-        # mode, as many as "every key position"; Bob must refuse them
-        encode = protocol._encode_sample_request
-
-        def duplicated(positions, bits):
-            return encode(np.zeros_like(positions), np.repeat(bits[:1],
-                                                              bits.size))
-        monkeypatch.setattr(protocol, "_encode_sample_request", duplicated)
-        res = simulate(duration=1.0)
-        p = params_for(duration=1.0, qber_mode="offline")
-        with pytest.raises(SessionAbort) as info:
-            run_session(alice_endpoint(p), bob_endpoint(p), res.alice,
-                        res.bob, transport="in-process")
-        error = info.value
-        assert error.party == "bob"
-        assert str(error) == ("bob: protocol violation: sample positions "
-                              "are not strictly increasing")
-        assert error.peer_error.peer_stopped
-
     def test_failure_outside_the_protocol_is_named(self, monkeypatch):
         def broken(self):
             raise RuntimeError("label table missing")
@@ -548,15 +534,28 @@ class TestSessionFailures:
 
 
 def tamper_sends(monkeypatch, msg_type, tamper):
-    """Pass the arrays of every ``msg_type`` message through ``tamper``
-    before they are chunked and encoded."""
-    send = protocol._send_chunked
+    """Pass the columns of every ``msg_type`` payload, each chunk of a
+    chunked message apart, through ``tamper`` before they are encoded."""
+    encode = protocol._encode
 
-    def tampered(channel, kind, arrays, encode, chunk_size):
+    def tampered(kind, columns, head=()):
         if kind == msg_type:
-            arrays = tamper(*(a.copy() for a in arrays))
-        return send(channel, kind, arrays, encode, chunk_size)
-    monkeypatch.setattr(protocol, "_send_chunked", tampered)
+            columns = tamper(*(np.array(c) for c in columns))
+        return encode(kind, columns, head)
+    monkeypatch.setattr(protocol, "_encode", tampered)
+
+
+def tamper_announce(monkeypatch, tamper):
+    """Send the tag announce in chunks of 1,000 tags, and pass the columns,
+    the total and the offset of each chunk through ``tamper``."""
+    monkeypatch.setattr(protocol, "CHUNK_ROWS", 1000)
+    encode = protocol._encode
+
+    def tampered(kind, columns, head=()):
+        if kind == protocol.MSG_TAG_ANNOUNCE:
+            columns, head = tamper(list(columns), *head)
+        return encode(kind, columns, head)
+    monkeypatch.setattr(protocol, "_encode", tampered)
 
 
 def swap_first_two(values):
@@ -581,13 +580,14 @@ class TestPeerValidation:
     """Each party checks what its peer sends and names itself when it
     refuses it."""
 
-    def refused(self, monkeypatch, msg_type, tamper):
-        tamper_sends(monkeypatch, msg_type, tamper)
+    transport = "in-process"
+
+    def refused(self, qber_mode="sample"):
         res = simulate(duration=1.0)
-        p = params_for(duration=1.0)
+        p = params_for(duration=1.0, qber_mode=qber_mode)
         with pytest.raises(SessionAbort) as info:
             run_session(alice_endpoint(p), bob_endpoint(p), res.alice,
-                        res.bob, transport="in-process")
+                        res.bob, transport=self.transport)
         assert info.value.peer_error.peer_stopped
         return info.value
 
@@ -600,7 +600,8 @@ class TestPeerValidation:
          "announced tag label out of range"),
     ], ids=["unsorted", "wrapped", "label"])
     def test_bad_tag_announce_names_alice(self, monkeypatch, tamper, reason):
-        error = self.refused(monkeypatch, protocol.MSG_TAG_ANNOUNCE, tamper)
+        tamper_sends(monkeypatch, protocol.MSG_TAG_ANNOUNCE, tamper)
+        error = self.refused()
         assert error.party == "alice"
         assert str(error) == f"alice: protocol violation: {reason}"
 
@@ -613,9 +614,71 @@ class TestPeerValidation:
          "pair outcome out of range"),
     ], ids=["decreasing", "setting", "outcome"])
     def test_bad_basis_reveal_names_bob(self, monkeypatch, tamper, reason):
-        error = self.refused(monkeypatch, protocol.MSG_BASIS_REVEAL, tamper)
+        tamper_sends(monkeypatch, protocol.MSG_BASIS_REVEAL, tamper)
+        error = self.refused()
         assert error.party == "bob"
         assert str(error) == f"bob: protocol violation: {reason}"
+
+    def test_duplicate_sample_positions_name_bob(self, monkeypatch):
+        # key_count copies of position 0 are in range and, in offline
+        # mode, as many as "every key position"; Bob must refuse them
+        tamper_sends(monkeypatch, protocol.MSG_SAMPLE_REQUEST,
+                     lambda positions, bits: (np.zeros_like(positions),
+                                              np.repeat(bits[:1], bits.size)))
+        error = self.refused(qber_mode="offline")
+        assert error.party == "bob"
+        assert str(error) == ("bob: protocol violation: sample positions "
+                              "are not strictly increasing")
+
+    def test_bad_sample_bit_names_bob(self, monkeypatch):
+        tamper_sends(monkeypatch, protocol.MSG_SAMPLE_REQUEST,
+                     lambda positions, bits: (positions, set_first(7)(bits)))
+        error = self.refused()
+        assert error.party == "bob"
+        assert str(error) == "bob: protocol violation: sample bit out of range"
+
+    @pytest.mark.parametrize("tamper, reason", [
+        (lambda test, key: (set_first(7)(test), key),
+         "revealed test outcome out of range"),
+        (lambda test, key: (test, set_first(7)(key)),
+         "revealed sample bit out of range"),
+    ], ids=["test-bit", "key-bit"])
+    def test_bad_sample_reveal_names_alice(self, monkeypatch, tamper, reason):
+        tamper_sends(monkeypatch, protocol.MSG_SAMPLE_REVEAL, tamper)
+        error = self.refused()
+        assert error.party == "alice"
+        assert str(error) == f"alice: protocol violation: {reason}"
+
+    @pytest.mark.parametrize("tamper, reason", [
+        (lambda cols, total, offset: (cols, (total + 5 * (offset == 1000),
+                                             offset)),
+         "chunk declares a total of {more} entries after {total}"),
+        (lambda cols, total, offset: (cols, (total, offset + (offset > 0))),
+         "chunk offset 1001 does not match the 1000 entries received so "
+         "far"),
+        (lambda cols, total, offset: (cols, (total - 1, offset)),
+         "chunks exceed the declared total"),
+        (lambda cols, total, offset: ([c[:0] for c in cols], (total, 0)),
+         "empty chunk before the declared total"),
+        (lambda cols, total, offset: ([cols[0], cols[1][:-1]],
+                                      (total, offset)),
+         "tag_announce payload has the wrong size"),
+        (lambda cols, total, offset: (cols, (2**62, offset)),
+         f"declared total of {2**62} entries is too large"),
+    ], ids=["redeclared", "gap", "exceeded", "empty", "size", "too-large"])
+    def test_bad_chunk_names_alice(self, monkeypatch, tamper, reason):
+        tamper_announce(monkeypatch, tamper)
+        error = self.refused()
+        total = len(simulate(duration=1.0).bob)
+        assert error.party == "alice"
+        assert str(error) == ("alice: protocol violation: "
+                              + reason.format(total=total, more=total + 5))
+
+
+class TestPeerValidationOverTcp(TestPeerValidation):
+    """The same refusals over a loopback socket."""
+
+    transport = "tcp"
 
 
 class TestReportAgreement:
