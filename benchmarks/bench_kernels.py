@@ -7,13 +7,18 @@ helpers from here:
     python3 perfbench/kernel_bench.py [--repeat N] [--scale X]
 """
 
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
+# import the package from this checkout's src/, as perfbench/host.py does
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
 # perfbench/kernel_bench.py imports only the package, then this module,
 # and reads the kernels as its ``kernels`` attribute, which this sets
-import hybridqkd.kernels  # noqa: F401
+import hybridqkd.kernels  # noqa: E402,F401
 
 
 def make_streams(rate_hz, duration_s, jitter_sigma_ps, extra_fraction, rng):

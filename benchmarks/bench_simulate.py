@@ -1,7 +1,9 @@
 """Per-step timing of the session simulator, with JSON output.
 
-    PYTHONPATH=src python3 benchmarks/bench_simulate.py \
+    python3 benchmarks/bench_simulate.py \
         [--preset paper] [--seconds 1] [--repeat 5] [--seed N]
+
+The package is imported from this checkout's ``src/``.
 
 Runs ``harness._simulate`` for a bundled preset, shortened to
 ``--seconds``, ``--repeat`` times.  The simulator's helpers are wrapped
@@ -33,10 +35,14 @@ import argparse
 import functools
 import json
 import statistics
+import sys
 import threading
 import time
+from pathlib import Path
 
-from hybridqkd import harness, optics
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from hybridqkd import harness, optics  # noqa: E402
 
 STEPS = ("_poisson_stream_ps", "_emit_clicks", "_party_stream",
          "_emit_singles", "_sort_clicks", "_finalize_party",

@@ -451,8 +451,7 @@ def _run_window_sweep(cfg, out: Path):
                                f"integers, got {v}"])
         windows.append(int(v))
     res = _simulate(cfg, cfg["seed"])
-    delay = tags.estimate_delay(res.alice, res.bob).delay_ps
-    points = tags.window_sweep(res.alice, res.bob, windows, delay)
+    points = tags.window_sweep(res.alice, res.bob, windows)
     rows = ["window_ps,S,S_err,pairs"]
     rows.extend(",".join([str(p.window_ps), "%.10g" % p.s,
                           "%.10g" % p.s_err, str(p.pairs)])
@@ -495,10 +494,10 @@ def _raw_rate(cfg, transmittance, seed, duration_s) -> float:
     transmittance, via the offline analysis pipeline."""
     probe_cfg = cfg.replaced(channel__bob__transmittance=transmittance)
     res = _simulate(probe_cfg, seed, duration_s=duration_s)
-    delay = tags.estimate_delay(res.alice, res.bob).delay_ps
     window = cfg["protocol.window_ps"]
-    pairs = tags.match_coincidences(res.alice, res.bob, window, delay)
-    matrix = tags.build_matrix(res.alice, res.bob, pairs, window, delay)
+    est, (pairs,) = tags.find_coincidences(res.alice, res.bob, [window])
+    matrix = tags.build_matrix(res.alice, res.bob, pairs, window,
+                               est.delay_ps)
     correct, error = tags.key_pair_sets()
     raw_bits = sum(matrix.counts.get(p, 0) for p in correct | error)
     return raw_bits / duration_s
@@ -577,8 +576,7 @@ def analyze_streams(alice_path, bob_path, window_ps: int, out_dir=None):
     matrix.csv and estimates.csv; returns a summary dict."""
     a = optics.load_tagstream(str(alice_path))
     b = optics.load_tagstream(str(bob_path))
-    est = tags.estimate_delay(a, b)
-    pairs = tags.match_coincidences(a, b, window_ps, est.delay_ps)
+    est, (pairs,) = tags.find_coincidences(a, b, [window_ps])
     matrix = tags.build_matrix(a, b, pairs, window_ps, est.delay_ps)
     estimates = {}
     sets = tags.standard_pair_sets()

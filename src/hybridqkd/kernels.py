@@ -1,62 +1,48 @@
-"""Inner loops over time-tag arrays: dead-time filtering, coincidence
-matching, and windowed difference histograms.
+"""Inner loops over time-tag arrays: dead-time filtering, the window
+search, coincidence matching, and difference histograms.
 
 Each kernel vectorizes a scalar reference loop with numpy.  The loops
 of the dead-time filter and the difference histogram are kept with the
 tests, which compare against them; the matcher's loop,
 ``_match_nearest_impl``, stays here because the matcher runs it.  The
-dead-time filter takes one ``diff`` that finds the runs of tags closer
-than the dead time, then vectorized rounds over those runs only (a tag
-far from both neighbours always survives; on each channel of the paper
-preset about one tag in twenty is in a run), the difference histogram
-expands pairs in chunks of about 2**17 (about 1 MB per array, so a chunk
-stays in cache), and coincidence matching works with arrays everywhere
-except inside the rare clusters of tags whose choices conflict, where it
-runs the loop itself.
+dead-time filter finds the runs of tags closer than the dead time with
+one ``diff`` and works in vectorized rounds over those runs only.
 
-Both pair kernels find their windows with ``_window_ranges`` and then
-work only on the tags with a partner when at most 80% have one: 5.4% of
-the paper preset's tags in the fine delay stage, 0.23% in the 64 ps
-matcher, and 75% and 50% of the ideal preset's.  Above that share (99%
-in the coarse stage's near region, about five partners per tag) a second
-binary search over every tag is cheaper.  On independent random streams,
-whose partners per tag grow with the share, the two cost the same at a
-share of 0.65-0.8 (numpy 2.4, 2-vCPU x86 VM); the ideal preset's streams
-have about one partner per tag, and there the walk is a third faster.
-The first search, one per tag, runs 4,096 queries at a time within
-their slice of the other stream, which stays in cache.
+The window search, ``_window_ranges(a, b, lo, hi)``, gives each tag of
+``a`` its range of partners in ``b`` at a difference in [lo, hi): one
+binary search per tag, then the counts by a short walk over the tags
+with a partner when few have one, or by a second search when most do.
+Both pair kernels start from it.  ``diff_histogram`` expands the listed
+pairs in chunks that stay in cache (``_histogram``).  ``match_nearest``
+reads the graph of candidate pairs from the ranges: a component of one
+edge always pairs, a lone tag never does, and the scalar loop runs only
+on the rest.
 
-Above ``_SPLIT_TAGS`` (2**20) tags, when the process may use more than
-one CPU, ``_window_ranges`` runs its per-tag work on the two halves of
-``a`` on two threads (``_in_parallel``): numpy releases the GIL in
-``searchsorted``, ``sort`` and its elementwise loops.  The dense or
-sparse case is chosen once, from the share over all of ``a``, so the
-result is the same.  On 1 s paper streams (2.65M and 2.04M tags) a
-match fell from 0.10-0.12 s to 0.07 s and the fine delay stage from
-0.10-0.11 s to 0.06 s (best of 7, numpy 2.4, 2-vCPU x86 VM).  Each
-half's full-length arrays are freed as soon as its case is done with
-them, so the live memory is the one-thread path's; the process's peak
-RSS still grows on streams of one to a few million tags, because glibc
-gives the worker its own malloc arena, which keeps what it frees.
-Below the gate a second thread costs more than it saves: with a gate
-of 2**16, which splits the 100k-tag streams of a 0.5 s ideal run, three
-alternating perfbench dump_analyze runs peaked at 60-61 MB against
-57-58 MB, with no gain in time (0.249-0.264 s against 0.231-0.266 s).
-A worker thread runs only private helpers; a public function wrapped by
-a tracer would open a span with no parent on the worker.
-``optics.simulate_session`` uses the same worker for Bob's singles,
-sort and dead time, so the simulator filters dead time with the private
+One search feeds the delay search and every match after it
+(``tags.find_coincidences``): the fine delay stage counts only the
+pairs inside its prefixes (``_prefix_ranges``) of a search that may go
+on past them, and each later match whose window fits inside that span
+hands ``match_nearest`` only the tags the search listed and the union
+of their ranges (``_union``).  A tag with no candidate neither pairs
+nor blocks a pairing, so the pairs are the same.
+
+Above ``_SPLIT_TAGS`` tags, when the process may use more than one CPU,
+``_window_ranges`` runs its per-tag work on the two halves of ``a`` on
+two threads (``_in_parallel``); numpy releases the GIL in its sorts,
+searches and elementwise loops.  The dense or sparse case is chosen
+once, from the share over all of ``a``, so the result does not depend
+on the split, and each half's full-length arrays are freed as soon as
+its case is done with them.  A worker thread runs only private helpers:
+a public function wrapped by a tracer would open a span with no parent
+on the worker.  ``optics.simulate_session`` uses the same worker for
+Bob's singles, sort and dead time, through the private
 ``_dead_time_filter``; the public ``dead_time_filter`` only coerces its
 arguments and calls it.
 
 ``binned_correlation`` counts the pairs of two streams by the difference
 of their binned times with FFTs, at a cost that grows with the number of
-bins the streams span rather than with the number of pairs.
-``tags.estimate_delay`` uses it to locate a correlation peak
-before counting exactly near it, and picks the bin width from the two
-costs, measured with numpy 2.4 on a 2-vCPU x86 VM (see its docstring):
-about 10 ns per pair of the numpy difference histogram and about 100 ns
-per bin spanned by the correlation.
+bins the streams span rather than with the number of pairs;
+``tags.estimate_delay`` uses it to locate its coarse peak.
 
 All times are int64 picoseconds and all inputs must be sorted ascending.
 """
@@ -187,7 +173,8 @@ def _dead_time_filter(times, dead_ps):
 # partner ranges
 # ---------------------------------------------------------------------------
 
-# above this share of tags with a partner, search twice (module docstring)
+# above this share of tags with a partner, search twice (a measured
+# crossover; CHANGES.md gives the figures)
 _DENSE_SHARE = 0.8
 _WALK_ROUNDS = 8
 # ascending queries searched per slice of the sorted array
@@ -302,6 +289,16 @@ def _walk(b, state):
     return tags, first, end
 
 
+def _union(start, stop):
+    """The indices in any of the ranges [start[i], stop[i]), ascending;
+    both ends must ascend with i.  ``start`` is modified."""
+    start[1:] = np.maximum(start[1:], stop[:-1])  # less the part already in
+    size = np.maximum(stop - start, 0)
+    covered = np.repeat(start - np.cumsum(size) + size, size)
+    covered += np.arange(covered.shape[0])
+    return covered
+
+
 # ---------------------------------------------------------------------------
 # greedy nearest-neighbor coincidence matching
 # ---------------------------------------------------------------------------
@@ -389,12 +386,13 @@ def match_nearest(a, b, half_window: int):
     int64 index arrays.  The loop runs only where choices conflict:
     greedy decisions interact only inside connected components of the
     bipartite graph whose edges join tags within ``half_window``.  A
-    component of one edge always pairs, a lone tag never does, and the
-    loop on the remaining tags (whole components, in the same relative
-    order) makes exactly the choices it makes on the full streams.  The
-    graph is read from ``_window_ranges``: on the paper preset's streams
-    about 0.2% of Alice's tags have a candidate, and only those are
-    looked at again.
+    component of one edge always pairs.  A tag with no candidate neither
+    pairs nor blocks a pairing, so dropping such tags from either stream
+    leaves the pairs of the others unchanged.  The loop on the remaining
+    tags (whole components, in the same relative order) makes exactly
+    the choices it makes on the full streams.  The graph is read from
+    ``_window_ranges``, and only the tags with a candidate are looked at
+    again.
 
     The loop's pairs never cross: had a[i] paired b[j] and a[k] paired
     b[l] with i < k and l < j, all four tags would be mutual candidates,
@@ -426,12 +424,7 @@ def match_nearest(a, b, half_window: int):
     single |= count == 0
     rest = np.flatnonzero(~single)
     del single
-    start = first[rest]
-    stop = end[rest]
-    start[1:] = np.maximum(start[1:], stop[:-1])
-    size = np.maximum(stop - start, 0)
-    rest_b = np.repeat(start - np.cumsum(size) + size, size)
-    rest_b += np.arange(rest_b.shape[0])
+    rest_b = _union(first[rest], end[rest])
     if tags is None:
         rest_a = rest
     else:
@@ -453,13 +446,8 @@ def diff_histogram(a, b, lo: int, hi: int, bin_width: int,
                    _chunk: int = 1 << 17) -> np.ndarray:
     """Histogram of pairwise differences b - a restricted to [lo, hi).
 
-    Bin k covers [lo + k*w, lo + (k+1)*w).  ``_window_ranges`` gives the
-    tags with a pair and their ranges of b (on the paper preset's streams
-    5.4% of the fine stage's tags have one).  Pairs are numbered in
-    a-major order; pair p of a[i] pairs it with b[first[i] + p -
-    start[i]], where start[i] is the number of pairs of the tags before
-    a[i].  They are expanded in chunks of about ``_chunk`` pairs, each
-    holding the pairs of whole a-tags.
+    Bin k covers [lo + k*w, lo + (k+1)*w).  ``_window_ranges`` lists
+    the pairs and ``_histogram`` counts them.
     """
     if hi <= lo:
         raise ValueError("empty difference range")
@@ -467,31 +455,64 @@ def diff_histogram(a, b, lo: int, hi: int, bin_width: int,
         raise ValueError("bin_width must be positive")
     a, b = _as_i64(a), _as_i64(b)
     lo, hi, bin_width = np.int64(lo), np.int64(hi), np.int64(bin_width)
+    return _histogram(a, b, _window_ranges(a, b, lo, hi), lo, hi, bin_width,
+                      _chunk)
+
+
+def _prefix_ranges(ranges, m):
+    """``_window_ranges(a, b, ...)`` cut to the partners in b[:m]; some
+    listed tags may be left with none."""
+    tags, first, count = ranges
+    end = first + count
+    np.minimum(end, m, out=end)
+    end -= first
+    np.maximum(end, 0, out=end)
+    return tags, first, end
+
+
+def _histogram(a, b, ranges, lo, hi, bin_width, chunk=1 << 17,
+               swapped=False):
+    """``diff_histogram`` of the pairs ``ranges`` lists, as
+    ``_window_ranges(a, b, lo, hi)`` returns them, or with ``swapped`` as
+    ``_window_ranges(b, a, 1 - hi, 1 - lo)`` does (the same pairs, listed
+    from b); the ranges are not modified.
+
+    Pairs are numbered in order of the listed tags; pair p of listed tag i
+    pairs it with entry first[i] + p - start[i] of the other stream, where
+    start[i] is the number of pairs of the tags before i.  They are
+    expanded in chunks of about ``chunk`` pairs, each holding the pairs of
+    whole listed tags.
+    """
     nbins = int((hi - lo + bin_width - 1) // bin_width)
     counts = np.zeros(nbins, dtype=np.int64)
-    tags, first, per_a = _window_ranges(a, b, lo, hi)
+    tags, first, per_tag = ranges
+    near, far = (b, a) if swapped else (a, b)
     if tags is not None:
-        a = a[tags]
-    ends = np.cumsum(per_a)
+        near = near[tags]
+    ends = np.cumsum(per_tag)
     if ends.size == 0 or ends[-1] == 0:
         return counts
-    first -= ends
-    first += per_a  # now first[i] - start[i]
-    ramp = np.arange(min(int(ends[-1]), _chunk), dtype=np.int64)
-    begin, n = 0, a.shape[0]
+    first = first - ends
+    first += per_tag  # now first[i] - start[i]
+    ramp = np.arange(min(int(ends[-1]), chunk), dtype=np.int64)
+    begin, n = 0, per_tag.shape[0]
     while begin < n:
         base = int(ends[begin - 1]) if begin else 0
-        stop = int(np.searchsorted(ends, base + _chunk, side="right"))
+        stop = int(np.searchsorted(ends, base + chunk, side="right"))
         stop = min(max(stop, begin + 1), n)
-        cnt = per_a[begin:stop]
+        cnt = per_tag[begin:stop]
         size = int(ends[stop - 1]) - base
         if size:
             if size > ramp.shape[0]:  # one tag with more pairs than a chunk
                 ramp = np.arange(size, dtype=np.int64)
             idx = np.repeat(first[begin:stop] + base, cnt)
             idx += ramp[:size]
-            diffs = b[idx]
-            diffs -= np.repeat(a[begin:stop] + lo, cnt)
+            if swapped:  # b - a - lo
+                diffs = np.repeat(near[begin:stop] - lo, cnt)
+                diffs -= far[idx]
+            else:
+                diffs = far[idx]
+                diffs -= np.repeat(near[begin:stop] + lo, cnt)
             diffs //= bin_width
             counts += np.bincount(diffs, minlength=nbins)
         begin = stop
@@ -506,14 +527,13 @@ def binned_correlation(a, b, lo: int, nlags: int, bin_width: int,
 
     A pair with b[j] - a[i] in [lo + k*w, lo + (k+1)*w) lands in entry k
     or k + 1, so these are counts of ``diff_histogram`` bins blurred by
-    one bin, computed without visiting the pairs: overlap-save with real FFTs of length ``_block`` (at least 2 * nlags),
-    the cross-spectrum of every block summed, one inverse transform.
-    The float error of an entry grows with the product of the two
-    streams' norms, so with the bin width as more tags share a bin.  For
-    2**18 random tags over 0.1 s, or 10**5 over 0.5 s, it measured below
-    1e-8 at bins of 4 to 2**17 times 4096 ps (``tags.estimate_delay``
-    picks up to 2568 times 4096 ps on such streams), so rounding
-    recovers the integer counts.
+    one bin, computed without visiting the pairs: overlap-save with real
+    FFTs of length ``_block`` (at least 2 * nlags), the cross-spectrum of
+    every block summed, one inverse transform.  The float error of an
+    entry grows with the product of the two streams' norms, so with the
+    bin width as more tags share a bin; at the widths
+    ``tags.estimate_delay`` picks it stays far below 1/2, so rounding
+    recovers the integer counts (CHANGES.md gives the measurement).
     """
     a = _as_i64(a)
     b = _as_i64(b)

@@ -85,6 +85,7 @@ __all__ = [
 PS_PER_SECOND = 10**12
 
 MAX_FRAME_BYTES = 32 * 1024 * 1024
+_TCP_READ = 1 << 16  # the most one socket read asks for
 CHUNK_ROWS = 1 << 19  # rows a chunk of a chunked message carries
 
 # message types
@@ -431,16 +432,20 @@ def _frame_length(data) -> int:
     return length
 
 
+def _frame_body(body):
+    """(type, sequence, payload) of the frame bytes past the length."""
+    msg_type = body[0]
+    if msg_type not in _MESSAGE_NAMES:
+        raise ProtocolViolation(f"unknown message type {msg_type}")
+    return msg_type, int.from_bytes(body[1:9], "big"), body[9:]
+
+
 def parse_frame(data: bytes):
     """Parse one complete frame; returns (type, seq, payload, bytes used)."""
     length = _frame_length(data)
     if len(data) < 4 + length:
         raise ProtocolViolation("truncated frame: incomplete payload")
-    msg_type = data[4]
-    if msg_type not in _MESSAGE_NAMES:
-        raise ProtocolViolation(f"unknown message type {msg_type}")
-    seq = int.from_bytes(data[5:13], "big")
-    return msg_type, seq, data[13:4 + length], 4 + length
+    return (*_frame_body(data[4:4 + length]), 4 + length)
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +461,10 @@ class InProcessTransport:
     ``timeout`` is how often a silent receive checks that the thread using
     the peer's end still runs (None: never); a peer thread that ended
     without closing is reported as a ``ConnectionError``.
+
+    The bytes of each send are passed on as they are: a receive returns
+    the sent object itself when all of it fits, else a read-only view of
+    the next part of it, so a frame reaches the peer without a copy.
     """
 
     def __init__(self, inbox: queue.Queue, outbox: queue.Queue,
@@ -463,7 +472,8 @@ class InProcessTransport:
         self._inbox = inbox
         self._outbox = outbox
         self._timeout = timeout
-        self._buffer = bytearray()
+        self._pending = None  # the received bytes not yet returned
+        self._offset = 0
         self._closed = False
         self._peer_closed = False
         self._peer = None
@@ -475,18 +485,25 @@ class InProcessTransport:
             raise ConnectionError("transport is closed")
         self._outbox.put(bytes(data))
 
-    def recv(self, max_bytes: int) -> bytes:
+    def recv(self, max_bytes: int):
+        """At most ``max_bytes`` of the received bytes, as a bytes-like
+        object; ``b""`` once the peer has closed."""
         self._user = threading.current_thread()
-        if not self._buffer:
+        while not self._pending:
             if self._peer_closed:
                 return b""
-            chunk = self._next_chunk()
-            if chunk is None:
+            self._pending, self._offset = self._next_chunk(), 0
+            if self._pending is None:
                 self._peer_closed = True
                 return b""
-            self._buffer.extend(chunk)
-        out = bytes(self._buffer[:max_bytes])
-        del self._buffer[:max_bytes]
+        data, at = self._pending, self._offset
+        if at == 0 and len(data) <= max_bytes:
+            self._pending = None
+            return data
+        out = memoryview(data)[at:at + max_bytes]
+        self._offset = at + len(out)
+        if self._offset == len(data):
+            self._pending = None
         return out
 
     def _next_chunk(self):
@@ -555,7 +572,7 @@ class TcpTransport:
         self._sock.sendall(data)
 
     def recv(self, max_bytes: int) -> bytes:
-        return self._sock.recv(max_bytes)
+        return self._sock.recv(min(max_bytes, _TCP_READ))
 
     def close(self):
         try:
@@ -572,7 +589,6 @@ class MessageChannel:
         self._transport = transport
         self._send_seq = 0
         self._recv_seq = 0
-        self._buffer = bytearray()
 
     def send(self, msg_type: int, payload: bytes = b""):
         frame = frame_message(msg_type, self._send_seq, payload)
@@ -584,10 +600,14 @@ class MessageChannel:
                                f"{_MESSAGE_NAMES[msg_type]}: {exc}",
                                peer_stopped=isinstance(exc, ConnectionError))
 
-    def _fill(self, needed: int):
-        while len(self._buffer) < needed:
+    def _read(self, size: int):
+        """The next ``size`` bytes: the transport's piece itself when one
+        piece holds them all, as an in-process frame does, else the
+        pieces joined."""
+        parts = []
+        while size:
             try:
-                chunk = self._transport.recv(65536)
+                chunk = self._transport.recv(size)
             except OSError as exc:
                 raise SessionAbort(f"transport failure while receiving: {exc}",
                                    peer_stopped=isinstance(exc,
@@ -595,16 +615,15 @@ class MessageChannel:
             if not chunk:
                 raise SessionAbort("transport closed mid-session",
                                    peer_stopped=True)
-            self._buffer.extend(chunk)
+            parts.append(chunk)
+            size -= len(chunk)
+        return parts[0] if len(parts) == 1 else b"".join(parts)
 
     def recv(self, expected_type: int):
-        self._fill(4)
-        self._fill(4 + _frame_length(self._buffer))
-        # parse in place and copy only the payload out of the buffer
-        with memoryview(self._buffer) as frame:
-            msg_type, seq, payload, used = parse_frame(frame)
-            payload = bytes(payload)
-        del self._buffer[:used]
+        """The payload of the next message, which must be of
+        ``expected_type``, as a read-only bytes-like view."""
+        body = memoryview(self._read(_frame_length(self._read(4))))
+        msg_type, seq, payload = _frame_body(body)
         if seq != self._recv_seq:
             raise ProtocolViolation(
                 f"out-of-order message: expected sequence {self._recv_seq}, "
@@ -612,7 +631,7 @@ class MessageChannel:
         self._recv_seq += 1
         if msg_type == MSG_ABORT:
             raise SessionAbort("peer aborted: " +
-                               payload.decode("utf-8", "replace"),
+                               bytes(payload).decode("utf-8", "replace"),
                                peer_stopped=True)
         if msg_type != expected_type:
             raise ProtocolViolation(
@@ -893,9 +912,11 @@ class _Session:
         if endpoint.role != self.role:
             raise ValueError(f"{type(self).__name__} needs an endpoint of "
                              f"role {self.role!r}")
-        # refuse a stream with a tag on a channel the endpoint does not map
-        unmapped = endpoint.channel_setting[stream.channels] == UNMAPPED
-        if unmapped.any():
+        # refuse a stream with a tag on a channel the endpoint does not map;
+        # only then look for the first such tag, to name its channel
+        used = np.bincount(stream.channels, minlength=256)
+        if used[endpoint.channel_setting == UNMAPPED].any():
+            unmapped = endpoint.channel_setting[stream.channels] == UNMAPPED
             channel = stream.channels[unmapped.argmax()]
             raise ValueError(f"{endpoint.role}'s stream has a tag on channel "
                              f"{channel}, which the endpoint does not map")
@@ -925,7 +946,9 @@ class BobSession(_Session):
         # the key basis b0 hides the port, the test basis b1 names it
         table = self.endpoint.channel_bit + LABEL_TEST_PLUS
         table[self.endpoint.channel_setting == 0] = LABEL_KEY_BASIS
-        return table[self.stream.channels]
+        # a byte table maps the uint8 channels without an intp index
+        return np.frombuffer(self.stream.channels.tobytes().translate(
+            table.tobytes()), dtype=np.uint8)
 
     def _run(self, channel: MessageChannel) -> SessionOutcome:
         params = self.endpoint.params
@@ -999,9 +1022,8 @@ class AliceSession(_Session):
         _send(channel, MSG_HELLO, head=_hello_fields(params))
         _, (bob_times, bob_labels) = _receive(channel, MSG_TAG_ANNOUNCE)
 
-        delay = tags.estimate_delay(self.stream.times, bob_times).delay_ps
-        ai, bi = tags.match_coincidences(self.stream.times, bob_times,
-                                         params.window_ps, delay)
+        _, ((ai, bi),) = tags.find_coincidences(self.stream.times, bob_times,
+                                                [params.window_ps])
         my_channels = self.stream.channels[ai]
         my_label = bob_labels[bi]
         roles = sift(my_channels, my_label, self.endpoint)

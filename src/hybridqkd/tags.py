@@ -6,6 +6,15 @@ pairing tags into coincidences inside a fixed window, aggregating pair
 counts per detector combination, and turning counts into correlation
 coefficients and a CHSH value with Poisson error bars.
 
+``find_coincidences`` is the one place that estimates the delay and then
+matches at one or more windows; the session, the offline analysis, the
+loss calibration and the window sweep all call it.  It keeps the window
+search of the fine delay stage, and each match whose window lies inside
+that stage's span looks only at the tags the search listed; a wider
+window falls back to every tag.  A tag with no candidate neither pairs
+nor blocks a pairing, so the pairs are those ``match_coincidences``
+finds on the full streams.
+
 Conventions
 -----------
 * ``delay`` is Bob's time minus Alice's time for a correlated pair; a pair
@@ -39,6 +48,7 @@ __all__ = [
     "WindowPoint",
     "estimate_delay",
     "match_coincidences",
+    "find_coincidences",
     "build_matrix",
     "correlation_from_counts",
     "standard_pair_sets",
@@ -251,11 +261,40 @@ def _located_coarse_peak(ca, cb, lo: int, hi: int, width: int, nbins: int,
     return peak
 
 
+def _listed(near, far, diffs, ranges, start, matched):
+    """The tags of ``near`` with a partner in ``far`` at a difference in
+    ``diffs`` and the tags of ``far`` in their ranges, or (None, None)
+    when a match should search all its ``matched`` tags.
+
+    ``ranges`` is the search over near[:start].  A match costs one binary
+    search per tag, as the search does, so the rest of ``near`` is
+    searched only if the tags a match would skip (the share of the
+    prefix without a partner) outnumber the tags left to search.  A
+    dense search lists nothing.
+    """
+    tags, first, count = ranges
+    if tags is None:
+        return None, None
+    rest = near.shape[0] - start
+    if rest > 0:
+        if matched * (1 - tags.shape[0] / start) <= rest:
+            return None, None
+        more, more_first, more_count = kernels._window_ranges(
+            near[start:], far, *diffs)
+        if more is None:
+            return None, None
+        more += start
+        tags = np.concatenate((tags, more))
+        first = np.concatenate((first, more_first))
+        count = np.concatenate((count, more_count))
+    return tags, kernels._union(first, first + count)
+
+
 def estimate_delay(a, b, search_range_ps: int = 2**28, bin_width_ps: int = 16,
                    *, coarse_bin_ps: int = 4096,
                    max_coarse_tags: int = 1 << 18, max_fine_tags: int = 1 << 21,
                    min_significance: float = 5.0, max_false_alarm: float = 1e-6,
-                   min_peak_count: int = 8) -> DelayEstimate:
+                   min_peak_count: int = 8, _fine=None) -> DelayEstimate:
     """Find the delay (Bob minus Alice) by cross-correlation of tag times.
 
     A coarse histogram over the full +-``search_range_ps`` locates the
@@ -267,10 +306,10 @@ def estimate_delay(a, b, search_range_ps: int = 2**28, bin_width_ps: int = 16,
     The coarse peak is located with an FFT cross-correlation on a grid of
     L coarse bins per bin, and only the coarse bins near the located peak
     are counted exactly (``_located_coarse_peak``).  Two binary searches
-    over the prefix (``kernels._sorted_search``, its queries ascend)
-    count the pairs in range first; that count gives the background
-    mean the full histogram would give.  The grid width balances two
-    predicted costs (``_locate_widths``):
+    over the prefix (``kernels._sorted_search``, its queries ascend; on
+    two threads when there are two CPUs) count the pairs in range first;
+    that count gives the background mean the full histogram would give.
+    The grid width balances two predicted costs (``_locate_widths``):
 
     * the FFT, ``_GRID_BIN_NS`` per grid bin over the coarse bins spanned
       (the span of Alice's prefix plus the search range), which falls as
@@ -284,18 +323,19 @@ def estimate_delay(a, b, search_range_ps: int = 2**28, bin_width_ps: int = 16,
     tries again, down to ``_LOCATE_BINS``, as long as its predicted cost
     stays below the full histogram's (``_PAIR_NS`` per pair).  If no grid
     is tried or none passes, the full histogram decides, so a rejection
-    carries the same message on every path.
+    carries the same message on every path.  The paths pick the same peak
+    unless some background bin far from the located peak beats it, which
+    is what the false-alarm test bounds.  Only the ratio of the two costs
+    moves L, and the total changes little near its least, so round
+    figures serve (CHANGES.md gives the measurements).
 
-    The paths pick the same peak unless some background bin far from the
-    located peak beats it, which is what the false-alarm test bounds.  The
-    two costs were measured with numpy 2.4 on a 2-vCPU x86 VM on the
-    2**18-tag prefixes of 1 s paper streams and the whole 0.5 s ideal
-    streams: 9.5-14 ns per pair of ``kernels.diff_histogram`` and
-    85-180 ns per grid bin of ``kernels.binned_correlation`` at 4 to 4096
-    coarse bins per bin.  Only their ratio moves L, and the total changes
-    little near its least, so the round figures serve.  Those ideal
-    streams take L of about 2,600 and the paper streams about 190; both
-    pass on that first grid.
+    The fine stage searches from the ``max_fine_tags`` prefix of the
+    shorter stream into the whole other one, and its histogram counts
+    only the pairs inside both prefixes.  ``_fine``, a list, receives
+    what ``find_coincidences`` keeps of that search (``_listed``): (lo,
+    hi, Alice's tags with a partner at a difference in [lo, hi), the Bob
+    tags in their ranges), both None when a match should search every
+    tag.
 
     Raises InsufficientDataError for empty streams and NoCorrelationError
     when no significant peak exists (e.g. independent streams).
@@ -316,8 +356,12 @@ def estimate_delay(a, b, search_range_ps: int = 2**28, bin_width_ps: int = 16,
     ca, cb = ta[:max_coarse_tags], tb[:max_coarse_tags]
     lo, hi = -search_range_ps, search_range_ps
     nbins = -(-(hi - lo) // coarse_bin_ps)
-    pairs = int((kernels._sorted_search(cb, ca + hi)
-                 - kernels._sorted_search(cb, ca + lo)).sum())
+    above, below = kernels._in_parallel(
+        kernels._sorted_search, [(cb, ca + hi), (cb, ca + lo)],
+        kernels._CPUS > 1)
+    above -= below
+    pairs = int(above.sum())
+    del above, below
     spanned = int(ca[-1] - ca[0]) // coarse_bin_ps + nbins
     peak = None
     # on three bins or fewer _peak_bin does not smooth; keep those exact
@@ -336,14 +380,24 @@ def estimate_delay(a, b, search_range_ps: int = 2**28, bin_width_ps: int = 16,
 
     # --- fine stage -------------------------------------------------------
     span = 2 * coarse_bin_ps
-    fa, fb = ta[:max_fine_tags], tb[:max_fine_tags]
-    lo = coarse_center - span
-    hist = kernels.diff_histogram(fa, fb, lo, coarse_center + span,
-                                  bin_width_ps)
+    lo, hi = coarse_center - span, coarse_center + span
+    # one binary search per tag of the shorter stream
+    swapped = tb.shape[0] < ta.shape[0]
+    near, far = (tb, ta) if swapped else (ta, tb)
+    diffs = (1 - hi, 1 - lo) if swapped else (lo, hi)
+    ranges = kernels._window_ranges(near[:max_fine_tags], far, *diffs)
+    hist = kernels._histogram(
+        ta, tb, kernels._prefix_ranges(ranges, max_fine_tags), lo, hi,
+        bin_width_ps, swapped=swapped)
     peak = _peak_bin(hist, smooth_bins=5)
     peak_count = int(hist[peak])
     mu = _background_mean(hist, peak)
     significance = _check_peak(peak_count, mu, hist.shape[0], *checks)
+    if _fine is not None:
+        listed = _listed(near, far, diffs, ranges, max_fine_tags,
+                         ta.shape[0])
+        _fine.append((lo, hi) + (listed[::-1] if swapped else listed))
+    del ranges
     center = _refine_centroid(hist, peak, mu)
     delay = lo + int(round(center * bin_width_ps)) + bin_width_ps // 2
     return DelayEstimate(delay_ps=int(delay), significance=float(significance),
@@ -355,18 +409,52 @@ def estimate_delay(a, b, search_range_ps: int = 2**28, bin_width_ps: int = 16,
 # coincidence matching
 # ---------------------------------------------------------------------------
 
-def match_coincidences(a, b, window_ps: int, delay_ps: int):
+def match_coincidences(a, b, window_ps: int, delay_ps: int, *, _fine=None):
     """Pair tags with ``|t_a - (t_b - delay)| <= window/2``.
 
     Greedy in global time order: each tag pairs with its nearest unpaired
     counterpart, distance ties breaking toward the earlier counterpart.
     Returns (alice_indices, bob_indices), both strictly increasing (greedy
     pairs never cross); each tag appears at most once.
+
+    ``_fine`` is what ``estimate_delay`` kept of its fine search for
+    ``find_coincidences``.  A window whose differences [delay - window/2,
+    delay + window/2] lie inside its [lo, hi) matches only the tags it
+    lists; a tag with no candidate neither pairs nor blocks a pairing
+    (``kernels.match_nearest``), so the pairs are the same.
     """
     if window_ps < 1:
         raise ValueError("window_ps must be >= 1")
     ta, tb = _times(a), _times(b)
-    return kernels.match_nearest(ta, tb - np.int64(delay_ps), window_ps // 2)
+    half = window_ps // 2
+    listed_a = listed_b = None
+    if _fine is not None:
+        lo, hi, tags_a, tags_b = _fine
+        if lo <= delay_ps - half and delay_ps + half < hi:
+            listed_a, listed_b = tags_a, tags_b
+    if listed_a is None:
+        return kernels.match_nearest(ta, tb - np.int64(delay_ps), half)
+    shifted = tb[listed_b]
+    shifted -= np.int64(delay_ps)
+    ai, bi = kernels.match_nearest(ta[listed_a], shifted, half)
+    return listed_a[ai], listed_b[bi]
+
+
+def find_coincidences(a, b, windows, **options):
+    """Estimate the delay of ``b`` against ``a``, then match at each window.
+
+    Returns (``DelayEstimate``, an iterator of (alice_indices,
+    bob_indices), one per window), the same as ``estimate_delay(a, b,
+    **options)`` followed by ``match_coincidences`` at its delay for each
+    window.  Each window is matched when the iterator reaches it, so a
+    caller done with one window's pairs before the next holds one
+    window's pairs at a time.
+    """
+    ta, tb = _times(a), _times(b)
+    fine = []
+    est = estimate_delay(ta, tb, _fine=fine, **options)
+    return est, (match_coincidences(ta, tb, w, est.delay_ps, _fine=fine[0])
+                 for w in windows)
 
 
 # ---------------------------------------------------------------------------
@@ -507,16 +595,16 @@ class WindowPoint:
     pairs: int
 
 
-def window_sweep(a: TagStream, b: TagStream, windows, delay_ps: int,
-                 basis_map=None):
-    """Recompute S on the same streams for each coincidence window."""
+def window_sweep(a: TagStream, b: TagStream, windows, basis_map=None):
+    """Recompute S on the same streams for each coincidence window, at the
+    delay ``find_coincidences`` estimates."""
     windows = list(windows)
     if not windows:
         raise ValueError("need at least one window")
+    est, matched = find_coincidences(a, b, windows)
     out = []
-    for w in windows:
-        pairs = match_coincidences(a, b, w, delay_ps)
-        m = build_matrix(a, b, pairs, w, delay_ps)
+    for w, pairs in zip(windows, matched):
+        m = build_matrix(a, b, pairs, w, est.delay_ps)
         s, err = chsh_from_counts(m, basis_map)
         out.append(WindowPoint(window_ps=int(w), s=s, s_err=err,
                                pairs=len(pairs[0])))

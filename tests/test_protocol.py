@@ -288,6 +288,14 @@ class TestTransports:
         assert ta.recv(3) == b"wor"
         assert ta.recv(10) == b"ld"
 
+    def test_in_process_frame_arrives_without_copy(self):
+        ta, tb = transport_pair()
+        frame = frame_message(MSG_HELLO, 0, bytes(range(200)))
+        ta.sendall(frame)
+        payload = protocol.MessageChannel(tb).recv(MSG_HELLO)
+        assert payload == bytes(range(200))
+        assert payload.obj is frame
+
     def test_close_yields_eof(self):
         ta, tb = transport_pair()
         ta.close()
@@ -520,6 +528,7 @@ class TestSessionFailures:
         stream = streams[party]
         channels = stream.channels.copy()
         channels[::50] = channel
+        channels[25] = channel - 1  # unmapped too, but not the first
         streams[party] = TagStream(party, stream.duration_ps, channels,
                                    stream.times)
         p = params_for(duration=1.0)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hybridqkd import kernels, optics, tags
+from hybridqkd import harness, kernels, optics, tags
 from hybridqkd.optics import (
     ChannelModel,
     DetectorModel,
@@ -310,6 +310,103 @@ class TestMatchCoincidences:
         assert counts == sorted(counts)
 
 
+def preset_streams(preset, seed, duration_s=0.1):
+    cfg = harness.load_config(harness.preset_path(preset))
+    res = harness._simulate(cfg, seed, duration_s=duration_s)
+    return res.alice, res.bob
+
+
+def separate_calls(a, b, windows, **options):
+    est = tags.estimate_delay(a, b, **options)
+    return est, [tags.match_coincidences(a, b, w, est.delay_ps)
+                 for w in windows]
+
+
+@pytest.fixture
+def match_sizes(monkeypatch):
+    """The Alice-side length of every ``kernels.match_nearest`` call."""
+    sizes = []
+    original = kernels.match_nearest
+
+    def recorded(a, b, half_window):
+        sizes.append(len(a))
+        return original(a, b, half_window)
+
+    monkeypatch.setattr(kernels, "match_nearest", recorded)
+    return sizes
+
+
+class TestFindCoincidences:
+    """``find_coincidences`` against ``estimate_delay`` followed by
+    ``match_coincidences`` on the full streams."""
+
+    def assert_same(self, a, b, windows, **options):
+        est, matched = tags.find_coincidences(a, b, windows, **options)
+        matched = list(matched)
+        want_est, want = separate_calls(a, b, windows, **options)
+        assert est == want_est
+        # the fine histogram counts only the pairs inside both prefixes
+        assert est == oracle_delay.estimate_delay(tags._times(a),
+                                                  tags._times(b), **options)
+        assert len(matched) == len(windows)
+        for (ai, bi), (wai, wbi) in zip(matched, want):
+            np.testing.assert_array_equal(ai, wai)
+            np.testing.assert_array_equal(bi, wbi)
+        return est, matched
+
+    @pytest.mark.parametrize("seed", [3, 17, 29])
+    @pytest.mark.parametrize("preset", harness.SCENARIOS)
+    def test_presets_with_short_fine_prefix(self, preset, seed):
+        a, b = preset_streams(preset, seed)
+        prefix = min(len(a), len(b)) * 3 // 4
+        _, matched = self.assert_same(a, b, [64], max_fine_tags=prefix)
+        assert matched[0][0].size
+
+    def test_search_past_the_prefix_lists_tags(self, match_sizes):
+        # about 5% of the paper streams' tags have a partner in the fine
+        # span, so the search goes on past both prefixes and the match
+        # looks only at the tags it listed
+        a, b = preset_streams("paper", 4)
+        self.assert_same(a, b, [64], max_fine_tags=len(b) // 2)
+        assert match_sizes[0] < len(a) // 10
+
+    def test_costly_listing_matches_every_tag(self, match_sizes):
+        # on the ideal streams most tags have a partner in the fine span:
+        # searching the rest of the stream would cost more than it saves
+        a, b = preset_streams("ideal", 4)
+        self.assert_same(a, b, [64], max_fine_tags=len(b) // 2)
+        assert match_sizes[0] == len(a)
+
+    def test_bob_longer_than_prefix_alice_not(self):
+        a, b = preset_streams("paper", 5)
+        a = a.times[:len(b) // 2]
+        self.assert_same(a, b, [64, 800], max_fine_tags=len(b) * 3 // 4)
+
+    def test_alice_longer_than_prefix_bob_not(self):
+        a, b = preset_streams("paper", 6)
+        b = b.times[:len(a) // 2]
+        self.assert_same(a, b, [64, 800], max_fine_tags=len(a) * 3 // 4)
+
+    def test_window_outside_fine_span_searches_every_tag(self, match_sizes):
+        # the fine stage spans +-2 coarse bins (8192 ps) around the coarse
+        # peak; a 20 ns window reaches past it on both sides
+        a, b = preset_streams("paper", 7)
+        self.assert_same(a, b, [20_000, 64], max_fine_tags=len(b) // 2)
+        assert match_sizes[0] == len(a)
+        assert match_sizes[1] < len(a)
+
+    def test_window_sweep(self):
+        a, b = preset_streams("window_sweep", 8)
+        windows = [64, 128, 800]
+        est, matched = separate_calls(a, b, windows)
+        points = tags.window_sweep(a, b, windows)
+        for w, point, pairs in zip(windows, points, matched):
+            m = tags.build_matrix(a, b, pairs, w, est.delay_ps)
+            s, err = tags.chsh_from_counts(m)
+            assert point == tags.WindowPoint(window_ps=w, s=s, s_err=err,
+                                             pairs=len(pairs[0]))
+
+
 class TestGreedyVsOracle:
     def sparse_instance(self, rng):
         """Correlated streams in the sparse regime the matcher targets:
@@ -478,7 +575,7 @@ class TestEndToEndEstimates:
         # every true pair sits at time difference exactly zero, so widening
         # the window only admits the odd accidental pair
         res = make_streams(rate=100_000.0, duration=5.0, delay=0, seed=49)
-        points = tags.window_sweep(res.alice, res.bob, [64, 128, 256], 0)
+        points = tags.window_sweep(res.alice, res.bob, [64, 128, 256])
         assert points[2].pairs - points[0].pairs <= 5
         assert points[0].s == pytest.approx(points[2].s, abs=2e-4)
 
@@ -488,7 +585,7 @@ class TestEndToEndEstimates:
         # stay statistically consistent with it
         res = make_streams(rate=400_000.0, duration=10.0, delay=0, seed=50,
                            jitter_a=400.0, jitter_b=70.0)
-        points = tags.window_sweep(res.alice, res.bob, [64, 800], 0)
+        points = tags.window_sweep(res.alice, res.bob, [64, 800])
         s64, s800 = points[0], points[1]
         ideal = 2 * math.sqrt(2)
         assert abs(s64.s - ideal) < 4 * s64.s_err

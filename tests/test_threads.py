@@ -125,6 +125,9 @@ def test_no_thread_left_running(split):
     assert delay == 5000
     tags.match_coincidences(res.alice, res.bob, 64, delay)
     assert threading.enumerate() == before
+    assert tags.find_coincidences(res.alice, res.bob, [64])[0].delay_ps \
+        == delay
+    assert threading.enumerate() == before
     assert len(split) > 3 and all(split)
 
 
@@ -137,7 +140,8 @@ def test_public_functions_run_on_their_callers_thread(split, monkeypatch,
     for owner, name in ((kernels, "diff_histogram"),
                         (kernels, "match_nearest"),
                         (tags, "estimate_delay"),
-                        (tags, "match_coincidences")):
+                        (tags, "match_coincidences"),
+                        (tags, "find_coincidences")):
         def recorded(*args, _fn=getattr(owner, name), _name=name, **kwargs):
             seen.setdefault(_name, set()).add(threading.current_thread())
             return _fn(*args, **kwargs)
@@ -173,7 +177,8 @@ def test_public_functions_run_on_their_callers_thread(split, monkeypatch,
         threading.setprofile(None)
     assert not caller.is_alive() and not failures
     assert sorted(seen) == ["diff_histogram", "estimate_delay",
-                            "match_coincidences", "match_nearest"]
+                            "find_coincidences", "match_coincidences",
+                            "match_nearest"]
     assert all(threads == {caller} for threads in seen.values())
     assert any(split)
     # a tracer wraps module-level functions, not methods or closures
