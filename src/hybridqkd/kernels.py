@@ -19,12 +19,13 @@ edge always pairs, a lone tag never does, and the scalar loop runs only
 on the rest.
 
 One search feeds the delay search and every match after it
-(``tags.find_coincidences``): the fine delay stage counts only the
-pairs inside its prefixes (``_prefix_ranges``) of a search that may go
-on past them, and each later match whose window fits inside that span
-hands ``match_nearest`` only the tags the search listed and the union
-of their ranges (``_union``).  A tag with no candidate neither pairs
-nor blocks a pairing, so the pairs are the same.
+(``tags.find_coincidences``): the fine delay stage searches from a
+prefix of the shorter stream into the whole other one and counts only
+the pairs inside both prefixes (``_prefix_ranges``).  When that prefix
+holds the whole shorter stream, each later match whose window fits
+inside the fine span hands ``match_nearest`` only the tags the search
+listed and the union of their ranges (``_union``).  A tag with no
+candidate neither pairs nor blocks a pairing, so the pairs are the same.
 
 Above ``_SPLIT_TAGS`` tags, when the process may use more than one CPU,
 ``_window_ranges`` runs its per-tag work on the two halves of ``a`` on

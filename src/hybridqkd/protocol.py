@@ -85,7 +85,7 @@ __all__ = [
 PS_PER_SECOND = 10**12
 
 MAX_FRAME_BYTES = 32 * 1024 * 1024
-_TCP_READ = 1 << 16  # the most one socket read asks for
+_TCP_READ = 1 << 16  # the bytes each socket read asks for
 CHUNK_ROWS = 1 << 19  # rows a chunk of a chunked message carries
 
 # message types
@@ -452,7 +452,27 @@ def parse_frame(data: bytes):
 # transports
 # ---------------------------------------------------------------------------
 
-class InProcessTransport:
+class _ReadAhead:
+    """The received bytes a transport has not yet returned, handed out
+    without a copy: the piece itself when all of it fits, else a
+    read-only view of its next part."""
+
+    _pending = None  # the received bytes not yet returned
+    _offset = 0
+
+    def _take(self, max_bytes: int):
+        data, at = self._pending, self._offset
+        if at == 0 and len(data) <= max_bytes:
+            self._pending = None
+            return data
+        out = memoryview(data)[at:at + max_bytes]
+        self._offset = at + len(out)
+        if self._offset == len(data):
+            self._pending = None
+        return out
+
+
+class InProcessTransport(_ReadAhead):
     """One side of an ordered, reliable in-process byte pipe.
 
     A receive waits until the peer sends or closes its end, however long
@@ -462,9 +482,8 @@ class InProcessTransport:
     the peer's end still runs (None: never); a peer thread that ended
     without closing is reported as a ``ConnectionError``.
 
-    The bytes of each send are passed on as they are: a receive returns
-    the sent object itself when all of it fits, else a read-only view of
-    the next part of it, so a frame reaches the peer without a copy.
+    The bytes of each send are passed on as they are (``_ReadAhead``), so
+    a frame reaches the peer without a copy.
     """
 
     def __init__(self, inbox: queue.Queue, outbox: queue.Queue,
@@ -472,8 +491,6 @@ class InProcessTransport:
         self._inbox = inbox
         self._outbox = outbox
         self._timeout = timeout
-        self._pending = None  # the received bytes not yet returned
-        self._offset = 0
         self._closed = False
         self._peer_closed = False
         self._peer = None
@@ -496,15 +513,7 @@ class InProcessTransport:
             if self._pending is None:
                 self._peer_closed = True
                 return b""
-        data, at = self._pending, self._offset
-        if at == 0 and len(data) <= max_bytes:
-            self._pending = None
-            return data
-        out = memoryview(data)[at:at + max_bytes]
-        self._offset = at + len(out)
-        if self._offset == len(data):
-            self._pending = None
-        return out
+        return self._take(max_bytes)
 
     def _next_chunk(self):
         while True:
@@ -537,12 +546,14 @@ def transport_pair(timeout: float | None = None):
     return alice, bob
 
 
-class TcpTransport:
+class TcpTransport(_ReadAhead):
     """A connected TCP socket with the same interface.
 
     ``timeout`` is the longest a receive waits for the peer's next bytes
     (None: until the peer sends or closes); over a socket, silence is all
-    that can be seen of a remote peer.
+    that can be seen of a remote peer.  Each socket read asks for
+    ``_TCP_READ`` bytes whatever a receive wants, so one read can carry
+    several small frames (``_ReadAhead``).
     """
 
     def __init__(self, sock: socket.socket, timeout: float | None = None):
@@ -571,8 +582,12 @@ class TcpTransport:
     def sendall(self, data: bytes):
         self._sock.sendall(data)
 
-    def recv(self, max_bytes: int) -> bytes:
-        return self._sock.recv(min(max_bytes, _TCP_READ))
+    def recv(self, max_bytes: int):
+        if not self._pending:
+            self._pending, self._offset = self._sock.recv(_TCP_READ), 0
+            if not self._pending:
+                return b""
+        return self._take(max_bytes)
 
     def close(self):
         try:

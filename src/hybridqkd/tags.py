@@ -87,6 +87,9 @@ _PAIR_NS = 10.0
 _GRID_BIN_NS = 100.0
 _LADDER_STEP = 8
 _LOCATE_BINS = 4
+# the coarse pair count runs on two threads above this many prefix tags
+# (CHANGES.md gives the measurements)
+_COARSE_SPLIT_TAGS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -261,32 +264,15 @@ def _located_coarse_peak(ca, cb, lo: int, hi: int, width: int, nbins: int,
     return peak
 
 
-def _listed(near, far, diffs, ranges, start, matched):
-    """The tags of ``near`` with a partner in ``far`` at a difference in
-    ``diffs`` and the tags of ``far`` in their ranges, or (None, None)
-    when a match should search all its ``matched`` tags.
-
-    ``ranges`` is the search over near[:start].  A match costs one binary
-    search per tag, as the search does, so the rest of ``near`` is
-    searched only if the tags a match would skip (the share of the
-    prefix without a partner) outnumber the tags left to search.  A
-    dense search lists nothing.
-    """
+def _listed(ranges, searched, length):
+    """The searched stream's tags with a partner in the fine span and the
+    other stream's tags in their ranges, from the fine search over the
+    first ``searched`` tags of a stream ``length`` long; (None, None),
+    so that a match searches every tag, when that search was dense or
+    stopped short of the stream's end."""
     tags, first, count = ranges
-    if tags is None:
+    if tags is None or searched < length:
         return None, None
-    rest = near.shape[0] - start
-    if rest > 0:
-        if matched * (1 - tags.shape[0] / start) <= rest:
-            return None, None
-        more, more_first, more_count = kernels._window_ranges(
-            near[start:], far, *diffs)
-        if more is None:
-            return None, None
-        more += start
-        tags = np.concatenate((tags, more))
-        first = np.concatenate((first, more_first))
-        count = np.concatenate((count, more_count))
     return tags, kernels._union(first, first + count)
 
 
@@ -307,8 +293,9 @@ def estimate_delay(a, b, search_range_ps: int = 2**28, bin_width_ps: int = 16,
     L coarse bins per bin, and only the coarse bins near the located peak
     are counted exactly (``_located_coarse_peak``).  Two binary searches
     over the prefix (``kernels._sorted_search``, its queries ascend; on
-    two threads when there are two CPUs) count the pairs in range first;
-    that count gives the background mean the full histogram would give.
+    two threads when there are two CPUs and the prefix is longer than
+    ``_COARSE_SPLIT_TAGS``) count the pairs in range first; that count
+    gives the background mean the full histogram would give.
     The grid width balances two predicted costs (``_locate_widths``):
 
     * the FFT, ``_GRID_BIN_NS`` per grid bin over the coarse bins spanned
@@ -335,7 +322,8 @@ def estimate_delay(a, b, search_range_ps: int = 2**28, bin_width_ps: int = 16,
     what ``find_coincidences`` keeps of that search (``_listed``): (lo,
     hi, Alice's tags with a partner at a difference in [lo, hi), the Bob
     tags in their ranges), both None when a match should search every
-    tag.
+    tag: the shorter stream is longer than the prefix, or the search
+    was dense.
 
     Raises InsufficientDataError for empty streams and NoCorrelationError
     when no significant peak exists (e.g. independent streams).
@@ -358,7 +346,7 @@ def estimate_delay(a, b, search_range_ps: int = 2**28, bin_width_ps: int = 16,
     nbins = -(-(hi - lo) // coarse_bin_ps)
     above, below = kernels._in_parallel(
         kernels._sorted_search, [(cb, ca + hi), (cb, ca + lo)],
-        kernels._CPUS > 1)
+        kernels._CPUS > 1 and ca.shape[0] > _COARSE_SPLIT_TAGS)
     above -= below
     pairs = int(above.sum())
     del above, below
@@ -394,8 +382,7 @@ def estimate_delay(a, b, search_range_ps: int = 2**28, bin_width_ps: int = 16,
     mu = _background_mean(hist, peak)
     significance = _check_peak(peak_count, mu, hist.shape[0], *checks)
     if _fine is not None:
-        listed = _listed(near, far, diffs, ranges, max_fine_tags,
-                         ta.shape[0])
+        listed = _listed(ranges, max_fine_tags, near.shape[0])
         _fine.append((lo, hi) + (listed[::-1] if swapped else listed))
     del ranges
     center = _refine_centroid(hist, peak, mu)

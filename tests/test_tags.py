@@ -362,19 +362,17 @@ class TestFindCoincidences:
         _, matched = self.assert_same(a, b, [64], max_fine_tags=prefix)
         assert matched[0][0].size
 
-    def test_search_past_the_prefix_lists_tags(self, match_sizes):
-        # about 5% of the paper streams' tags have a partner in the fine
-        # span, so the search goes on past both prefixes and the match
-        # looks only at the tags it listed
+    def test_stream_past_the_prefix_matches_every_tag(self, match_sizes):
+        # the fine search stops at the prefix and lists nothing past it
         a, b = preset_streams("paper", 4)
         self.assert_same(a, b, [64], max_fine_tags=len(b) // 2)
-        assert match_sizes[0] < len(a) // 10
+        assert match_sizes[0] == len(a)
 
-    def test_costly_listing_matches_every_tag(self, match_sizes):
-        # on the ideal streams most tags have a partner in the fine span:
-        # searching the rest of the stream would cost more than it saves
+    def test_dense_search_matches_every_tag(self, match_sizes):
+        # on the ideal streams most tags have a partner in the fine span,
+        # so the search lists nothing
         a, b = preset_streams("ideal", 4)
-        self.assert_same(a, b, [64], max_fine_tags=len(b) // 2)
+        self.assert_same(a, b, [64])
         assert match_sizes[0] == len(a)
 
     def test_bob_longer_than_prefix_alice_not(self):
@@ -391,9 +389,9 @@ class TestFindCoincidences:
         # the fine stage spans +-2 coarse bins (8192 ps) around the coarse
         # peak; a 20 ns window reaches past it on both sides
         a, b = preset_streams("paper", 7)
-        self.assert_same(a, b, [20_000, 64], max_fine_tags=len(b) // 2)
+        self.assert_same(a, b, [20_000, 64])
         assert match_sizes[0] == len(a)
-        assert match_sizes[1] < len(a)
+        assert match_sizes[1] < len(a) // 10
 
     def test_window_sweep(self):
         a, b = preset_streams("window_sweep", 8)

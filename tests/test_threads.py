@@ -30,6 +30,7 @@ def split(monkeypatch):
     """Split work on more than 2**12 tags over two threads; returns the
     list of ``_in_parallel`` calls, True for each that used two."""
     monkeypatch.setattr(kernels, "_SPLIT_TAGS", 1 << 12)
+    monkeypatch.setattr(tags, "_COARSE_SPLIT_TAGS", 1 << 12)
     monkeypatch.setattr(kernels, "_CPUS", 2)
     calls = []
     original = kernels._in_parallel
