@@ -494,12 +494,10 @@ def _raw_rate(cfg, transmittance, seed, duration_s) -> float:
     transmittance, via the offline analysis pipeline."""
     probe_cfg = cfg.replaced(channel__bob__transmittance=transmittance)
     res = _simulate(probe_cfg, seed, duration_s=duration_s)
-    window = cfg["protocol.window_ps"]
-    est, (pairs,) = tags.find_coincidences(res.alice, res.bob, [window])
-    matrix = tags.build_matrix(res.alice, res.bob, pairs, window,
-                               est.delay_ps)
-    correct, error = tags.key_pair_sets()
-    raw_bits = sum(matrix.counts.get(p, 0) for p in correct | error)
+    _, (pairs,) = tags.find_coincidences(res.alice, res.bob,
+                                         [cfg["protocol.window_ps"]])
+    terms = tags.fold(tags.build_matrix(res.alice, res.bob, pairs))
+    raw_bits = int(terms[2, 0].sum())  # every (a2, b0) pair is a key bit
     return raw_bits / duration_s
 
 
@@ -577,19 +575,10 @@ def analyze_streams(alice_path, bob_path, window_ps: int, out_dir=None):
     a = optics.load_tagstream(str(alice_path))
     b = optics.load_tagstream(str(bob_path))
     est, (pairs,) = tags.find_coincidences(a, b, [window_ps])
-    matrix = tags.build_matrix(a, b, pairs, window_ps, est.delay_ps)
-    estimates = {}
-    sets = tags.standard_pair_sets()
-    for term in tags.CHSH_TERMS:
-        plus, minus = sets[term]
-        estimates[f"E({term[0]},{term[1]})"] = \
-            tags.correlation_from_counts(matrix, plus, minus)
-    s, s_err = tags.chsh_from_counts(matrix)
-    qber = tags.qber_from_matrix(matrix)
-    estimates["S"] = tags.EstimatedCorrelation(
-        value=s, std_error=s_err,
-        total_counts=sum(e.total_counts for e in estimates.values()))
-    estimates["QBER"] = qber
+    matrix = tags.build_matrix(a, b, pairs)
+    estimates = tags.estimate(tags.fold(matrix))
+    if "QBER" not in estimates:
+        raise tags.InsufficientStatisticsError("no key-basis coincidences")
     files = []
     if out_dir is not None:
         out = Path(out_dir)
@@ -599,9 +588,9 @@ def analyze_streams(alice_path, bob_path, window_ps: int, out_dir=None):
                             tags.estimates_csv(estimates)))
     return {
         "delay_ps": est.delay_ps,
-        "pairs": matrix.total(),
-        "s": s,
-        "s_err": s_err,
-        "qber": qber.value,
+        "pairs": int(matrix.sum()),
+        "s": estimates["S"].value,
+        "s_err": estimates["S"].std_error,
+        "qber": estimates["QBER"].value,
         "files": files,
     }

@@ -225,12 +225,6 @@ class Station:
     def channel_ids(self) -> tuple[int, ...]:
         return tuple(p for s in self.settings for p in (s.plus_port, s.minus_port))
 
-    def setting_index(self, name: str) -> int:
-        for i, s in enumerate(self.settings):
-            if s.name == name:
-                return i
-        raise KeyError(name)
-
 
 def alice_station(channel: ChannelModel, detector: DetectorModel) -> Station:
     """Polarization analyzer side: half the photons to the key setting a2,

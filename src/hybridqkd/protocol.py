@@ -119,9 +119,6 @@ LABEL_TEST_MINUS = 2
 
 OUTCOME_HIDDEN = 255
 
-# the settings each role's channels can name; a setting's index on the
-# wire and in ``Endpoint.channel_setting`` is its position here
-_SETTINGS = {"alice": ("a0", "a1", "a2"), "bob": ("b0", "b1")}
 UNMAPPED = 255  # ``Endpoint.channel_setting`` of a channel with no setting
 
 _FRAME_HEAD = struct.Struct(">IBQ")
@@ -218,14 +215,15 @@ class Endpoint:
     channel_bit: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.role not in _SETTINGS:
+        if self.role not in tags.SETTINGS:
             raise ValueError("role must be 'alice' or 'bob'")
         if set(self.setting_map) != set(self.outcome_bit):
             raise ValueError("setting_map and outcome_bit must cover the "
                              "same detector channels")
         if not self.setting_map:
             raise ValueError("endpoint must map at least one channel")
-        names = _SETTINGS[self.role]
+        # a setting's index on the wire is its position in tags.SETTINGS
+        names = tags.SETTINGS[self.role]
         setting = np.full(256, UNMAPPED, dtype=np.uint8)
         bit = np.zeros(256, dtype=np.uint8)
         for channel, name in self.setting_map.items():
@@ -237,27 +235,28 @@ class Endpoint:
         object.__setattr__(self, "channel_bit", bit)
 
 
+def _standard_endpoint(role: str, params: SessionParams) -> Endpoint:
+    wiring = tags.wiring(role)
+    names = tags.SETTINGS[role]
+    return Endpoint(
+        role=role,
+        setting_map={c: names[setting] for c, (setting, _) in wiring.items()},
+        outcome_bit={c: bit for c, (_, bit) in wiring.items()},
+        params=params,
+    )
+
+
 def alice_endpoint(params: SessionParams) -> Endpoint:
     """Alice's six channels: the key setting a2 on 1/2, test settings a0
     on 3/4 and a1 on 5/6 (a1's analyzer is wired with swapped ports, so
     its + port is channel 6)."""
-    return Endpoint(
-        role="alice",
-        setting_map={1: "a2", 2: "a2", 3: "a0", 4: "a0", 5: "a1", 6: "a1"},
-        outcome_bit={1: 0, 2: 1, 3: 0, 4: 1, 5: 1, 6: 0},
-        params=params,
-    )
+    return _standard_endpoint("alice", params)
 
 
 def bob_endpoint(params: SessionParams) -> Endpoint:
     """Bob's four channels: the key basis b0 on 1/2, the test basis b1 on
     3/4."""
-    return Endpoint(
-        role="bob",
-        setting_map={1: "b0", 2: "b0", 3: "b1", 4: "b1"},
-        outcome_bit={1: 0, 2: 1, 3: 0, 4: 1},
-        params=params,
-    )
+    return _standard_endpoint("bob", params)
 
 
 # ---------------------------------------------------------------------------
@@ -837,9 +836,9 @@ class _SharedComputation:
                  bob_test_bit: np.ndarray):
         self.params = params
         self.pair_block = pair_block
-        # per pair, the CHSH term and the agreement of a test pair: 4 *
-        # Alice's setting + 2 * (Bob measured in his test basis) + (the
-        # two outcome bits agree); 8 and above for every other pair
+        # per pair, its place in tags.fold's terms: 4 * Alice's setting +
+        # 2 * (Bob measured in his test basis) + (the two outcome bits
+        # agree); 8, outside the CHSH terms, for every other pair
         code = alice_setting.astype(np.intp) * 4
         code += 2 * (bob_label != LABEL_KEY_BASIS)
         code += alice_test_bit == bob_test_bit
@@ -852,21 +851,12 @@ class _SharedComputation:
         code = self.chsh_code
         if block_id != AGGREGATE_BLOCK_ID:
             code = code[self.pair_block == block_id]
-        counts = np.bincount(code, minlength=8)
-        s = 0.0
-        var = 0.0
-        for a_idx in (0, 1):
-            for b_idx in (0, 1):
-                term = 4 * a_idx + 2 * b_idx
-                same = int(counts[term + 1])
-                n = int(counts[term]) + same
-                if n == 0:
-                    return 0.0, float("inf")
-                e = (2 * same - n) / n
-                sign = -1.0 if (a_idx, b_idx) == (1, 1) else 1.0
-                s += sign * e
-                var += 4.0 * same * (n - same) / n**3
-        return s, math.sqrt(var)
+        terms = np.bincount(code, minlength=12).reshape(3, 2, 2)
+        try:
+            s = tags.estimate(terms)["S"]
+        except tags.InsufficientStatisticsError:  # a CHSH term is empty
+            return 0.0, float("inf")
+        return s.value, s.std_error
 
     def report_for(self, alice_key_bits, bob_key_bits, key_block,
                    sampled_mask):

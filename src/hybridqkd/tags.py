@@ -21,47 +21,43 @@ Conventions
   matches when ``|t_a - (t_b - delay)| <= window / 2``.
 * The coincidence window is a full width; with integer picosecond tags the
   acceptance test is ``|diff| <= window // 2``.
-* Correlation estimates are computed from detector-pair count sets.  A
-  detector pair belongs to the "plus" set when the product of its port
-  labels (the +/- wiring of each analyzer output) is positive, which folds
-  the one flipped analyzer's sign convention into the counts themselves.
+* Pairs are counted once by detector-channel pair (``build_matrix``),
+  folded once by setting pair and bit agreement (``fold``), and estimated
+  once (``estimate``); each channel's bit is 0 on its analyzer's + port,
+  which folds the one flipped analyzer's sign convention into the counts
+  themselves.  The session's per-block CHSH values come from the same
+  ``estimate``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
 from .optics import TagStream
-from .quantum import MeasurementSetting, standard_settings
+from .quantum import standard_settings
 
 __all__ = [
     "InsufficientDataError",
     "NoCorrelationError",
     "InsufficientStatisticsError",
     "DelayEstimate",
-    "CoincidenceMatrix",
     "EstimatedCorrelation",
     "WindowPoint",
     "estimate_delay",
     "match_coincidences",
     "find_coincidences",
+    "wiring",
     "build_matrix",
-    "correlation_from_counts",
-    "standard_pair_sets",
-    "key_pair_sets",
-    "chsh_from_counts",
-    "qber_from_matrix",
+    "fold",
+    "estimate",
     "window_sweep",
     "matrix_csv",
     "estimates_csv",
 ]
-
-CHSH_TERMS = (("a0", "b0"), ("a0", "b1"), ("a1", "b0"), ("a1", "b1"))
-
 
 class InsufficientDataError(ValueError):
     """A stream is empty or too small for the requested estimate."""
@@ -445,38 +441,45 @@ def find_coincidences(a, b, windows, **options):
 
 
 # ---------------------------------------------------------------------------
-# count accumulation and estimates
+# counts and estimates
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CoincidenceMatrix:
-    """Coincidence counts keyed by (alice detector, bob detector)."""
-
-    counts: dict = field(default_factory=dict)
-    window_ps: int = 0
-    delay_ps: int = 0
-    accumulation_ps: int = 0
-
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    def get(self, alice_det: int, bob_det: int) -> int:
-        return self.counts.get((alice_det, bob_det), 0)
+# each party's settings in the order of their index in ``fold``'s terms
+# and in the protocol's basis reveal
+SETTINGS = {"alice": ("a0", "a1", "a2"), "bob": ("b0", "b1")}
 
 
-def build_matrix(a: TagStream, b: TagStream, pairs, window_ps: int,
-                 delay_ps: int) -> CoincidenceMatrix:
-    """Aggregate matched pairs by detector-channel combination."""
+def wiring(party: str) -> dict:
+    """{channel: (setting index, bit)} of ``party``'s analyzers, from
+    ``quantum.standard_settings``: bit 0 on a setting's + port and 1 on
+    its - port, so equal bits mean a +1 outcome product, the flipped a1
+    analyzer included."""
+    settings = standard_settings()
+    out = {}
+    for index, name in enumerate(SETTINGS[party]):
+        out[settings[name].plus_port] = (index, 0)
+        out[settings[name].minus_port] = (index, 1)
+    return out
+
+
+def build_matrix(a: TagStream, b: TagStream, pairs) -> np.ndarray:
+    """Matched pairs counted by (Alice's channel, Bob's channel), a 256 x
+    256 array."""
     ai, bi = pairs
-    counts: dict = {}
-    if len(ai):
-        combo = a.channels[ai].astype(np.int64) * 256 + b.channels[bi]
-        n = np.bincount(combo)
-        counts = {(int(u) // 256, int(u) % 256): int(n[u])
-                  for u in np.flatnonzero(n)}
-    return CoincidenceMatrix(counts=counts, window_ps=window_ps,
-                             delay_ps=delay_ps,
-                             accumulation_ps=a.duration_ps)
+    combo = a.channels[ai].astype(np.int64) * 256 + b.channels[bi]
+    return np.bincount(combo, minlength=256 * 256).reshape(256, 256)
+
+
+def fold(matrix) -> np.ndarray:
+    """``terms[a, b, agree]``: the counts of ``build_matrix`` by Alice's
+    setting index a, Bob's b, and whether their bits agree.  A channel
+    no setting names counts nowhere."""
+    terms = np.zeros((3, 2, 2), dtype=np.int64)
+    bob = wiring("bob")
+    for ca, (sa, xa) in wiring("alice").items():
+        for cb, (sb, xb) in bob.items():
+            terms[sa, sb, int(xa == xb)] += matrix[ca, cb]
+    return terms
 
 
 @dataclass(frozen=True)
@@ -486,88 +489,40 @@ class EstimatedCorrelation:
     total_counts: int
 
 
-def correlation_from_counts(m: CoincidenceMatrix, plus_pairs,
-                            minus_pairs) -> EstimatedCorrelation:
-    """E = (sum(plus) - sum(minus)) / total with Poisson error propagation.
+def estimate(terms) -> dict:
+    """The rows of ``estimates.csv`` from ``fold``'s ``terms``.
 
-    ``plus_pairs``/``minus_pairs`` are disjoint sets of (alice detector,
-    bob detector) tuples.
+    E of each CHSH term is (agree - disagree) / n with Poisson variance 4
+    agree disagree / n^3, S = E(a0,b0) + E(a0,b1) + E(a1,b0) - E(a1,b1)
+    with the terms' errors in quadrature, and, when the key term (a2, b0)
+    has counts, the QBER is its disagreeing share with a binomial error.
+    Raises InsufficientStatisticsError when a CHSH term has no counts.
     """
-    plus_pairs, minus_pairs = set(plus_pairs), set(minus_pairs)
-    if plus_pairs & minus_pairs:
-        raise ValueError("plus and minus detector-pair sets overlap")
-    n_plus = sum(m.get(*p) for p in plus_pairs)
-    n_minus = sum(m.get(*p) for p in minus_pairs)
-    total = n_plus + n_minus
-    if total == 0:
-        raise InsufficientStatisticsError(
-            "no coincidences in the requested detector pairs")
-    value = (n_plus - n_minus) / total
-    std_error = math.sqrt(4.0 * n_plus * n_minus / total**3)
-    return EstimatedCorrelation(value=value, std_error=std_error,
-                                total_counts=total)
-
-
-def _port_label(setting: MeasurementSetting, port: int) -> int:
-    return 1 if port == setting.plus_port else -1
-
-
-def _pair_sets_for(a_set: MeasurementSetting, b_set: MeasurementSetting):
-    plus, minus = set(), set()
-    for xa in (1, -1):
-        for xb in (1, -1):
-            pa = a_set.port_for_outcome(xa)
-            pb = b_set.port_for_outcome(xb)
-            if _port_label(a_set, pa) * _port_label(b_set, pb) > 0:
-                plus.add((pa, pb))
-            else:
-                minus.add((pa, pb))
-    return frozenset(plus), frozenset(minus)
-
-
-def standard_pair_sets() -> dict:
-    """Plus/minus detector-pair sets for the four CHSH terms, derived from
-    the standard analyzer wiring (port labels carry the sign convention)."""
-    s = standard_settings()
-    return {(an, bn): _pair_sets_for(s[an], s[bn]) for an, bn in CHSH_TERMS}
-
-
-def key_pair_sets() -> tuple:
-    """(correct, error) detector-pair sets for the key combination (a2, b0):
-    H with the early slot and V with the late slot are the correct pairings."""
-    s = standard_settings()
-    return _pair_sets_for(s["a2"], s["b0"])
-
-
-def chsh_from_counts(m: CoincidenceMatrix, basis_map=None):
-    """S = E(a0,b0) + E(a0,b1) + E(a1,b0) - E(a1,b1) from counts, with the
-    per-term errors summed in quadrature.  Returns (S, std_error)."""
-    if basis_map is None:
-        basis_map = standard_pair_sets()
-    total_s, var = 0.0, 0.0
-    for i, term in enumerate(CHSH_TERMS):
-        plus, minus = basis_map[term]
-        est = correlation_from_counts(m, plus, minus)
-        sign = -1.0 if i == 3 else 1.0
-        total_s += sign * est.value
-        var += est.std_error**2
-    return total_s, math.sqrt(var)
-
-
-def qber_from_matrix(m: CoincidenceMatrix) -> EstimatedCorrelation:
-    """Key-basis error fraction from all (a2, b0) coincidences: mismatched
-    slot pairings over the total, with binomial std error."""
-    correct, error = key_pair_sets()
-    n_ok = sum(m.get(*p) for p in correct)
-    n_err = sum(m.get(*p) for p in error)
-    total = n_ok + n_err
-    if total == 0:
-        raise InsufficientStatisticsError("no key-basis coincidences")
-    q = n_err / total
-    return EstimatedCorrelation(value=q,
-                                std_error=math.sqrt(max(q * (1 - q), 1e-12)
-                                                    / total),
-                                total_counts=total)
+    rows = {}
+    s = var = 0.0
+    for a in (0, 1):
+        for b in (0, 1):
+            name = f"E({SETTINGS['alice'][a]},{SETTINGS['bob'][b]})"
+            disagree, agree = (int(n) for n in terms[a, b])
+            n = agree + disagree
+            if n == 0:
+                raise InsufficientStatisticsError(
+                    f"no coincidences for {name}")
+            e = EstimatedCorrelation((agree - disagree) / n,
+                                     math.sqrt(4.0 * agree * disagree / n**3),
+                                     n)
+            rows[name] = e
+            s += -e.value if (a, b) == (1, 1) else e.value
+            var += e.std_error**2
+    rows["S"] = EstimatedCorrelation(
+        s, math.sqrt(var), sum(e.total_counts for e in rows.values()))
+    error, correct = (int(n) for n in terms[2, 0])
+    n = error + correct
+    if n:
+        q = error / n
+        rows["QBER"] = EstimatedCorrelation(
+            q, math.sqrt(max(q * (1 - q), 1e-12) / n), n)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -582,19 +537,18 @@ class WindowPoint:
     pairs: int
 
 
-def window_sweep(a: TagStream, b: TagStream, windows, basis_map=None):
+def window_sweep(a: TagStream, b: TagStream, windows):
     """Recompute S on the same streams for each coincidence window, at the
     delay ``find_coincidences`` estimates."""
     windows = list(windows)
     if not windows:
         raise ValueError("need at least one window")
-    est, matched = find_coincidences(a, b, windows)
+    _, matched = find_coincidences(a, b, windows)
     out = []
     for w, pairs in zip(windows, matched):
-        m = build_matrix(a, b, pairs, w, est.delay_ps)
-        s, err = chsh_from_counts(m, basis_map)
-        out.append(WindowPoint(window_ps=int(w), s=s, s_err=err,
-                               pairs=len(pairs[0])))
+        s = estimate(fold(build_matrix(a, b, pairs)))["S"]
+        out.append(WindowPoint(window_ps=int(w), s=s.value,
+                               s_err=s.std_error, pairs=len(pairs[0])))
     return out
 
 
@@ -602,10 +556,12 @@ def window_sweep(a: TagStream, b: TagStream, windows, basis_map=None):
 # CSV emission
 # ---------------------------------------------------------------------------
 
-def matrix_csv(m: CoincidenceMatrix) -> str:
+def matrix_csv(matrix) -> str:
+    """``alice_det,bob_det,count`` rows of ``build_matrix``'s nonzero
+    counts, in channel order."""
     lines = ["alice_det,bob_det,count"]
-    for (da, db) in sorted(m.counts):
-        lines.append(f"{da},{db},{m.counts[(da, db)]}")
+    lines.extend(f"{da},{db},{matrix[da, db]}"
+                 for da, db in zip(*np.nonzero(matrix)))
     return "\n".join(lines) + "\n"
 
 

@@ -9,19 +9,26 @@ random draws, their order, the routing, the rounding, the sort or the
 dead-time filter changes a stream digest; any change to the bytes of the
 ``#tagstream v1`` text changes a dump digest.  It also pins every frame
 Alice and Bob send in sessions on the ideal preset's streams, so any
-change to the bytes of a protocol message changes a wire digest.
+change to the bytes of a protocol message changes a wire digest.  And it
+pins every CSV a short run of each preset writes, and the ``matrix.csv``
+and ``estimates.csv`` of the offline analysis of the ideal and paper
+runs' tag dumps, so any change to a count or an estimate changes a CSV
+digest.
 
 The digests were captured with numpy 2.4.6.  numpy does not promise the
 same variates from ``Generator`` methods across releases, so after a
 numpy upgrade a mismatch here may come from numpy rather than from the
-simulator.  ``python tests/test_golden.py`` prints the current digests.
+simulator.  ``PYTHONPATH=src python tests/test_golden.py`` prints the
+current digests, the CSV digests included.
 """
 
 import hashlib
 import inspect
 import io
 import sys
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -162,6 +169,49 @@ WIRE_DIGESTS = {
     ),
 }
 
+# the run_scenario overrides of each preset whose CSVs CSV_DIGESTS pins;
+# harness.analyze_streams then reads the dumps at each of ANALYZE_WINDOWS
+CSV_RUNS = {
+    "ideal": {"duration_s": 0.5, "dump_tags": True},
+    "paper": {"duration_s": 0.5, "dump_tags": True},
+    "phase_sweep": {"duration_s": 0.2},
+    "stability": {"duration_s": 2, "block_s": 0.5,
+                  "drift__rate_rad_per_s": 0.8},
+    "window_sweep": {"duration_s": 0.5},
+}
+ANALYZE_WINDOWS = (64, 800)
+
+# SHA-256 of each CSV those runs write, keyed "<preset>/<file>", and
+# "<preset>@<window>/<file>" for the offline analysis
+CSV_DIGESTS = {
+    "ideal/report.csv":
+        "f0c119205a9312fde062c91fd361391048ffec2b703ae918b01e1b343b63e142",
+    "ideal@64/matrix.csv":
+        "b532e1e1fdb5638d6730307e14f70432341fbcb2313a4acdc3130acd6a740eab",
+    "ideal@64/estimates.csv":
+        "20764cc5507472f87cd0cd386daf246e279e576c0ad04d8ea086c8a07ffc59f2",
+    "ideal@800/matrix.csv":
+        "24f92b4115ffed131a3682755d5c890bbbdcffd5162f650a16934a6b51204272",
+    "ideal@800/estimates.csv":
+        "ded3d9aec30c375ca4bc44d502b370b0f7d5bfce02043c0853ae45d3dbc90720",
+    "paper/report.csv":
+        "6f246e3e5670e21454672996422eff03686b68476442005da37b4ca8eb1d3f7a",
+    "paper@64/matrix.csv":
+        "9eae3702bf610c5901758793d84f3be5eebe770d63ab766235f2e8575f624fa1",
+    "paper@64/estimates.csv":
+        "3d41a4e2f1785efe0d3d99adb36f5b8e743536a5915d285f916fb7395c15a825",
+    "paper@800/matrix.csv":
+        "7d412962e83e392f1522825b7c6f0a1b52575c252348c178794efdc2e9216174",
+    "paper@800/estimates.csv":
+        "97fee5e927d82828cafc8aef6a2b63a66fd78e36937c726d10e49e5d527b4a89",
+    "phase_sweep/sweep.csv":
+        "43b0090d7d5088f3efeb2a310e158a38d3e0d142964d4ca82fda83f790b6c061",
+    "stability/report.csv":
+        "43b80abb025755ad859b11a100989054b928776d4808a44cf01b67ae7b1f7833",
+    "window_sweep/windows.csv":
+        "e08d76167c8835b39e909408b383626aae133ed25f6d1050ebef6041ebee05b9",
+}
+
 PAPER_TRUTH_DIGEST = (
     "8a20e49b1f6b9c3f86adcf042bbd6ee2d00a3feed22920f95bf0ebb4d11a63c8")
 
@@ -238,6 +288,30 @@ def _wire_digests(session):
     return tuple(tuple(frames) for frames in sent)
 
 
+def _csv_digests(out):
+    """The SHA-256 of every CSV the CSV_RUNS write under ``out``."""
+    digests = {}
+
+    def add(key, path):
+        digests[f"{key}/{path.name}"] = \
+            hashlib.sha256(path.read_bytes()).hexdigest()
+
+    for preset, overrides in CSV_RUNS.items():
+        cfg = harness.load_config(harness.preset_path(preset))
+        run = harness.run_scenario(cfg.replaced(**overrides), out / preset)
+        for path in run.files:
+            if path.suffix == ".csv":
+                add(preset, path)
+        if overrides.get("dump_tags"):
+            for window in ANALYZE_WINDOWS:
+                summary = harness.analyze_streams(
+                    out / preset / "alice.tags", out / preset / "bob.tags",
+                    window, out / f"{preset}@{window}")
+                for path in summary["files"]:
+                    add(f"{preset}@{window}", path)
+    return digests
+
+
 def _truth_digest(truth):
     h = hashlib.sha256(str(truth.emission_count).encode())
     for name in ("alice_emission", "alice_setting", "alice_outcome",
@@ -282,6 +356,10 @@ def test_wire_digests(session):
     assert _wire_digests(session) == WIRE_DIGESTS[session]
 
 
+def test_csv_digests(tmp_path):
+    assert _csv_digests(tmp_path) == CSV_DIGESTS
+
+
 def test_paper_truth_digest():
     res = _simulate("paper", **_TRUTH)
     assert (_stream_digest(res.alice), _stream_digest(res.bob)) == \
@@ -308,3 +386,6 @@ if __name__ == "__main__":
         alice, bob = _wire_digests(session)
         print(f"wire {session} alice: {' '.join(alice)}")
         print(f"wire {session} bob: {' '.join(bob)}")
+    with tempfile.TemporaryDirectory() as out:
+        for key, digest in _csv_digests(Path(out)).items():
+            print(f"csv {key}: {digest}")

@@ -1,11 +1,14 @@
 """Tests for scenario configuration, orchestration, and the CLI."""
 
 import math
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from hybridqkd import cli, harness
+from hybridqkd import cli, harness, tags
+from hybridqkd.optics import TagStream, dump_tagstream
 from hybridqkd.harness import (
     CalibrationError,
     ConfigError,
@@ -314,6 +317,77 @@ class TestCalibrateLoss:
         message = str(err.value)
         assert "unachievable" in message
         assert "transmittance 1.0" in message
+
+
+def ideal_streams():
+    cfg = load_config(preset_path("ideal"))
+    return cfg, harness._simulate(cfg, cfg["seed"], duration_s=0.2)
+
+
+def dump(directory, alice, bob):
+    directory.mkdir()
+    paths = directory / "alice.tags", directory / "bob.tags"
+    for stream, path in zip((alice, bob), paths):
+        dump_tagstream(stream, str(path))
+    return paths
+
+
+def csv_rows(path, keys):
+    """{the first ``keys`` fields: the rest} of each row below the
+    header."""
+    rows = (line.split(",") for line in path.read_text().splitlines()[1:])
+    return {",".join(row[:keys]): ",".join(row[keys:]) for row in rows}
+
+
+class TestOfflineAnalysis:
+    def test_unmapped_channel_counts_nowhere(self, tmp_path, monkeypatch):
+        # one of Alice's key pairs moves to channel 9, which no setting
+        # names: matrix.csv lists it, but no E, S, QBER or raw bit counts it
+        cfg, res = ideal_streams()
+        _, ((ai, bi),) = tags.find_coincidences(res.alice, res.bob, [64])
+        key = np.flatnonzero((res.alice.channels[ai] <= 2)
+                             & (res.bob.channels[bi] <= 2))[0]
+        a_ch, b_ch = res.alice.channels[ai[key]], res.bob.channels[bi[key]]
+        channels = res.alice.channels.copy()
+        channels[ai[key]] = 9
+        found = {}
+        for name, alice in (("mapped", res.alice),
+                            ("moved", replace(res.alice, channels=channels))):
+            harness.analyze_streams(*dump(tmp_path / name, alice, res.bob),
+                                    64, tmp_path / name)
+            monkeypatch.setattr(harness, "_simulate",
+                                lambda *args, alice=alice, **kwargs:
+                                SimpleNamespace(alice=alice, bob=res.bob))
+            found[name] = (csv_rows(tmp_path / name / "matrix.csv", 2),
+                           csv_rows(tmp_path / name / "estimates.csv", 1),
+                           harness._raw_rate(cfg, 1.0, cfg["seed"], 1.0))
+        (matrix, rows, raw), (moved, moved_rows, moved_raw) = \
+            found["mapped"], found["moved"]
+        matrix[f"{a_ch},{b_ch}"] = str(int(matrix[f"{a_ch},{b_ch}"]) - 1)
+        assert moved == {**matrix, f"9,{b_ch}": "1"}
+        assert moved_raw == raw - 1
+        del rows["QBER"]
+        qber = moved_rows.pop("QBER")
+        assert moved_rows == rows
+        key_counts = [int(moved.get(pair, 0))
+                      for pair in ("1,2", "2,1", "1,1", "2,2")]
+        errors, total = sum(key_counts[:2]), sum(key_counts)
+        assert qber.split(",")[0] == "%.10g" % (errors / total)
+
+    def test_missing_chsh_term_refused(self, tmp_path, capsys):
+        # without Alice's a1 channels two CHSH terms have no pairs
+        _, res = ideal_streams()
+        keep = (res.alice.channels != 5) & (res.alice.channels != 6)
+        alice = TagStream("alice", res.alice.duration_ps,
+                          res.alice.channels[keep], res.alice.times[keep])
+        paths = dump(tmp_path / "tags", alice, res.bob)
+        with pytest.raises(tags.InsufficientStatisticsError):
+            harness.analyze_streams(*paths, 64)
+        rc = cli.main(["analyze", *map(str, paths), "--window", "64",
+                       "--out", str(tmp_path / "analysis")])
+        assert rc == 2
+        assert "no coincidences for E(a1,b0)" in capsys.readouterr().err
+        assert not (tmp_path / "analysis").exists()
 
 
 class TestCli:

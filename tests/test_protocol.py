@@ -7,7 +7,9 @@ import time
 import numpy as np
 import pytest
 
-from hybridqkd import protocol, quantum, tags
+from dataclasses import replace
+
+from hybridqkd import harness, protocol, quantum, tags
 from hybridqkd.optics import (
     ChannelModel,
     DetectorModel,
@@ -343,6 +345,24 @@ class TestRunSession:
                        sample_seed=sample_seed)
         return run_session(alice_endpoint(p), bob_endpoint(p), res.alice,
                            res.bob, transport=transport)
+
+    def test_empty_block_row(self):
+        # 20 us blocks of the ideal preset hold a handful of pairs each:
+        # most have an empty CHSH term, S = 0 +- inf, and disclose no key
+        # bit, so their QBER is nan
+        cfg = harness.load_config(harness.preset_path("ideal"))
+        res = harness._simulate(cfg, cfg["seed"], duration_s=0.01)
+        p = replace(harness._session_params(cfg, 0.01), block_ps=2 * 10**7,
+                    sample_fraction=0.5)
+        alice, bob = run_session(alice_endpoint(p), bob_endpoint(p),
+                                 res.alice, res.bob)
+        rows = alice.report_bytes.decode().splitlines()[1:-1]
+        assert len(rows) == 500
+        assert rows[0] == "0,0,inf,nan,0,0,nan,1,0,0,abort"
+        empty = [r for r in rows
+                 if r.endswith(",0,inf,nan,0,0,nan,1,0,0,abort")]
+        assert len(empty) == 299
+        assert alice.report_bytes == bob.report_bytes
 
     def test_ideal_session_accepts(self):
         alice, bob = self.run_ideal()

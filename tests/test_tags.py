@@ -399,9 +399,9 @@ class TestFindCoincidences:
         est, matched = separate_calls(a, b, windows)
         points = tags.window_sweep(a, b, windows)
         for w, point, pairs in zip(windows, points, matched):
-            m = tags.build_matrix(a, b, pairs, w, est.delay_ps)
-            s, err = tags.chsh_from_counts(m)
-            assert point == tags.WindowPoint(window_ps=w, s=s, s_err=err,
+            s = tags.estimate(tags.fold(tags.build_matrix(a, b, pairs)))["S"]
+            assert point == tags.WindowPoint(window_ps=w, s=s.value,
+                                             s_err=s.std_error,
                                              pairs=len(pairs[0]))
 
 
@@ -447,43 +447,52 @@ class TestGreedyVsOracle:
             assert matching_cost(a, b, ai, bi) >= matching_cost(a, b, oa, ob)
 
 
-class TestCountsAndEstimates:
-    def synthetic_matrix(self, counts):
-        return tags.CoincidenceMatrix(counts=dict(counts), window_ps=64,
-                                      delay_ps=0, accumulation_ps=10**13)
+def count_matrix(counts):
+    """A ``build_matrix`` array holding ``counts``, {(alice channel, bob
+    channel): count}."""
+    m = np.zeros((256, 256), dtype=np.int64)
+    for pair, n in counts.items():
+        m[pair] = n
+    return m
 
+
+# one count in each CHSH term but (a0, b0): (a0, b1), (a1, b0), (a1, b1)
+OTHER_TERMS = {(3, 3): 1, (5, 1): 1, (5, 3): 1}
+
+
+def estimates(counts):
+    return tags.estimate(tags.fold(count_matrix(counts)))
+
+
+class TestCountsAndEstimates:
     def test_build_matrix_aggregates(self):
         a = TagStream("alice", 1000,
                       np.array([1, 1, 2], np.uint8), np.array([10, 20, 30]))
         b = TagStream("bob", 1000,
                       np.array([1, 2, 2], np.uint8), np.array([11, 21, 31]))
-        m = tags.build_matrix(a, b, (np.array([0, 1, 2]), np.array([0, 1, 2])),
-                              64, 0)
-        assert m.counts == {(1, 1): 1, (1, 2): 1, (2, 2): 1}
-        assert m.total() == 3
+        m = tags.build_matrix(a, b, (np.array([0, 1, 2]), np.array([0, 1, 2])))
+        assert m.shape == (256, 256)
+        assert {tuple(int(c) for c in p): int(m[p])
+                for p in zip(*np.nonzero(m))} == \
+            {(1, 1): 1, (1, 2): 1, (2, 2): 1}
+        assert m.sum() == 3
 
     def test_perfect_correlation(self):
-        m = self.synthetic_matrix({(3, 1): 100, (4, 2): 100})
-        est = tags.correlation_from_counts(m, {(3, 1), (4, 2)},
-                                           {(3, 2), (4, 1)})
+        est = estimates({(3, 1): 100, (4, 2): 100, **OTHER_TERMS})["E(a0,b0)"]
         assert est.value == 1.0
         assert est.std_error == 0.0
         assert est.total_counts == 200
 
     def test_balanced_counts_frozen_error(self):
-        m = self.synthetic_matrix({(3, 1): 50, (4, 2): 50, (3, 2): 50,
-                                   (4, 1): 50})
-        est = tags.correlation_from_counts(m, {(3, 1), (4, 2)},
-                                           {(3, 2), (4, 1)})
+        est = estimates({(3, 1): 50, (4, 2): 50, (3, 2): 50, (4, 1): 50,
+                         **OTHER_TERMS})["E(a0,b0)"]
         assert est.value == 0.0
         assert est.std_error == pytest.approx(1 / math.sqrt(200))
 
     def test_error_formula_against_bootstrap(self):
         rng = np.random.default_rng(46)
         counts = {(3, 1): 60, (4, 2): 40, (3, 2): 30, (4, 1): 20}
-        m = self.synthetic_matrix(counts)
-        est = tags.correlation_from_counts(m, {(3, 1), (4, 2)},
-                                           {(3, 2), (4, 1)})
+        est = estimates({**counts, **OTHER_TERMS})["E(a0,b0)"]
         labels = np.concatenate([np.full(n, i) for i, n in
                                  enumerate(counts.values())])
         boot = []
@@ -493,54 +502,58 @@ class TestCountsAndEstimates:
             boot.append((plus - (len(labels) - plus)) / len(labels))
         assert est.std_error == pytest.approx(np.std(boot), rel=0.1)
 
-    def test_overlapping_sets_rejected(self):
-        m = self.synthetic_matrix({(3, 1): 10})
-        with pytest.raises(ValueError):
-            tags.correlation_from_counts(m, {(3, 1)}, {(3, 1), (4, 2)})
-
     def test_zero_denominator(self):
-        m = self.synthetic_matrix({})
         with pytest.raises(tags.InsufficientStatisticsError):
-            tags.correlation_from_counts(m, {(3, 1)}, {(3, 2)})
+            estimates({})
+        # one empty CHSH term is enough to refuse
+        with pytest.raises(tags.InsufficientStatisticsError, match="a1,b1"):
+            estimates({(3, 1): 10, (3, 3): 10, (5, 1): 10, (1, 1): 10})
 
-    def test_standard_pair_sets_wiring(self):
-        sets = tags.standard_pair_sets()
-        # the flipped analyzer's sign convention lands in the count sets
-        plus, minus = sets[("a1", "b0")]
-        assert plus == {(5, 2), (6, 1)}
-        assert minus == {(5, 1), (6, 2)}
-        plus, minus = sets[("a1", "b1")]
-        assert plus == {(5, 4), (6, 3)}
-        assert minus == {(5, 3), (6, 4)}
-        plus, minus = sets[("a0", "b0")]
-        assert plus == {(3, 1), (4, 2)}
-        assert minus == {(3, 2), (4, 1)}
+    def test_flipped_a1_wiring(self):
+        # a1's + port is channel 6: the flipped analyzer's sign convention
+        # lands in the fold, so (5, 2) and (6, 1) agree
+        terms = tags.fold(count_matrix({(5, 2): 3, (6, 1): 4, (5, 1): 5,
+                                        (6, 2): 6}))
+        assert terms[1, 0].tolist() == [11, 7]
+        terms = tags.fold(count_matrix({(5, 4): 3, (6, 3): 4, (5, 3): 5,
+                                        (6, 4): 6}))
+        assert terms[1, 1].tolist() == [11, 7]
+        terms = tags.fold(count_matrix({(3, 1): 3, (4, 2): 4, (3, 2): 5,
+                                        (4, 1): 6}))
+        assert terms[0, 0].tolist() == [11, 7]
+        assert terms.sum() == 18
 
-    def test_key_pair_sets(self):
-        correct, error = tags.key_pair_sets()
-        assert correct == {(1, 1), (2, 2)}
-        assert error == {(1, 2), (2, 1)}
+    def test_key_pairing(self):
+        # H with the early slot and V with the late slot are correct
+        terms = tags.fold(count_matrix({(1, 1): 3, (2, 2): 4, (1, 2): 5,
+                                        (2, 1): 6}))
+        assert terms[2, 0].tolist() == [11, 7]
+        assert terms.sum() == 18
+
+    def test_unmapped_channel_counts_nowhere(self):
+        # channel 9 names no setting; a fold that looked up its setting
+        # as -1 would wrap it into a2
+        counts = {(1, 1): 5, (2, 1): 1, (3, 1): 7, (6, 4): 2}
+        with_nine = count_matrix({**counts, (9, 1): 11, (9, 4): 13,
+                                  (1, 9): 17})
+        assert np.array_equal(tags.fold(with_nine),
+                              tags.fold(count_matrix(counts)))
 
     def test_chsh_tsirelson_point(self):
         # counts tuned so each |E| = 0.7071 with the (a1,b1) term negative
         n_p, n_m = 8536, 1464
-        counts = {}
-        for (term, flip) in ((("a0", "b0"), False), (("a0", "b1"), False),
-                             (("a1", "b0"), False), (("a1", "b1"), True)):
-            plus, minus = tags.standard_pair_sets()[term]
-            for p in plus:
-                counts[p] = (n_m if flip else n_p) // 2
-            for p in minus:
-                counts[p] = (n_p if flip else n_m) // 2
-        s, err = tags.chsh_from_counts(self.synthetic_matrix(counts))
-        assert s == pytest.approx(4 * 0.7072, abs=0.002)
-        assert err == pytest.approx(2 * math.sqrt(4 * 8536 * 1464 / 10_000**3),
-                                    rel=1e-6)
+        terms = np.zeros((3, 2, 2), dtype=np.int64)
+        terms[:2, :2] = [n_m, n_p]
+        terms[1, 1] = [n_p, n_m]
+        est = tags.estimate(terms)
+        assert est["S"].value == pytest.approx(4 * 0.7072, abs=0.002)
+        assert est["S"].std_error == pytest.approx(
+            2 * math.sqrt(4 * 8536 * 1464 / 10_000**3), rel=1e-6)
+        assert "QBER" not in est  # the key term is empty
 
     def test_qber_from_matrix(self):
-        m = self.synthetic_matrix({(1, 1): 480, (2, 2): 485, (1, 2): 20,
-                                   (2, 1): 15})
-        est = tags.qber_from_matrix(m)
+        est = estimates({(1, 1): 480, (2, 2): 485, (1, 2): 20, (2, 1): 15,
+                         (3, 1): 1, **OTHER_TERMS})["QBER"]
         assert est.value == pytest.approx(35 / 1000)
         assert est.total_counts == 1000
 
@@ -551,20 +564,19 @@ class TestEndToEndEstimates:
                            seed=47)
         est = tags.estimate_delay(res.alice, res.bob)
         pairs = tags.match_coincidences(res.alice, res.bob, 64, est.delay_ps)
-        m = tags.build_matrix(res.alice, res.bob, pairs, 64, est.delay_ps)
-        s, err = tags.chsh_from_counts(m)
+        rows = tags.estimate(tags.fold(tags.build_matrix(res.alice, res.bob,
+                                                         pairs)))
+        s, err = rows["S"].value, rows["S"].std_error
         assert err < 0.01
         assert abs(s - 2 * math.sqrt(2)) < 3 * err
-        q = tags.qber_from_matrix(m)
-        assert q.value < 0.001
+        assert rows["QBER"].value < 0.001
 
     def test_convergence_rate(self):
         # E from an impairment-free run converges ~ 1/sqrt(N)
         res = make_streams(rate=200_000.0, duration=10.0, delay=0, seed=48)
         pairs = tags.match_coincidences(res.alice, res.bob, 64, 0)
-        m = tags.build_matrix(res.alice, res.bob, pairs, 64, 0)
-        plus, minus = tags.standard_pair_sets()[("a0", "b0")]
-        est = tags.correlation_from_counts(m, plus, minus)
+        m = tags.build_matrix(res.alice, res.bob, pairs)
+        est = tags.estimate(tags.fold(m))["E(a0,b0)"]
         expected = 1 / math.sqrt(2)
         assert abs(est.value - expected) < 5 * est.std_error
         assert est.std_error < 2.0 / math.sqrt(est.total_counts)
@@ -602,9 +614,7 @@ class TestEndToEndEstimates:
 
 class TestCsvOutput:
     def test_matrix_csv(self):
-        m = tags.CoincidenceMatrix(counts={(3, 1): 5, (1, 1): 2}, window_ps=64,
-                                   delay_ps=0, accumulation_ps=1)
-        text = tags.matrix_csv(m)
+        text = tags.matrix_csv(count_matrix({(3, 1): 5, (1, 1): 2}))
         assert text.splitlines() == ["alice_det,bob_det,count", "1,1,2",
                                      "3,1,5"]
 
