@@ -34,9 +34,13 @@ throughout): a 4-byte frame length covering a 1-byte message type, an
 8-byte strictly increasing per-direction sequence number, and the payload.
 Frames above the size limit are rejected before the payload is read.
 
-Endpoints are sequential state machines communicating only via a
-transport (an ordered reliable byte stream); an in-process queue pair and
-a TCP socket implement the same interface and produce identical bytes.
+Each party reads its analyzer wiring from ``tags.wiring``: two tables
+indexed by detector channel, the setting behind each channel (its index
+in ``tags.SETTINGS``, which is also its wire value) and the bit it
+encodes.  Endpoints are sequential state machines communicating only via
+a transport (an ordered reliable byte stream); an in-process queue pair
+and a TCP socket implement the same interface and produce identical
+bytes.
 """
 
 from __future__ import annotations
@@ -72,7 +76,6 @@ __all__ = [
     "build_report",
     "report_csv",
     "frame_message",
-    "parse_frame",
     "InProcessTransport",
     "transport_pair",
     "TcpTransport",
@@ -195,20 +198,18 @@ class SessionParams:
 
 @dataclass(frozen=True)
 class Endpoint:
-    """One party's static view of the session.
+    """One party's static view of the session: its role, the session
+    parameters, and its analyzer wiring from ``tags.wiring(role)`` as two
+    tables indexed by channel id.
 
-    ``setting_map`` names the measurement setting behind each of the
-    party's detector channels; ``outcome_bit`` gives the bit value each
-    channel encodes (0 for the analyzer's + port, 1 for the - port, with
-    any flipped analyzer's sign convention already folded in, so equal
-    bits always mean a +1 outcome product).  ``channel_setting`` and
-    ``channel_bit`` are the two maps as tables indexed by channel id, with
-    ``UNMAPPED`` as the setting of a channel the endpoint does not map.
+    ``channel_setting`` holds the index of the setting behind each channel
+    (its position in ``tags.SETTINGS``), ``UNMAPPED`` for a channel no
+    setting names; ``channel_bit`` holds the bit each channel encodes, 0 on
+    a setting's + port and 1 on its - port, with the flipped a1 analyzer's
+    sign already folded in, so equal bits always mean a +1 outcome product.
     """
 
     role: str
-    setting_map: dict
-    outcome_bit: dict
     params: SessionParams
     channel_setting: np.ndarray = field(init=False, repr=False,
                                         compare=False)
@@ -217,46 +218,25 @@ class Endpoint:
     def __post_init__(self):
         if self.role not in tags.SETTINGS:
             raise ValueError("role must be 'alice' or 'bob'")
-        if set(self.setting_map) != set(self.outcome_bit):
-            raise ValueError("setting_map and outcome_bit must cover the "
-                             "same detector channels")
-        if not self.setting_map:
-            raise ValueError("endpoint must map at least one channel")
-        # a setting's index on the wire is its position in tags.SETTINGS
-        names = tags.SETTINGS[self.role]
         setting = np.full(256, UNMAPPED, dtype=np.uint8)
         bit = np.zeros(256, dtype=np.uint8)
-        for channel, name in self.setting_map.items():
-            if name not in names:
-                raise ValueError(f"{self.role} has no setting {name!r}")
-            setting[channel] = names.index(name)
-            bit[channel] = self.outcome_bit[channel]
+        for channel, (index, value) in tags.wiring(self.role).items():
+            setting[channel], bit[channel] = index, value
         object.__setattr__(self, "channel_setting", setting)
         object.__setattr__(self, "channel_bit", bit)
-
-
-def _standard_endpoint(role: str, params: SessionParams) -> Endpoint:
-    wiring = tags.wiring(role)
-    names = tags.SETTINGS[role]
-    return Endpoint(
-        role=role,
-        setting_map={c: names[setting] for c, (setting, _) in wiring.items()},
-        outcome_bit={c: bit for c, (_, bit) in wiring.items()},
-        params=params,
-    )
 
 
 def alice_endpoint(params: SessionParams) -> Endpoint:
     """Alice's six channels: the key setting a2 on 1/2, test settings a0
     on 3/4 and a1 on 5/6 (a1's analyzer is wired with swapped ports, so
     its + port is channel 6)."""
-    return _standard_endpoint("alice", params)
+    return Endpoint("alice", params)
 
 
 def bob_endpoint(params: SessionParams) -> Endpoint:
     """Bob's four channels: the key basis b0 on 1/2, the test basis b1 on
     3/4."""
-    return _standard_endpoint("bob", params)
+    return Endpoint("bob", params)
 
 
 # ---------------------------------------------------------------------------
@@ -417,11 +397,9 @@ def frame_message(msg_type: int, seq: int, payload: bytes) -> bytes:
 
 
 def _frame_length(data) -> int:
-    """The declared length of the frame that ``data`` starts with, checked
-    before any of the frame past the length prefix is read."""
-    if len(data) < 4:
-        raise ProtocolViolation("truncated frame: missing length prefix")
-    length = int.from_bytes(data[:4], "big")
+    """The declared length in a frame's 4-byte prefix ``data``, checked
+    before any of the frame past the prefix is read."""
+    length = int.from_bytes(data, "big")
     if length > MAX_FRAME_BYTES:
         raise ProtocolViolation(f"declared frame length {length} exceeds "
                                 f"the {MAX_FRAME_BYTES}-byte limit")
@@ -437,14 +415,6 @@ def _frame_body(body):
     if msg_type not in _MESSAGE_NAMES:
         raise ProtocolViolation(f"unknown message type {msg_type}")
     return msg_type, int.from_bytes(body[1:9], "big"), body[9:]
-
-
-def parse_frame(data: bytes):
-    """Parse one complete frame; returns (type, seq, payload, bytes used)."""
-    length = _frame_length(data)
-    if len(data) < 4 + length:
-        raise ProtocolViolation("truncated frame: incomplete payload")
-    return (*_frame_body(data[4:4 + length]), 4 + length)
 
 
 # ---------------------------------------------------------------------------
@@ -817,85 +787,6 @@ def _receive(channel, msg_type: int):
 
 
 # ---------------------------------------------------------------------------
-# shared post-processing (both parties run this identically)
-# ---------------------------------------------------------------------------
-
-class _SharedComputation:
-    """Everything both parties derive from the disclosed data.
-
-    After ``sample_reveal`` the two sides hold identical copies of: the
-    matched pair list with roles and settings, both outcome bits for
-    every test pair, and the disclosed sample bits.  This object turns
-    those into per-block CHSH values, QBER, key accounting, and the
-    report, guaranteeing byte-identical results on both ends.
-    """
-
-    def __init__(self, params: SessionParams, pair_block: np.ndarray,
-                 roles: np.ndarray, alice_setting: np.ndarray,
-                 alice_test_bit: np.ndarray, bob_label: np.ndarray,
-                 bob_test_bit: np.ndarray):
-        self.params = params
-        self.pair_block = pair_block
-        # per pair, its place in tags.fold's terms: 4 * Alice's setting +
-        # 2 * (Bob measured in his test basis) + (the two outcome bits
-        # agree); 8, outside the CHSH terms, for every other pair
-        code = alice_setting.astype(np.intp) * 4
-        code += 2 * (bob_label != LABEL_KEY_BASIS)
-        code += alice_test_bit == bob_test_bit
-        code[roles != ROLE_TEST] = 8
-        self.chsh_code = code
-
-    def chsh_for_block(self, block_id: int):
-        """CHSH value from the test pairs of one block (or all blocks
-        for the aggregate when block_id is AGGREGATE_BLOCK_ID)."""
-        code = self.chsh_code
-        if block_id != AGGREGATE_BLOCK_ID:
-            code = code[self.pair_block == block_id]
-        terms = np.bincount(code, minlength=12).reshape(3, 2, 2)
-        try:
-            s = tags.estimate(terms)["S"]
-        except tags.InsufficientStatisticsError:  # a CHSH term is empty
-            return 0.0, float("inf")
-        return s.value, s.std_error
-
-    def report_for(self, alice_key_bits, bob_key_bits, key_block,
-                   sampled_mask):
-        """Per-block and aggregate security accounting.
-
-        ``sampled_mask`` marks key positions disclosed during error
-        estimation; in sample mode those bits are excluded from the raw
-        count (they are destroyed by disclosure), in offline mode the
-        comparison is diagnostic and the count keeps every bit.
-        """
-        p = self.params
-        offline = p.qber_mode == "offline"
-
-        def row(block_id, disclosed, key_bits, duration_ps):
-            n_disc = int(disclosed.sum())
-            if n_disc:
-                mism = int((alice_key_bits[disclosed]
-                            != bob_key_bits[disclosed]).sum())
-                qber = mism / n_disc
-            else:
-                qber = float("nan")
-            raw = key_bits - (0 if offline else n_disc)
-            s, s_err = self.chsh_for_block(block_id)
-            return build_report(block_id, s, s_err, qber, raw,
-                                duration_ps / PS_PER_SECOND, p.abort_sigma)
-
-        rows = []
-        for block_id in range(p.n_blocks):
-            in_block = key_block == block_id
-            start = block_id * p.block_ps
-            rows.append(row(block_id, sampled_mask & in_block,
-                            int(in_block.sum()),
-                            min(p.block_ps, p.duration_ps - start)))
-        aggregate = row(AGGREGATE_BLOCK_ID, sampled_mask,
-                        alice_key_bits.shape[0], p.duration_ps)
-        return SecurityReport(blocks=tuple(rows), aggregate=aggregate)
-
-
-# ---------------------------------------------------------------------------
 # endpoint sessions
 # ---------------------------------------------------------------------------
 
@@ -976,10 +867,9 @@ class BobSession(_Session):
             raise ProtocolViolation("test pair without a disclosed outcome")
 
         key_mask = roles == ROLE_KEY
-        test_mask = roles == ROLE_TEST
         my_bits = self.endpoint.channel_bit[self.stream.channels[bob_index]]
         # test pairs measured in my key basis: disclose those outcomes
-        reveal_mask = test_mask & (my_label == LABEL_KEY_BASIS)
+        reveal_mask = (roles == ROLE_TEST) & (my_label == LABEL_KEY_BASIS)
         test_bits_to_send = my_bits[reveal_mask]
 
         _, (positions, alice_sample_bits) = _receive(channel,
@@ -994,17 +884,14 @@ class BobSession(_Session):
         elif key_count and positions.size > key_count * 0.5 + 1:
             raise ProtocolViolation("sample discloses more than half the key")
         my_key_bits = my_bits[key_mask]
-        _send(channel, MSG_SAMPLE_REVEAL, test_bits_to_send,
-              my_key_bits[positions])
+        my_sample_bits = my_key_bits[positions]
+        _send(channel, MSG_SAMPLE_REVEAL, test_bits_to_send, my_sample_bits)
 
-        # reconstruct the shared view and verify Alice's report
-        alice_key_bits = np.full(key_count, OUTCOME_HIDDEN, dtype=np.uint8)
-        alice_key_bits[positions] = alice_sample_bits
-        keys, report, csv_bytes = _assemble(
+        # recompute the report from the shared view and verify Alice's
+        keys, report, csv_bytes = _account(
             params, self.stream.times[bob_index], roles, alice_setting,
-            alice_outcome, my_label, reveal_mask,
-            test_bits_to_send, positions, alice_key_bits, my_key_bits,
-            party="bob")
+            alice_outcome, my_label, reveal_mask, test_bits_to_send,
+            positions, alice_sample_bits != my_sample_bits, my_key_bits)
 
         their_csv = channel.recv(MSG_REPORT)
         if their_csv != csv_bytes:
@@ -1031,8 +918,8 @@ class AliceSession(_Session):
                                                 [params.window_ps])
         my_channels = self.stream.channels[ai]
         my_label = bob_labels[bi]
-        roles = sift(my_channels, my_label, self.endpoint)
         setting_idx = self.endpoint.channel_setting[my_channels]
+        roles = _roles(setting_idx, my_label)
         my_bits = self.endpoint.channel_bit[my_channels]
         outcome = np.where(roles == ROLE_TEST, my_bits,
                            OUTCOME_HIDDEN).astype(np.uint8)
@@ -1051,7 +938,8 @@ class AliceSession(_Session):
                     np.random.default_rng(params.sample_seed))
             except InsufficientKeyError:  # also when there is no key
                 positions = np.empty(0, dtype=np.int64)
-        _send(channel, MSG_SAMPLE_REQUEST, positions, my_key_bits[positions])
+        my_sample_bits = my_key_bits[positions]
+        _send(channel, MSG_SAMPLE_REQUEST, positions, my_sample_bits)
         _, (bob_test_bits, bob_sample_bits) = _receive(channel,
                                                        MSG_SAMPLE_REVEAL)
         reveal_mask = (roles == ROLE_TEST) & (my_label == LABEL_KEY_BASIS)
@@ -1062,12 +950,10 @@ class AliceSession(_Session):
             raise ProtocolViolation("peer revealed the wrong number of "
                                     "sample bits")
 
-        bob_key_bits = np.full(key_count, OUTCOME_HIDDEN, dtype=np.uint8)
-        bob_key_bits[positions] = bob_sample_bits
-        keys, report, csv_bytes = _assemble(
+        keys, report, csv_bytes = _account(
             params, bob_times[bi], roles, setting_idx, outcome, my_label,
-            reveal_mask, bob_test_bits, positions, my_key_bits,
-            bob_key_bits, party="alice")
+            reveal_mask, bob_test_bits, positions,
+            my_sample_bits != bob_sample_bits, my_key_bits)
 
         channel.send(MSG_REPORT, csv_bytes)
         echo = channel.recv(MSG_REPORT)
@@ -1078,54 +964,82 @@ class AliceSession(_Session):
                               report_bytes=csv_bytes)
 
 
-def _assemble(params, pair_times, roles, alice_setting, alice_outcome,
-              bob_label, reveal_mask, revealed_test_bits,
-              positions, alice_key_bits, bob_key_bits, party):
-    """Build the final keys and the report for one party.
+def _account(params, pair_times, roles, alice_setting, alice_outcome,
+             bob_label, reveal_mask, revealed_test_bits, positions,
+             mismatch, own_key_bits):
+    """One party's final keys, report and report bytes, from the data both
+    parties share after ``sample_reveal``, so both compute identical bytes.
 
-    ``alice_key_bits`` / ``bob_key_bits`` hold the key-position bits each
-    side knows (its own in full; the peer's only at disclosed positions).
-    The report only ever reads disclosed positions, so both parties
-    compute identical bytes.
+    ``pair_times`` are the pairs' times on Bob's clock, the only per-pair
+    time both sides hold.  They ascend: Bob's tag indices strictly
+    increase, and his tag times ascend.  So one search of the block edges
+    cuts the pairs, the key and the disclosed positions into per-block
+    slices.  Pairs pushed past the declared span by the channel delay fold
+    into the last block.  ``positions`` are the disclosed key positions
+    and ``mismatch`` whether the two parties' bits differ at each; the
+    report reads no other key bit.  ``own_key_bits`` is the caller's key.
     """
     # Bob's outcome bit for every test pair: announced by the label for
     # his test basis, disclosed in sample_reveal for his key basis
-    bob_test_bit = np.zeros(roles.shape[0], dtype=np.uint8)
-    bob_test_bit[bob_label == LABEL_TEST_MINUS] = 1
+    bob_test_bit = (bob_label == LABEL_TEST_MINUS).astype(np.uint8)
     bob_test_bit[reveal_mask] = revealed_test_bits
+    # per pair, its place in tags.fold's terms: 4 * Alice's setting + 2 *
+    # (Bob measured in his test basis) + (the two outcome bits agree); 8,
+    # outside the CHSH terms, for every other pair
+    code = alice_setting.astype(np.intp) * 4
+    code += 2 * (bob_label != LABEL_KEY_BASIS)
+    code += alice_outcome == bob_test_bit
+    code[roles != ROLE_TEST] = 8
+    key_ids = np.flatnonzero(roles == ROLE_KEY)
 
-    # blocks are cut on Bob's clock (the only per-pair time both sides
-    # share); tags pushed past the declared span by the channel delay
-    # fold into the last block
-    pair_block = np.minimum(pair_times // params.block_ps,
-                            params.n_blocks - 1).astype(np.int64)
-    shared = _SharedComputation(
-        params=params, pair_block=pair_block, roles=roles,
-        alice_setting=alice_setting, alice_test_bit=alice_outcome,
-        bob_label=bob_label, bob_test_bit=bob_test_bit)
+    # the first pair, key position and disclosed position of each block,
+    # then the ends of the last block, which holds every later pair
+    n_blocks = params.n_blocks
+    pair_cut = np.append(np.searchsorted(
+        pair_times, np.arange(n_blocks) * params.block_ps), roles.shape[0])
+    key_cut = np.searchsorted(key_ids, pair_cut)
+    disclosed_cut = np.searchsorted(positions, key_cut)
+    offline = params.qber_mode == "offline"
 
-    key_mask = roles == ROLE_KEY
-    key_block = pair_block[key_mask]
-    key_count = int(key_mask.sum())
-    sampled_mask = np.zeros(key_count, dtype=bool)
-    sampled_mask[positions] = True
-    report = shared.report_for(alice_key_bits, bob_key_bits, key_block,
-                               sampled_mask)
-    csv_bytes = report_csv(report).encode("ascii")
+    def row(block_id, pairs, n_keys, disclosed, duration_ps):
+        terms = np.bincount(code[pairs], minlength=12).reshape(3, 2, 2)
+        try:
+            chsh = tags.estimate(terms)["S"]
+            s, s_err = chsh.value, chsh.std_error
+        except tags.InsufficientStatisticsError:  # a CHSH term is empty
+            s, s_err = 0.0, float("inf")
+        compared = mismatch[disclosed]
+        n_disc = compared.shape[0]
+        qber = int(compared.sum()) / n_disc if n_disc else float("nan")
+        # disclosed bits leave the key in sample mode; in offline mode the
+        # comparison is diagnostic and the count keeps every bit
+        raw = n_keys - (0 if offline else n_disc)
+        return build_report(block_id, s, s_err, qber, raw,
+                            duration_ps / PS_PER_SECOND, params.abort_sigma)
+
+    p, k, d = pair_cut.tolist(), key_cut.tolist(), disclosed_cut.tolist()
+    rows = tuple(
+        row(b, slice(p[b], p[b + 1]), k[b + 1] - k[b],
+            slice(d[b], d[b + 1]),
+            min(params.block_ps, params.duration_ps - b * params.block_ps))
+        for b in range(n_blocks))
+    report = SecurityReport(blocks=rows, aggregate=row(
+        AGGREGATE_BLOCK_ID, slice(None), key_ids.shape[0], slice(None),
+        params.duration_ps))
 
     # per-block keys, without the disclosed bits in sample mode, up to the
     # first aborted block
-    own_bits = alice_key_bits if party == "alice" else bob_key_bits
-    pair_ids = np.flatnonzero(key_mask)
-    keep = ~sampled_mask if params.qber_mode == "sample" else True
+    keep = np.ones(key_ids.shape[0], dtype=bool)
+    if not offline:
+        keep[positions] = False
     abort_block = report.abort_block()
     keys = []
-    for block_id in range(params.n_blocks if abort_block is None
-                          else abort_block):
-        mask = keep & (key_block == block_id)
-        keys.append(SiftedKey(bits=own_bits[mask], pair_ids=pair_ids[mask],
-                              block_id=block_id))
-    return keys, report, csv_bytes
+    for b in range(n_blocks if abort_block is None else abort_block):
+        block = slice(k[b], k[b + 1])
+        kept = keep[block]
+        keys.append(SiftedKey(bits=own_key_bits[block][kept],
+                              pair_ids=key_ids[block][kept], block_id=b))
+    return keys, report, report_csv(report).encode("ascii")
 
 
 # ---------------------------------------------------------------------------

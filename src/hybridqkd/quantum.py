@@ -100,17 +100,6 @@ class MeasurementSetting:
         if self.plus_port == self.minus_port:
             raise ValueError(f"setting {self.name!r}: ports must differ")
 
-    def port_for_outcome(self, outcome: int) -> int:
-        """Detector channel that fires for quantum outcome +1 or -1."""
-        return self.plus_port if outcome == self.outcome_sign else self.minus_port
-
-    def outcome_for_port(self, port: int) -> int:
-        if port == self.plus_port:
-            return self.outcome_sign
-        if port == self.minus_port:
-            return -self.outcome_sign
-        raise ValueError(f"port {port} does not belong to setting {self.name!r}")
-
 
 def polarizer_setting(name: str, angle_rad: float, plus_port: int, minus_port: int,
                       outcome_sign: int = 1) -> MeasurementSetting:

@@ -85,6 +85,14 @@ def _path_conditioned_outcome(setting: MeasurementSetting, path: int,
     return 1 if rng.random() < p_plus else -1
 
 
+def port_for(setting: MeasurementSetting, outcome: int) -> int:
+    """The detector channel that fires on quantum outcome +1 or -1: the +
+    port when the outcome equals the setting's ``outcome_sign``."""
+    if outcome == setting.outcome_sign:
+        return setting.plus_port
+    return setting.minus_port
+
+
 def detect(arrival_ps: float, port: int, channel: ChannelModel,
            detector: DetectorModel, state: dict, rng: np.random.Generator):
     """One detection attempt.  ``arrival_ps`` already includes any time-bin
@@ -114,7 +122,7 @@ def simulate_clicks(source: SourceModel, alice: Station, bob: Station,
     """One emission at a time, without dark counts or phase drift.
 
     Each pair is routed by :func:`sample_pair_outcome`, wired to a port by
-    the setting's ``port_for_outcome``, and each photon gets one
+    :func:`port_for`, and each photon gets one
     :func:`detect` attempt.  Returns ``(pairs, alice_ports, bob_ports,
     joint)``: the number of emissions, the port of every click of each
     party, and the (alice port, bob port) of every emission that both
@@ -128,13 +136,13 @@ def simulate_clicks(source: SourceModel, alice: Station, bob: Station,
         a_part, b_part, _ = sample_pair_outcome(phase, alice, bob, rng)
         a_idx, x, a_bin = a_part
         tag_a = detect(t + a_bin * BIN_SEPARATION_PS,
-                       alice.settings[a_idx].port_for_outcome(x),
+                       port_for(alice.settings[a_idx], x),
                        alice.channel, alice.detector, state_a, rng)
         tag_b = None
         if b_part is not None:
             b_idx, y, b_bin = b_part
             tag_b = detect(t + b_bin * BIN_SEPARATION_PS,
-                           bob.settings[b_idx].port_for_outcome(y),
+                           port_for(bob.settings[b_idx], y),
                            bob.channel, bob.detector, state_b, rng)
         if tag_a is not None:
             alice_ports.append(tag_a.channel)

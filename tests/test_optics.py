@@ -32,6 +32,7 @@ import oracle_kernels
 from oracle_optics import (
     detect,
     generate_pair_times,
+    port_for,
     sample_pair_outcome,
     simulate_clicks,
     true_pairs,
@@ -579,7 +580,7 @@ class TestGroundTruthOptIn:
             assert 0 < dark.sum() and (emission[dark] == -1).all()
             assert (outcome[dark] == 0).all()
             assert (bins[single | dark] == -1).all()
-            ports = [station.settings[s].port_for_outcome(x)
+            ports = [port_for(station.settings[s], x)
                      for s, x in zip(setting[single], outcome[single])]
             assert ports == stream.channels[single].tolist()
 

@@ -42,13 +42,13 @@ from hybridqkd.protocol import (
     bob_endpoint,
     build_report,
     frame_message,
-    parse_frame,
     report_csv,
     run_session,
     sample_positions,
     sift,
     transport_pair,
 )
+import oracle_protocol
 from oracle_protocol import estimate_qber
 
 PS = protocol.PS_PER_SECOND
@@ -70,12 +70,6 @@ def params_for(duration=10.0, **kwargs):
 
 
 class TestEndpoints:
-    def test_maps_must_cover_same_channels(self):
-        p = params_for()
-        with pytest.raises(ValueError):
-            Endpoint(role="alice", setting_map={1: "a2"},
-                     outcome_bit={1: 0, 2: 1}, params=p)
-
     def test_sample_fraction_bounds(self):
         with pytest.raises(ValueError):
             params_for(sample_fraction=0.0)
@@ -87,11 +81,17 @@ class TestEndpoints:
         p = params_for()
         a = alice_endpoint(p)
         b = bob_endpoint(p)
-        assert set(a.setting_map) == {1, 2, 3, 4, 5, 6}
-        assert set(b.setting_map) == {1, 2, 3, 4}
+        assert (a.role, a.params) == ("alice", p)
+        assert (b.role, b.params) == ("bob", p)
+        assert np.flatnonzero(a.channel_setting != protocol.UNMAPPED
+                              ).tolist() == [1, 2, 3, 4, 5, 6]
+        assert np.flatnonzero(b.channel_setting != protocol.UNMAPPED
+                              ).tolist() == [1, 2, 3, 4]
         # the flipped analyzer: channel 6 is the + port of a1
-        assert a.outcome_bit[6] == 0 and a.outcome_bit[5] == 1
-        assert a.setting_map[1] == "a2" and a.outcome_bit[1] == 0
+        assert (a.channel_setting[6], a.channel_bit[6]) == (1, 0)
+        assert (a.channel_setting[5], a.channel_bit[5]) == (1, 1)
+        # channel 1 is the + port of the key setting a2
+        assert (a.channel_setting[1], a.channel_bit[1]) == (2, 0)
 
     def test_channel_tables(self):
         p = params_for()
@@ -101,9 +101,11 @@ class TestEndpoints:
         unmapped = np.delete(np.arange(256), np.arange(1, 7))
         assert (a.channel_setting[unmapped] == protocol.UNMAPPED).all()
         assert bob_endpoint(p).channel_setting[1:5].tolist() == [0, 0, 1, 1]
-        with pytest.raises(ValueError, match="bob has no setting 'a2'"):
-            Endpoint(role="bob", setting_map={1: "a2"}, outcome_bit={1: 0},
-                     params=p)
+        assert bob_endpoint(p).channel_bit[1:5].tolist() == [0, 1, 0, 1]
+
+    def test_bad_role_refused(self):
+        with pytest.raises(ValueError, match="role must be 'alice' or 'bob'"):
+            Endpoint("eve", params_for())
 
 
 class TestSift:
@@ -220,29 +222,31 @@ class TestBuildReport:
 
 class TestFraming:
     def test_round_trip(self):
-        for msg_type in range(1, 8):
-            payload = bytes(range(msg_type * 7 % 40))
-            frame = frame_message(msg_type, 3 * msg_type, payload)
-            t, seq, p, used = parse_frame(frame)
-            assert (t, seq, p, used) == (msg_type, 3 * msg_type, payload,
-                                         len(frame))
+        ta, tb = transport_pair()
+        for seq, msg_type in enumerate(range(1, 7)):
+            ta.sendall(frame_message(msg_type, seq,
+                                     bytes(range(msg_type * 7 % 40))))
+        chan = protocol.MessageChannel(tb)
+        for msg_type in range(1, 7):
+            assert chan.recv(msg_type) == bytes(range(msg_type * 7 % 40))
 
     def test_truncated_frame(self):
+        # a frame cut short by the sender's close ends the session
         frame = frame_message(MSG_HELLO, 0, b"abcdef")
         for cut in (2, 8, len(frame) - 1):
-            with pytest.raises(ProtocolViolation):
-                parse_frame(frame[:cut])
-
-    def test_oversized_declared_length_rejected_early(self):
-        data = (MAX_FRAME_BYTES + 1).to_bytes(4, "big") + b"\x01"
-        with pytest.raises(ProtocolViolation):
-            parse_frame(data)
+            ta, tb = transport_pair()
+            ta.sendall(frame[:cut])
+            ta.close()
+            with pytest.raises(SessionAbort,
+                               match="transport closed mid-session"):
+                protocol.MessageChannel(tb).recv(MSG_HELLO)
 
     def test_unknown_type(self):
         bad = frame_message(MSG_HELLO, 0, b"")
-        bad = bad[:4] + b"\x63" + bad[5:]
-        with pytest.raises(ProtocolViolation):
-            parse_frame(bad)
+        ta, tb = transport_pair()
+        ta.sendall(bad[:4] + b"\x63" + bad[5:])
+        with pytest.raises(ProtocolViolation, match="unknown message type 99"):
+            protocol.MessageChannel(tb).recv(MSG_HELLO)
 
     def test_frame_too_large_to_build(self):
         with pytest.raises(ValueError):
@@ -333,6 +337,124 @@ class TestTransports:
         assert ta.recv(10) == b"last"
         with pytest.raises(ConnectionError, match="ended without closing"):
             ta.recv(10)
+
+
+def shared_view(qber_mode, abort_block=None, no_key=(), no_test=(),
+                no_disclosed=(), seed=5):
+    """Synthetic data both parties hold after sample_reveal: 53 blocks of
+    1000 ps (the last one half inside the 52.5 ns span), a key pair on
+    every block edge but those of ``no_key`` blocks, and some past the end
+    of the last block.  Blocks
+    hold strongly correlated test pairs (S near 3.2, QBER near 1%),
+    except ``abort_block`` (uncorrelated), ``no_key`` (no key pair),
+    ``no_test`` (no test pair) and ``no_disclosed`` (no sampled key bit
+    in sample mode).  Returns (params, the ``_account`` arguments but the
+    last two, Alice's key, Bob's key)."""
+    rng = np.random.default_rng(seed)
+    params = SessionParams(duration_ps=52_500, block_ps=1000,
+                           qber_mode=qber_mode)
+    times, setting, bob_basis, agree = [], [], [], []
+
+    def add(t, a, b, p_agree=1.0):
+        times.extend(t)
+        setting.extend([a] * len(t))
+        bob_basis.extend([b] * len(t))
+        agree.extend(rng.random(len(t)) < p_agree)
+
+    for block in range(params.n_blocks):
+        start = block * 1000
+        if block not in no_key:
+            add(rng.integers(start, start + 1000, 150), 2, 0)
+            if block:
+                add([start], 2, 0)  # a key pair on the block's first edge
+        if block not in no_test:
+            for a in (0, 1):
+                for b in (0, 1):
+                    p_agree = (0.5 if block == abort_block
+                               else 0.1 if (a, b) == (1, 1) else 0.9)
+                    add(rng.integers(start, start + 1000, 60), a, b, p_agree)
+        add(rng.integers(start, start + 1000, 30), 2, 1)  # discarded
+    past = params.n_blocks * 1000
+    add(rng.integers(past, past + 400, 10), 2, 0)
+    add(rng.integers(past, past + 400, 10), 0, 1, 0.9)
+
+    order = np.argsort(times, kind="stable")
+    times = np.asarray(times, np.int64)[order]
+    setting = np.asarray(setting, np.uint8)[order]
+    bob_basis = np.asarray(bob_basis, np.uint8)[order]
+    alice_bit = rng.integers(0, 2, times.shape[0]).astype(np.uint8)
+    bob_bit = alice_bit ^ ~np.asarray(agree)[order]
+    # Bob's test basis names the port, his key basis hides it
+    label = np.where(bob_basis == 1, LABEL_TEST_PLUS + bob_bit,
+                     LABEL_KEY_BASIS).astype(np.uint8)
+    roles = protocol._roles(setting, label)
+    test = roles == ROLE_TEST
+    outcome = np.where(test, alice_bit, protocol.OUTCOME_HIDDEN).astype(
+        np.uint8)
+    reveal_mask = test & (label == LABEL_KEY_BASIS)
+
+    key_block = np.minimum(times[roles == ROLE_KEY] // 1000,
+                           params.n_blocks - 1)
+    alice_key = rng.integers(0, 2, key_block.shape[0]).astype(np.uint8)
+    bob_key = alice_key ^ (rng.random(key_block.shape[0]) < 0.01)
+    if qber_mode == "offline":
+        positions = np.arange(key_block.shape[0], dtype=np.int64)
+    else:
+        open_ = np.flatnonzero(~np.isin(key_block, no_disclosed))
+        positions = np.sort(rng.choice(open_, open_.shape[0] // 5,
+                                       replace=False)).astype(np.int64)
+    args = (params, times, roles, setting, outcome, label, reveal_mask,
+            bob_bit[reveal_mask].astype(np.uint8), positions)
+    return args, alice_key, bob_key.astype(np.uint8)
+
+
+class TestAccounting:
+    """``protocol._account``'s block slices against the per-block masks
+    of ``oracle_protocol._assemble``: the same report bytes and keys for
+    both parties."""
+
+    @pytest.mark.parametrize("qber_mode", ["sample", "offline"])
+    @pytest.mark.parametrize("scenario", [
+        {},
+        {"abort_block": 26, "no_key": (40,), "no_test": (45,),
+         "no_disclosed": (48,)},
+    ], ids=["accept", "degenerate"])
+    def test_matches_block_masks(self, qber_mode, scenario):
+        args, alice_key, bob_key = shared_view(qber_mode, **scenario)
+        params, times, positions = args[0], args[1], args[-1]
+        assert params.n_blocks == 53
+        assert np.isin(np.arange(1, 53) * 1000, times).sum() >= 51
+        assert times[-1] >= params.n_blocks * params.block_ps
+        mismatch = alice_key[positions] != bob_key[positions]
+        for party, own in (("alice", alice_key), ("bob", bob_key)):
+            alice_known, bob_known = alice_key, bob_key
+            hidden = np.full(own.shape[0], protocol.OUTCOME_HIDDEN, np.uint8)
+            hidden[positions] = (bob_key if party == "alice"
+                                 else alice_key)[positions]
+            if party == "alice":
+                bob_known = hidden
+            else:
+                alice_known = hidden
+            want_keys, want, want_csv = oracle_protocol._assemble(
+                *args, alice_known, bob_known, party=party)
+            keys, report, csv = protocol._account(*args, mismatch, own)
+            assert csv == want_csv
+            assert report.abort_block() == want.abort_block()
+            assert [k.block_id for k in keys] == \
+                [k.block_id for k in want_keys]
+            for got, ref in zip(keys, want_keys):
+                assert got.bits.dtype == ref.bits.dtype
+                assert np.array_equal(got.bits, ref.bits)
+                assert np.array_equal(got.pair_ids, ref.pair_ids)
+        rows = csv.decode().splitlines()[1:-1]
+        if not scenario:
+            assert len(keys) == 53
+        else:
+            assert len(keys) == 26 and rows[26].endswith(",abort")
+            assert rows[40].split(",")[4] == "0"  # no key bit
+            assert rows[45].split(",")[1:3] == ["0", "inf"]  # no test pair
+            if qber_mode == "sample":
+                assert rows[48].split(",")[3] == "nan"  # nothing disclosed
 
 
 class TestRunSession:

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from hybridqkd import quantum as q
+from hybridqkd import tags
 
 import oracle_quantum as oracle
+from oracle_optics import port_for
 
 SQRT2 = math.sqrt(2.0)
 
@@ -163,20 +165,24 @@ class TestChsh:
 
 class TestSettings:
     def test_port_wiring_roundtrip(self, settings):
-        for st in settings.values():
-            for outcome in (1, -1):
-                port = st.port_for_outcome(outcome)
-                assert st.outcome_for_port(port) == outcome
+        # tags.wiring reads every setting's ports: bit 0 on the + port and
+        # 1 on the - port, under the setting's index
+        for party, names in tags.SETTINGS.items():
+            wiring = tags.wiring(party)
+            assert len(wiring) == 2 * len(names)
+            for index, name in enumerate(names):
+                st = settings[name]
+                assert wiring[st.plus_port] == (index, 0)
+                assert wiring[st.minus_port] == (index, 1)
 
     def test_flipped_wiring(self, settings):
+        # a1's + port, channel 6, fires on outcome -1 and carries bit 0
         a1 = settings["a1"]
         assert a1.outcome_sign == -1
-        assert a1.port_for_outcome(-1) == a1.plus_port == 6
-        assert a1.port_for_outcome(+1) == a1.minus_port == 5
-
-    def test_foreign_port_rejected(self, settings):
-        with pytest.raises(ValueError):
-            settings["a2"].outcome_for_port(99)
+        assert (a1.plus_port, a1.minus_port) == (6, 5)
+        assert tags.wiring("alice")[6] == (1, 0)
+        assert tags.wiring("alice")[5] == (1, 1)
+        assert port_for(a1, -1) == 6 and port_for(a1, +1) == 5
 
     def test_nonunit_bloch_rejected(self):
         with pytest.raises(ValueError, match="unit"):
