@@ -241,6 +241,15 @@ class TestFraming:
                                match="transport closed mid-session"):
                 protocol.MessageChannel(tb).recv(MSG_HELLO)
 
+    def test_oversized_declared_length_rejected_early(self):
+        # the sender stays open and sends nothing past the first payload
+        # byte: a channel that waited for the declared length would run
+        # into the receive timeout instead of refusing the prefix
+        ta, tb = transport_pair(timeout=5.0)
+        ta.sendall((MAX_FRAME_BYTES + 1).to_bytes(4, "big") + b"\x01")
+        with pytest.raises(ProtocolViolation, match="exceeds the"):
+            protocol.MessageChannel(tb).recv(MSG_HELLO)
+
     def test_unknown_type(self):
         bad = frame_message(MSG_HELLO, 0, b"")
         ta, tb = transport_pair()
