@@ -12,11 +12,13 @@ The window search, ``_window_ranges(a, b, lo, hi)``, gives each tag of
 ``a`` its range of partners in ``b`` at a difference in [lo, hi): one
 binary search per tag, then the counts by a short walk over the tags
 with a partner when few have one, or by a second search when most do.
-Both pair kernels start from it.  ``diff_histogram`` expands the listed
-pairs in chunks that stay in cache (``_histogram``).  ``match_nearest``
-reads the graph of candidate pairs from the ranges: a component of one
-edge always pairs, a lone tag never does, and the scalar loop runs only
-on the rest.
+Its queries, a + lo and a + hi, are formed one ``_SEARCH_CHUNK`` at a
+time, so only its outputs are as long as ``a``: ``first``, the partner
+test ``has`` and, in the dense case, ``count``.  Both pair kernels start
+from it.  ``diff_histogram`` expands the listed pairs in chunks that
+stay in cache (``_histogram``).  ``match_nearest`` reads the graph of
+candidate pairs from the ranges: a component of one edge always pairs,
+a lone tag never does, and the scalar loop runs only on the rest.
 
 One search feeds the delay search and every match after it
 (``tags.find_coincidences``): the fine delay stage searches from a
@@ -32,10 +34,10 @@ Above ``_SPLIT_TAGS`` tags, when the process may use more than one CPU,
 two threads (``_in_parallel``); numpy releases the GIL in its sorts,
 searches and elementwise loops.  The dense or sparse case is chosen
 once, from the share over all of ``a``, so the result does not depend
-on the split, and each half's full-length arrays are freed as soon as
-its case is done with them.  A worker thread runs only private helpers:
-a public function wrapped by a tracer would open a span with no parent
-on the worker.  ``optics.simulate_session`` uses the same worker for
+on the split; both halves write into one ``first`` and, in the dense
+case, one ``count``.  A worker thread runs only private helpers: a
+public function wrapped by a tracer would open a span with no parent on
+the worker.  ``optics.simulate_session`` uses the same worker for
 Bob's singles, sort and dead time, through the private
 ``_dead_time_filter``; the public ``dead_time_filter`` only coerces its
 arguments and calls it.
@@ -182,18 +184,22 @@ _WALK_ROUNDS = 8
 _SEARCH_CHUNK = 4096
 
 
-def _sorted_search(b, query):
-    """``np.searchsorted(b, query)`` for ascending ``query``, one chunk of
-    queries at a time, each within the slice of ``b`` between its first
+def _sorted_search(b, a, offset, out=None):
+    """``np.searchsorted(b, a + offset)`` for ascending ``a``, written to
+    ``out`` if given.  The queries are formed one chunk at a time, and
+    each chunk is searched within the slice of ``b`` between its first
     query's position and the next chunk's: numpy would search the whole
     of ``b`` for every query, missing cache on long arrays."""
-    heads = np.searchsorted(b, query[::_SEARCH_CHUNK])
+    n = a.shape[0]
+    if out is None:
+        out = np.empty(n, dtype=np.intp)
+    heads = np.searchsorted(b, a[::_SEARCH_CHUNK] + offset)
     ends = np.append(heads[1:], b.shape[0])
-    out = np.empty(query.shape[0], dtype=np.intp)
-    for i, lo, hi in zip(range(0, query.shape[0], _SEARCH_CHUNK),
-                         heads.tolist(), ends.tolist()):
+    for i, lo, hi in zip(range(0, n, _SEARCH_CHUNK), heads.tolist(),
+                         ends.tolist()):
         chunk = slice(i, i + _SEARCH_CHUNK)
-        np.add(np.searchsorted(b[lo:hi], query[chunk]), lo, out=out[chunk])
+        np.add(np.searchsorted(b[lo:hi], a[chunk] + offset), lo,
+               out=out[chunk])
     return out
 
 
@@ -212,68 +218,60 @@ def _window_ranges(a, b, lo, hi):
     None, every tag of ``a`` is listed (some with count 0), and the
     counts come from a second binary search.
 
+    Only ``first``, the partner test ``has`` and the dense case's
+    ``count`` are ever as long as ``a``; each is allocated once, and the
+    queries a + lo and a + hi are formed one ``_SEARCH_CHUNK`` at a time.
     Above ``_SPLIT_TAGS`` tags the two halves of ``a`` do this work on
-    two threads (``_halves``); the case is chosen once, from the share
-    over all of ``a``, so the result is the same.
+    two threads (``_halves``), writing into ``first`` and ``count``; the
+    case is chosen once, from the share over all of ``a``, so the result
+    is the same.
     """
-    n = a.shape[0]
-    halves = _halves(n)
-    found = _in_parallel(_first_partners,
-                         [(a[part], b, lo, hi) for part in halves])
-    dense = sum(np.count_nonzero(has) for _, _, has in found) \
-        > _DENSE_SHARE * n
-    ranges = _in_parallel(_dense_counts if dense else _walk,
-                          [(b, state) for state in found])
-    del found
+    halves = _halves(a.shape[0])
+    first = np.empty(a.shape[0], dtype=np.intp)
+    has = _in_parallel(_first_partners,
+                       [(a[part], b, lo, hi, first[part]) for part in halves])
+    if sum(np.count_nonzero(part) for part in has) > _DENSE_SHARE * a.shape[0]:
+        del has
+        count = np.empty(a.shape[0], dtype=np.intp)
+        _in_parallel(_dense_counts, [(a[part], b, hi, first[part], count[part])
+                                     for part in halves])
+        return None, first, count
+    ranges = _in_parallel(_walk, [(a[part], b, hi, first[part], has_part)
+                                  for part, has_part in zip(halves, has)])
     if len(ranges) == 1:
         return ranges[0]
-    if not dense:
-        np.add(ranges[1][0], halves[1].start, out=ranges[1][0])
-    # join one output at a time, dropping its halves once joined
-    columns = [list(column) for column in zip(*ranges)]
-    del ranges
-    joined = []
-    for column in columns:
-        joined.append(None if column[0] is None else np.concatenate(column))
-        column.clear()
-    return tuple(joined)
+    np.add(ranges[1][0], halves[1].start, out=ranges[1][0])
+    return tuple(np.concatenate(column) for column in zip(*ranges))
 
 
-def _first_partners(a, b, lo, hi):
-    """[first, query, has] for ``_window_ranges`` on a part of ``a``: the
-    first b at or after each a + lo, a + hi, and which tags have a
-    partner (a prefix of the tags: those with no b at or after a + lo
-    are a suffix, as ``first`` ascends)."""
-    query = a + lo
-    first = _sorted_search(b, query)
-    query += hi - lo
+def _first_partners(a, b, lo, hi, first):
+    """Fill ``first`` for ``_window_ranges`` on a part of ``a``, the first
+    b at or after each a + lo, and return which tags have a partner, the
+    b there before a + hi.  Those are a prefix of the tags: the ones with
+    no b at or after a + lo are a suffix, as ``first`` ascends, so the
+    partner test stops at the chunk that holds ``b``'s end."""
+    _sorted_search(b, a, lo, out=first)
     live = int(np.searchsorted(first, b.shape[0]))
-    return [first, query, b[first[:live]] < query[:live]]
+    has = np.empty(live, dtype=np.bool_)
+    for i in range(0, live, _SEARCH_CHUNK):
+        chunk = slice(i, min(i + _SEARCH_CHUNK, live))
+        np.less(b[first[chunk]], a[chunk] + hi, out=has[chunk])
+    return has
 
 
-# The two cases take ``_first_partners``' list and empty it, so that each
-# full-length array is freed as soon as the case is done with it.
-
-def _dense_counts(b, state):
-    """The dense case of ``_window_ranges``: every tag, with its count."""
-    first, query, _ = state
-    state.clear()
-    count = _sorted_search(b, query)
-    del query
+def _dense_counts(a, b, hi, first, count):
+    """The dense case of ``_window_ranges``: fill ``count`` for every tag."""
+    _sorted_search(b, a, hi, out=count)
     count -= first
-    return None, first, count
 
 
-def _walk(b, state):
+def _walk(a, b, hi, first, has):
     """The sparse case of ``_window_ranges``: the tags with a partner,
     their ``first`` and their counts."""
-    first, query, has = state
-    state.clear()
     m = b.shape[0]
     tags = np.flatnonzero(has)
-    del has
     first = first[tags]
-    query = query[tags]
+    query = a[tags] + hi
     end = first + 1
     live = int(np.searchsorted(end, m))
     walking = np.flatnonzero(b[end[:live]] < query[:live])

@@ -71,7 +71,6 @@ __all__ = [
     "SessionOutcome",
     "alice_endpoint",
     "bob_endpoint",
-    "sift",
     "sample_positions",
     "build_report",
     "report_csv",
@@ -255,24 +254,10 @@ class SiftedKey:
         return int(self.bits.shape[0])
 
 
-def sift(alice_channels, bob_basis_labels, alice_ep: Endpoint):
-    """Assign every matched pair exactly one role.
-
-    ``alice_channels`` are Alice's detector channels per pair;
-    ``bob_basis_labels`` are Bob's announced labels (key basis or the two
-    test-basis ports).  Key pairs are (a2, key basis); the four
-    combinations of {a0, a1} x {key basis, test basis} are CHSH test
-    pairs; (a2, test basis) is discarded.  Returns a role array.
-    """
-    alice_channels = np.asarray(alice_channels)
-    bob_basis_labels = np.asarray(bob_basis_labels)
-    if alice_channels.shape != bob_basis_labels.shape:
-        raise ValueError("per-pair arrays must have equal length")
-    return _roles(alice_ep.channel_setting[alice_channels], bob_basis_labels)
-
-
 def _roles(alice_setting, bob_label):
-    """The sifting rule on Alice's setting indices and Bob's labels."""
+    """The sifting rule on Alice's setting indices and Bob's labels: a2
+    with Bob's key basis is key, a0 and a1 test CHSH, the rest is
+    discarded."""
     roles = np.full(alice_setting.shape[0], ROLE_DISCARD, dtype=np.uint8)
     roles[(alice_setting == 2) & (bob_label == LABEL_KEY_BASIS)] = ROLE_KEY
     roles[alice_setting < 2] = ROLE_TEST

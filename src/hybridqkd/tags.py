@@ -341,7 +341,7 @@ def estimate_delay(a, b, search_range_ps: int = 2**28, bin_width_ps: int = 16,
     lo, hi = -search_range_ps, search_range_ps
     nbins = -(-(hi - lo) // coarse_bin_ps)
     above, below = kernels._in_parallel(
-        kernels._sorted_search, [(cb, ca + hi), (cb, ca + lo)],
+        kernels._sorted_search, [(cb, ca, hi), (cb, ca, lo)],
         kernels._CPUS > 1 and ca.shape[0] > _COARSE_SPLIT_TAGS)
     above -= below
     pairs = int(above.sum())

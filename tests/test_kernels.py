@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -252,21 +254,58 @@ class TestWindowRanges:
 
     @pytest.mark.parametrize("chunk", [1, 3, 64])
     def test_chunked_first_search(self, monkeypatch, chunk):
-        # the first search takes a chunk of queries per slice of b; small
+        # the searches take a chunk of queries per slice of b; small
         # chunks put chunk edges inside runs of equal times, on empty
         # slices and past b's end
         monkeypatch.setattr(kernels, "_SEARCH_CHUNK", chunk)
         rng = np.random.default_rng(15)
+        cases = {True: 0, False: 0}
         for trial in range(100):
             span = int(rng.choice([100, 10_000]))
             a = random_sorted_times(rng, int(rng.integers(0, 300)), span)
             b = random_sorted_times(rng, int(rng.integers(0, 300)), span)
             lo = int(rng.integers(-300, 300))
-            self.dense(a, b, lo, lo + int(rng.integers(1, 300)))
+            cases[self.dense(a, b, lo, lo + int(rng.integers(1, 300)))] += 1
+        assert min(cases.values()) > 5
+        # b ends inside a chunk: from tag 101 on, first == len(b)
+        b = np.arange(1, 101, dtype=np.int64)
+        for n, dense in [(110, True), (200, False)]:
+            a = np.arange(n, dtype=np.int64)
+            assert self.dense(a, b, 0, 2) == dense
+            assert self.dense(a - 300, b, 300, 302) == dense
+        for a, b in [([], [1, 2]), ([1, 2], []), ([], [])]:
+            assert not self.dense(a, b, -5, 5)
         b = np.sort(rng.integers(0, 10**6, 500))
-        query = np.sort(rng.integers(-10, 10**6 + 10, 1000))
-        np.testing.assert_array_equal(kernels._sorted_search(b, query),
-                                      np.searchsorted(b, query))
+        a = np.sort(rng.integers(-10, 10**6 + 10, 1000))
+        empty = np.empty(0, dtype=np.int64)
+        for offset in [-10**6 - 20, -300, -1, 0, 300, 10**6 + 20]:
+            np.testing.assert_array_equal(kernels._sorted_search(b, a, offset),
+                                          np.searchsorted(b, a + offset))
+            assert kernels._sorted_search(b, empty, offset).shape == (0,)
+            np.testing.assert_array_equal(
+                kernels._sorted_search(empty, a, offset), np.zeros(1000))
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("dense, window, per_tag", [
+        (False, 10, 10), (True, 4000, 18)])
+    def test_memory(self, monkeypatch, cpus, dense, window, per_tag):
+        # only the outputs are as long as a: first and has, 9 bytes a tag,
+        # and the dense case's count, 8 more; the queries are formed one
+        # chunk at a time, and two halves write into the same outputs
+        monkeypatch.setattr(kernels, "_CPUS", cpus)
+        n = 1 << 21
+        assert len(kernels._halves(n)) == cpus
+        rng = np.random.default_rng(21)
+        a = np.cumsum(rng.integers(1, 2000, n))  # one tag per ns on average
+        b = np.sort(rng.integers(0, a[-1], n))
+        tracemalloc.start()
+        try:
+            ranges = kernels._window_ranges(a, b, 0, window)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (ranges[0] is None) == dense
+        assert peak <= per_tag * n
 
     @staticmethod
     def split_above(monkeypatch, n):

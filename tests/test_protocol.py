@@ -45,7 +45,6 @@ from hybridqkd.protocol import (
     report_csv,
     run_session,
     sample_positions,
-    sift,
     transport_pair,
 )
 import oracle_protocol
@@ -109,31 +108,30 @@ class TestEndpoints:
 
 
 class TestSift:
+    """The sifting rule, ``protocol._roles``, on Alice's channels."""
+
+    @staticmethod
+    def sift(channels, labels):
+        ep = alice_endpoint(params_for())
+        return protocol._roles(ep.channel_setting[channels], labels)
+
     def test_key_pair(self):
-        p = params_for()
-        roles = sift(np.array([1]), np.array([LABEL_KEY_BASIS]),
-                     alice_endpoint(p))
+        roles = self.sift(np.array([1]), np.array([LABEL_KEY_BASIS]))
         assert roles[0] == ROLE_KEY
 
     def test_test_pair(self):
-        p = params_for()
-        roles = sift(np.array([3]), np.array([LABEL_TEST_PLUS]),
-                     alice_endpoint(p))
+        roles = self.sift(np.array([3]), np.array([LABEL_TEST_PLUS]))
         assert roles[0] == ROLE_TEST
 
     def test_discarded_pair(self):
-        p = params_for()
-        roles = sift(np.array([2]), np.array([LABEL_TEST_MINUS]),
-                     alice_endpoint(p))
+        roles = self.sift(np.array([2]), np.array([LABEL_TEST_MINUS]))
         assert roles[0] == ROLE_DISCARD
 
     def test_exhaustive_and_exclusive(self):
         rng = np.random.default_rng(8)
-        p = params_for()
-        ep = alice_endpoint(p)
         channels = rng.integers(1, 7, 5000).astype(np.uint8)
         labels = rng.integers(0, 3, 5000).astype(np.uint8)
-        roles = sift(channels, labels, ep)
+        roles = self.sift(channels, labels)
         assert set(np.unique(roles)) <= {ROLE_KEY, ROLE_TEST, ROLE_DISCARD}
         is_a2 = channels <= 2
         is_test_setting = channels >= 3
