@@ -226,22 +226,32 @@ def _window_ranges(a, b, lo, hi):
     case is chosen once, from the share over all of ``a``, so the result
     is the same.
     """
-    halves = _halves(a.shape[0])
-    first = np.empty(a.shape[0], dtype=np.intp)
+    n = a.shape[0]
+    halves = _halves(n)
+    first = np.empty(n, dtype=np.intp)
     has = _in_parallel(_first_partners,
                        [(a[part], b, lo, hi, first[part]) for part in halves])
-    if sum(np.count_nonzero(part) for part in has) > _DENSE_SHARE * a.shape[0]:
+    if sum(np.count_nonzero(part) for part in has) > _DENSE_SHARE * n:
         del has
-        count = np.empty(a.shape[0], dtype=np.intp)
+        count = np.empty(n, dtype=np.intp)
         _in_parallel(_dense_counts, [(a[part], b, hi, first[part], count[part])
                                      for part in halves])
         return None, first, count
-    ranges = _in_parallel(_walk, [(a[part], b, hi, first[part], has_part)
-                                  for part, has_part in zip(halves, has)])
+    calls = [(a[part], b, hi, [first[part], part_has])
+             for part, part_has in zip(halves, has)]
+    del first, has
+    ranges = _in_parallel(_walk, calls)
     if len(ranges) == 1:
         return ranges[0]
     np.add(ranges[1][0], halves[1].start, out=ranges[1][0])
-    return tuple(np.concatenate(column) for column in zip(*ranges))
+    # join one output at a time, dropping its halves once joined
+    columns = [list(column) for column in zip(*ranges)]
+    del ranges
+    joined = []
+    for column in columns:
+        joined.append(np.concatenate(column))
+        column.clear()
+    return tuple(joined)
 
 
 def _first_partners(a, b, lo, hi, first):
@@ -265,11 +275,15 @@ def _dense_counts(a, b, hi, first, count):
     count -= first
 
 
-def _walk(a, b, hi, first, has):
+def _walk(a, b, hi, state):
     """The sparse case of ``_window_ranges``: the tags with a partner,
-    their ``first`` and their counts."""
+    their ``first`` and their counts.  It empties ``state``, [first, has],
+    so that both are freed as soon as it is done with them."""
+    first, has = state
+    state.clear()
     m = b.shape[0]
     tags = np.flatnonzero(has)
+    del has
     first = first[tags]
     query = a[tags] + hi
     end = first + 1
