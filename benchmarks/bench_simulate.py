@@ -11,18 +11,20 @@ from outside, on the ``optics`` module where ``simulate_session`` looks
 them up, so the program itself is unchanged.  Prints one JSON object:
 the median over the repeats of the whole call and of each step's total
 time per call, summed over threads.  A step's time includes the wrapped
-steps it calls: ``_party_stream`` runs one party's ``_emit_singles``,
-``_sort_clicks`` and ``_finalize_party``; ``_dead_time_keep`` runs
-inside ``_finalize_party``; and ``_poisson_stream_ps`` runs both in
-``simulate_session`` (the coincidences' stream) and inside
-``_emit_singles``.  On streams above ``kernels._SPLIT_TAGS`` tags,
-Bob's ``_party_stream`` runs on a worker thread while Alice's runs on
-the calling thread; ``worker`` is the time of the steps on the worker,
-that is Bob's whole pipeline (singles, sort and dead time), and it
-overlaps the caller's.  ``draws`` is what ``simulate_session`` spends
-on its own thread outside every wrapped step: the coincidences' and
-the dark counts' draws, their outcome tables and masks, and any wait
-for the worker.
+steps it calls: ``_party_stream`` runs one party's ``_party_keys``
+(which packs its click batches and runs ``_singles_keys``), its sort
+and ``_dead_time_compact``; ``_poisson_stream_ps`` is the coincidences'
+stream, drawn in ``simulate_session``.  On streams above
+``kernels._SPLIT_TAGS`` tags, Bob's ``_party_stream`` runs on a worker
+thread while Alice's runs on the calling thread; ``worker`` is the time
+of the steps on the worker, that is Bob's whole pipeline (singles, sort
+and dead time), and it overlaps the caller's.  ``draws`` is what
+``simulate_session`` spends on its own thread outside every wrapped
+step: the coincidences' and the dark counts' draws, their outcome
+tables and masks, and any wait for the worker.  After the timed
+repeats, one more call, untimed and with no step wrapped, runs under
+``tracemalloc``: ``peak_traced_mb`` is its traced peak, the arrays the
+simulator allocates on every thread.
 
 On a 2-vCPU x86 VM (numpy 2.4.6, ``--repeat 5``, three runs each), 1 s
 of ``paper`` simulated in 0.32-0.35 s when only Bob's sort ran on the
@@ -38,6 +40,7 @@ import statistics
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -45,8 +48,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from hybridqkd import harness, optics  # noqa: E402
 
 STEPS = ("_poisson_stream_ps", "_emit_clicks", "_party_stream",
-         "_emit_singles", "_sort_clicks", "_finalize_party",
-         "_dead_time_keep")
+         "_party_keys", "_singles_keys", "_dead_time_compact")
 # time in the outermost wrapped calls on the calling thread (the ones
 # simulate_session makes) and on any other thread
 DIRECT, WORKER = "direct", "worker"
@@ -92,12 +94,20 @@ def run(preset, seconds, repeat, seed=None):
     finally:
         for name, fn in originals.items():
             setattr(optics, name, fn)
+    del result
+    tracemalloc.start()
+    try:
+        result = harness._simulate(cfg, seed, duration_s=seconds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     return {
         "preset": preset, "seconds": seconds, "seed": seed,
         "repeat": repeat, "tags_alice": len(result.alice),
         "tags_bob": len(result.bob),
         "median_s": {name: round(statistics.median(values), 4)
                      for name, values in samples.items()},
+        "peak_traced_mb": round(peak / 2**20, 1),
     }
 
 

@@ -456,7 +456,7 @@ def match_nearest(a, b, half_window: int):
 # ---------------------------------------------------------------------------
 
 def diff_histogram(a, b, lo: int, hi: int, bin_width: int,
-                   _chunk: int = 1 << 17) -> np.ndarray:
+                   _chunk: int | None = None) -> np.ndarray:
     """Histogram of pairwise differences b - a restricted to [lo, hi).
 
     Bin k covers [lo + k*w, lo + (k+1)*w).  ``_window_ranges`` lists
@@ -483,7 +483,7 @@ def _prefix_ranges(ranges, m):
     return tags, first, end
 
 
-def _histogram(a, b, ranges, lo, hi, bin_width, chunk=1 << 17,
+def _histogram(a, b, ranges, lo, hi, bin_width, chunk=None,
                swapped=False):
     """``diff_histogram`` of the pairs ``ranges`` lists, as
     ``_window_ranges(a, b, lo, hi)`` returns them, or with ``swapped`` as
@@ -494,9 +494,13 @@ def _histogram(a, b, ranges, lo, hi, bin_width, chunk=1 << 17,
     pairs it with entry first[i] + p - start[i] of the other stream, where
     start[i] is the number of pairs of the tags before i.  They are
     expanded in chunks of about ``chunk`` pairs, each holding the pairs of
-    whole listed tags.
+    whole listed tags: by default 2^14, so that a chunk's temporaries
+    stay in cache, or the number of bins when that is larger, as each
+    chunk's bincount is that long.
     """
     nbins = int((hi - lo + bin_width - 1) // bin_width)
+    if chunk is None:
+        chunk = max(1 << 14, nbins)
     counts = np.zeros(nbins, dtype=np.int64)
     tags, first, per_tag = ranges
     near, far = (b, a) if swapped else (a, b)

@@ -42,9 +42,15 @@ few ns at the span's ends differ from the per-photon model.
 :func:`simulate_session` draws whole streams at once.  The session
 generator draws the coincidences and the dark counts; each party then
 draws its singles from a generator of its own, spawned from the
-session's after its last draw.  Each party's clicks are sorted by time
-then port as packed keys, and the dead time is applied channel by
-channel to the close runs (tags next to a shorter gap) only.  When both
+session's after its last draw.  Each party's clicks live in one int64
+buffer of ``time << 8 | port`` keys, sized for its coincidence and dark
+clicks plus its singles' draw bound.  The singles are drawn into it
+``_SIM_CHUNK`` at a time, the keys are sorted by time then port in
+place, and unpacking them makes the only other full-length array, the
+byte-wide ports.  The dead time is applied channel by channel to the
+close runs (tags next to a shorter gap) only, and compacts the times and
+ports in place, so each stream's arrays are prefixes of their buffers.
+The coincidences' own arrays stay full length.  When both
 parties expect more than ``kernels._SPLIT_TAGS`` clicks and the process
 may use two CPUs, Bob's singles, sort and dead time (``_party_stream``)
 run on a worker thread while Alice's run on the calling thread.  As
@@ -321,36 +327,95 @@ class SessionResult:
 # vectorized session simulation
 # ---------------------------------------------------------------------------
 
+# draws, gap compares and compactions run this many tags at a time, so
+# their temporaries stay a fixed size whatever the stream's length
+_SIM_CHUNK = 1 << 16
+
+
+def _poisson_size(rate_hz: float, duration_ps: int) -> int:
+    """Gaps drawn per part of a Poisson stream: the expected arrivals in
+    [0, duration) plus 6 sigma and 16 (0 for an empty stream)."""
+    if rate_hz <= 0 or duration_ps <= 0:
+        return 0
+    expected = duration_ps / (PS_PER_SECOND / rate_hz)
+    return int(expected + 6.0 * math.sqrt(expected + 1.0) + 16)
+
+
+def _poisson_arrivals(rng: np.random.Generator, rate_hz: float,
+                      duration_ps: int):
+    """Poisson process arrival times in [0, duration) ps: yields them in
+    order as sorted float64 arrays of at most ``_SIM_CHUNK`` each.
+
+    The gaps come in parts of ``_poisson_size`` draws; a part after the
+    first adds the last arrival before it after its own cumsum.  Within a
+    part the exponentials are drawn ``_SIM_CHUNK`` at a time and the
+    running sum is carried into each chunk's first gap, so every float
+    add, and the generator's state, are those of one whole draw and
+    cumsum.  The last part's gaps past the end are drawn too, for the
+    same reason.
+    """
+    size = _poisson_size(rate_hz, duration_ps)
+    if size == 0:
+        return
+    mean_gap_ps = PS_PER_SECOND / rate_hz
+    last = None            # the previous part's last arrival
+    while True:
+        total, ended = 0.0, False
+        for lo in range(0, size, _SIM_CHUNK):
+            gaps = rng.exponential(mean_gap_ps,
+                                   size=min(_SIM_CHUNK, size - lo))
+            if ended:
+                continue
+            gaps[0] += total
+            times = np.cumsum(gaps, out=gaps)
+            total = times[-1]
+            if last is not None:
+                times += last
+            tail = times[-1]  # read before the caller may add to times
+            end = int(np.searchsorted(times, duration_ps))
+            ended = end < times.shape[0]
+            if end:
+                yield times[:end]
+        if ended:
+            return
+        last = tail
+
+
+def _put(buf: np.ndarray, n: int, values: np.ndarray) -> np.ndarray:
+    """``buf`` with ``values`` cast into ``buf[n:]``: ``buf`` itself, or a
+    copy of its first ``n`` entries twice as long as needed when they do
+    not fit (a Poisson stream's later part)."""
+    end = n + values.shape[0]
+    if end > buf.shape[0]:
+        grown = np.empty(2 * end, dtype=buf.dtype)
+        grown[:n] = buf[:n]
+        buf = grown
+    np.copyto(buf[n:end], values, casting="unsafe")
+    return buf
+
+
 def _poisson_stream_ps(rng: np.random.Generator, rate_hz: float,
                        duration_ps: int) -> np.ndarray:
     """Poisson process arrival times in [0, duration) ps, float64, sorted."""
-    if rate_hz <= 0 or duration_ps <= 0:
-        return np.empty(0, dtype=np.float64)
-    mean_gap_ps = PS_PER_SECOND / rate_hz
-    expected = duration_ps / mean_gap_ps
-    chunk = int(expected + 6.0 * math.sqrt(expected + 1.0) + 16)
-    parts = []
-    while True:
-        gaps = rng.exponential(mean_gap_ps, size=chunk)
-        times = np.cumsum(gaps, out=gaps)
-        if parts:
-            times += parts[-1][-1]
-        parts.append(times)
-        if times[-1] >= duration_ps:
-            break
-    times = np.concatenate(parts) if len(parts) > 1 else parts[0]
-    return times[:np.searchsorted(times, duration_ps)]
+    out, n = np.empty(_poisson_size(rate_hz, duration_ps)), 0
+    for times in _poisson_arrivals(rng, rate_hz, duration_ps):
+        out = _put(out, n, times)
+        n += times.shape[0]
+    return out[:n]
 
 
 def _setting_choice(rng, n, probs):
     """Index per event drawn from the probabilities ``probs`` (a setting
     from the splitting, or a port): the number of inner cumulative edges
     at or below a uniform draw (``searchsorted(side="right")`` capped at
-    the last index)."""
-    r = rng.random(n)
+    the last index).  The uniforms are drawn ``_SIM_CHUNK`` at a time."""
     idx = np.zeros(n, dtype=np.int8)
-    for edge in np.cumsum(probs)[:-1]:
-        idx += r >= edge
+    edges = np.cumsum(probs)[:-1]
+    for lo in range(0, n, _SIM_CHUNK):
+        r = rng.random(min(_SIM_CHUNK, n - lo))
+        out = idx[lo:lo + r.shape[0]]
+        for edge in edges:
+            out += r >= edge
     return idx
 
 
@@ -371,122 +436,133 @@ _PROVENANCE_DTYPES = (np.int64, np.int8, np.int8, np.int8)
 
 
 class _PartyAccumulator:
-    """Collects click batches for one party before merge/sort/dead-time.
-
-    Provenance (emission id, setting, outcome, bin per click) is kept only
-    when ``truth`` is set; otherwise ``add`` ignores it, and callers pass
-    None for the arrays that only provenance needs.
-    """
+    """One party's click batches (float64 times, ports and, only when
+    ``truth`` is set, provenance), in order, until ``_party_keys`` packs
+    them.  Without ``truth`` callers pass None for the arrays that only
+    provenance needs."""
 
     def __init__(self, truth: bool = False):
-        self.times = []
-        self.ports = []
-        self.provenance = ([], [], [], []) if truth else None
-        self.merged = None  # set by _sort_clicks
+        self.truth = truth
+        self.batches = []  # (times, ports, provenance list or None)
 
     def add(self, times, ports, emission, setting, outcome, bins):
-        self.times.append(np.asarray(times))
-        self.ports.append(np.asarray(ports, dtype=np.uint8))
-        if self.provenance is not None:
-            for parts, arr, dtype in zip(self.provenance,
-                                         (emission, setting, outcome, bins),
-                                         _PROVENANCE_DTYPES):
-                parts.append(np.asarray(arr, dtype=dtype))
+        provenance = None
+        if self.truth:
+            provenance = [np.asarray(arr, dtype=dtype) for arr, dtype in
+                          zip((emission, setting, outcome, bins),
+                              _PROVENANCE_DTYPES)]
+        self.batches.append((np.asarray(times),
+                             np.asarray(ports, dtype=np.uint8), provenance))
 
 
-def _dead_time_keep(times: np.ndarray, ports: np.ndarray, channel_ids,
-                    dead_ps: int) -> np.ndarray:
-    """Keep-mask of the per-channel dead time over time-sorted tags.
+def _pack_keys(keys: np.ndarray, ports: np.ndarray):
+    """Turn tag times into ``time << 8 | port`` sort keys, in place."""
+    if keys.size and keys.max() >= 2**55:
+        raise ValueError("tag times of 2**55 ps or more overflow the sort key")
+    keys <<= 8
+    keys |= ports
+
+
+def _party_keys(acc: _PartyAccumulator, station: Station, rng,
+                singles_hz: float, duration_ps: int):
+    """One party's clicks as sort keys (``_pack_keys``) in one int64
+    buffer, in batch order: the batches of ``acc``, each time rounded to
+    the nearest ps and the negative ones dropped, then the singles
+    (``_singles_keys``).  The buffer holds the batches and the singles'
+    draw bound.  Returns the keys (a prefix of the buffer) and, when
+    ``acc`` kept provenance, the per-click (emission, setting, outcome,
+    bin) arrays in the same order (else None)."""
+    # P(click on port) of a single, per key 2s + 0 (setting s's plus
+    # port) and 2s + 1 (its minus port)
+    shares = np.array([split * _SINGLE_PORT_SHARE[mode]
+                       for split, mode in zip(station.splitting, station.modes)
+                       for _ in range(2)])
+    rate_hz = singles_hz * shares.sum()
+    keys = np.empty(sum(t.shape[0] for t, _, _ in acc.batches)
+                    + _poisson_size(rate_hz, duration_ps), dtype=np.int64)
+    parts = ([], [], [], []) if acc.truth else None
+    n = 0
+    while acc.batches:  # each batch is freed once packed
+        times, ports, provenance = acc.batches.pop(0)
+        end = n + times.shape[0]
+        np.copyto(keys[n:end], np.rint(times, out=times), casting="unsafe")
+        del times
+        if end > n and keys[n:end].min() < 0:
+            ok = keys[n:end] >= 0
+            kept = keys[n:end][ok]
+            end = n + kept.shape[0]
+            keys[n:end] = kept
+            ports = ports[ok]
+            if provenance is not None:
+                provenance = [p[ok] for p in provenance]
+        _pack_keys(keys[n:end], ports)
+        if parts is not None:
+            for part, p in zip(parts, provenance):
+                part.append(p)
+        n = end
+    keys, n = _singles_keys(keys, n, station, rng, rate_hz,
+                            shares / shares.sum(), duration_ps, parts)
+    provenance = None
+    if parts is not None:
+        provenance = [np.concatenate(part) if part else np.empty(0, dtype)
+                      for part, dtype in zip(parts, _PROVENANCE_DTYPES)]
+    return keys[:n], provenance
+
+
+def _dead_time_compact(times: np.ndarray, ports: np.ndarray, channel_ids,
+                       dead_ps: int, *more: np.ndarray) -> int:
+    """Apply the per-channel dead time to time-sorted tags in place: the
+    kept tags of ``times``, ``ports`` and each array of ``more`` move, in
+    order, to the front.  Returns how many are kept.
 
     Only the close runs, the tags next to a gap shorter than ``dead_ps``
     whatever their channels, are filtered.  That is exact: a tag at least
     ``dead_ps`` after its predecessor survives; a tag whose next tag is
     also that far away cannot block any later tag; and every same-channel
     tag within ``dead_ps`` before a tag lies in the same run, so runs never
-    interact.  One stable sort of the run tags' 8-bit ports (a radix sort)
-    makes each channel's run tags a contiguous, still time-sorted slice;
-    each slice is filtered on its own and the mask is scattered back once.
+    interact.  One sort of the run tags by port then index makes each
+    channel's run tags a contiguous, still time-sorted slice, and each
+    slice is filtered on its own.  The gaps are compared, and the arrays
+    compacted, ``_SIM_CHUNK`` tags at a time.
     """
     n = times.shape[0]
-    keep = np.ones(n, dtype=bool)
     if n < 2 or dead_ps <= 0:
-        return keep
-    close = np.diff(times) < dead_ps       # close[i]: tags i and i + 1
-    in_run = np.append(close, False)
-    in_run[1:] |= close
+        return n
+    in_run = np.zeros(n, dtype=bool)
+    for lo in range(0, n - 1, _SIM_CHUNK):
+        hi = min(lo + _SIM_CHUNK, n - 1)
+        close = times[lo + 1:hi + 1] - times[lo:hi] < dead_ps  # i and i + 1
+        in_run[lo:hi] |= close
+        in_run[lo + 1:hi + 1] |= close
+    # port << 48 | index of each run tag, sorted in place: each channel's
+    # run tags become one slice, still in time order
     run = np.flatnonzero(in_run)
-    run_ports = ports[run]
-    run = run[np.argsort(run_ports, kind="stable")]
-    counts = np.bincount(run_ports, minlength=256)
-    ends = np.cumsum(counts)
-    port_times = times[run]
-    port_keep = np.ones(run.shape[0], dtype=bool)
+    del in_run, close
+    high = ports[run].astype(np.int64)
+    high <<= 48
+    run |= high
+    del high
+    run.sort()
+    dropped = []
     for ch in channel_ids:
-        lo, hi = int(ends[ch] - counts[ch]), int(ends[ch])
-        port_keep[lo:hi] = kernels._dead_time_filter(port_times[lo:hi],
-                                                     dead_ps)
-    keep[run] = port_keep
-    return keep
-
-
-def _sort_clicks(acc: _PartyAccumulator):
-    """Merge one party's click batches into time-major, port-minor order.
-    Sets ``acc.merged`` to (times, ports, order, provenance): ``order``
-    maps the sorted tags to the merged batches and ``provenance`` holds
-    the per-click (emission, setting, outcome, bin) arrays in batch
-    order, both only when ``acc`` kept provenance (else None)."""
-    times = (np.concatenate([np.rint(t, out=t) for t in acc.times],
-                            dtype=np.int64, casting="unsafe")
-             if acc.times else np.empty(0, np.int64))
-    ports = np.concatenate(acc.ports) if acc.ports else np.empty(0, np.uint8)
-    provenance = None
-    if acc.provenance is not None:
-        provenance = [np.concatenate(parts) if parts else np.empty(0, dtype)
-                      for parts, dtype in zip(acc.provenance,
-                                              _PROVENANCE_DTYPES)]
-    acc.times = acc.ports = acc.provenance = None
-
-    if times.size and times.min() < 0:
-        ok = times >= 0
-        times, ports = times[ok], ports[ok]
-        if provenance is not None:
-            provenance = [p[ok] for p in provenance]
-
-    # time-major, port-minor order from one stable sort (the batches come
-    # nearly in order) of packed keys; only provenance needs the order
-    if times.size and times.max() >= 2**55:
-        raise ValueError("tag times of 2**55 ps or more overflow the sort key")
-    times <<= 8
-    times |= ports
-    order = None
-    if provenance is None:
-        times.sort(kind="stable")
-    else:
-        order = np.argsort(times, kind="stable")
-        times = times[order]
-    ports = times.astype(np.uint8)       # the low byte
-    times >>= 8
-    acc.merged = times, ports, order, provenance
-
-
-def _finalize_party(acc: _PartyAccumulator, station: Station, party: str,
-                    duration_ps: int):
-    """One party's dead-time filtered stream from its merged clicks
-    (``_sort_clicks``).  Returns the stream and, when ``acc`` kept
-    provenance, the per-tag (emission, setting, outcome, bin) arrays
-    aligned with it (else None)."""
-    times, ports, order, provenance = acc.merged
-    acc.merged = None  # the filtered arrays replace these
-    keep = _dead_time_keep(times, ports, station.channel_ids,
-                           station.detector.dead_time_ps)
-    times, ports = times[keep], ports[keep]
-    if provenance is not None:
-        order = order[keep]
-        provenance = [p[order] for p in provenance]
-
-    stream = TagStream(party=party, duration_ps=duration_ps,
-                       channels=ports, times=times)
-    return stream, provenance
+        lo, hi = np.searchsorted(run, [ch << 48, (ch + 1) << 48])
+        at = run[lo:hi] & ((1 << 48) - 1)
+        dropped.append(at[~kernels._dead_time_filter(times[at], dead_ps)])
+    del run
+    dropped = np.concatenate(dropped)
+    if not dropped.size:
+        return n
+    keep = np.ones(n, dtype=bool)
+    keep[dropped] = False
+    kept = lo = int(dropped.min())
+    while lo < n:
+        sel = keep[lo:lo + _SIM_CHUNK]
+        count = int(np.count_nonzero(sel))
+        for arr in (times, ports, *more):
+            arr[kept:kept + count] = arr[lo:lo + sel.shape[0]][sel]
+        kept += count
+        lo += sel.shape[0]
+    return kept
 
 
 def simulate_session(source: SourceModel, drift: DriftModel, alice: Station,
@@ -607,14 +683,35 @@ def simulate_session(source: SourceModel, drift: DriftModel, alice: Station,
 
 def _party_stream(acc: _PartyAccumulator, station: Station, rng,
                   singles_hz: float, party: str, duration_ps: int):
-    """One party's stream from its coincidence and dark clicks in ``acc``:
-    its singles drawn from ``rng``, the party's own generator, then the
-    sort and the dead time.  Returns what ``_finalize_party`` returns.
-    Runs on a worker thread for Bob (``simulate_session``), so it calls
-    no public function."""
-    _emit_singles(acc, station, rng, singles_hz, duration_ps)
-    _sort_clicks(acc)
-    return _finalize_party(acc, station, party, duration_ps)
+    """One party's stream from its coincidence and dark clicks in ``acc``,
+    with its singles drawn from ``rng``, the party's own generator.
+    Returns the stream and, when ``acc`` kept provenance, the per-tag
+    (emission, setting, outcome, bin) arrays aligned with it (else None).
+
+    The keys (``_party_keys``) are sorted in their buffer, then unpacked
+    into it and into the ports, the only other full-length array; the
+    dead time compacts both in place, so the stream's arrays are
+    prefixes of the two.  Runs on a worker thread for Bob
+    (``simulate_session``), so it calls no public function."""
+    keys, provenance = _party_keys(acc, station, rng, singles_hz,
+                                   duration_ps)
+    # the batches come as a few sorted runs, which a stable sort merges
+    # fast; with provenance its order is compacted along with the tags
+    order = ()
+    if provenance is None:
+        keys.sort(kind="stable")
+    else:
+        order = (np.argsort(keys, kind="stable"),)
+        keys[:] = keys[order[0]]
+    ports = keys.astype(np.uint8)       # the low byte
+    keys >>= 8
+    n = _dead_time_compact(keys, ports, station.channel_ids,
+                           station.detector.dead_time_ps, *order)
+    if provenance is not None:
+        provenance = [p[order[0][:n]] for p in provenance]
+    stream = TagStream(party=party, duration_ps=duration_ps,
+                       channels=ports[:n], times=keys[:n])
+    return stream, provenance
 
 
 def _mode_mask(station: Station, setting_idx: np.ndarray, mode: str) -> np.ndarray:
@@ -678,12 +775,18 @@ def _emit_clicks(acc: _PartyAccumulator, station: Station, rng,
 _SINGLE_PORT_SHARE = {"polarizer": 0.5, "time": 0.5, "interference": 0.25}
 
 
-def _emit_singles(acc: _PartyAccumulator, station: Station, rng,
-                  rate_hz: float, duration_ps: int):
-    """Clicks of the pairs whose partner photon went undetected: one
-    Poisson stream at ``rate_hz`` x P(click), shifted by the channel
-    delay, and one port draw per tag with P(port) = splitting x the mode's
-    port share.  ``rng`` is the party's own generator, not the session's
+def _singles_keys(keys: np.ndarray, n: int, station: Station, rng,
+                  rate_hz: float, probs: np.ndarray, duration_ps: int,
+                  parts):
+    """Pack the clicks of the pairs whose partner photon went undetected
+    into ``keys[n:]``: one Poisson stream at ``rate_hz``, shifted by the
+    channel delay, then one port draw per tag from ``probs`` (each port's
+    splitting x mode share, normalised).  Every time is drawn before the
+    first port, as with whole draws; the ports are drawn and packed
+    ``_SIM_CHUNK`` at a time.  Returns the buffer (a longer copy if the
+    stream outgrew it) and the keys' new end.  With ``parts`` (ground
+    truth) each chunk's provenance is appended to its four lists.
+    ``rng`` is the party's own generator, not the session's
     (``simulate_session``), so each party's singles can be drawn on its
     own thread.
 
@@ -698,23 +801,24 @@ def _emit_singles(acc: _PartyAccumulator, station: Station, rng,
     draws nothing.  In the ground truth a single has emission and bin -1
     and its port's setting and outcome.
     """
-    shares = np.array([split * _SINGLE_PORT_SHARE[mode]
-                       for split, mode in zip(station.splitting, station.modes)
-                       for _ in range(2)])
-    times = _poisson_stream_ps(rng, rate_hz * shares.sum(), duration_ps)
-    n = times.shape[0]
-    if n == 0:
-        return
-    times += station.channel.delay_ps
-    # key 2s + 0 is setting s's plus port, 2s + 1 its minus port
-    key = _setting_choice(rng, n, shares / shares.sum())
-    provenance = (None,) * 4
-    if acc.provenance is not None:
-        signs = np.array([(s.outcome_sign, -s.outcome_sign)
-                          for s in station.settings], dtype=np.int8).ravel()
-        provenance = (np.full(n, -1, np.int64), key // 2, signs[key],
-                      np.full(n, -1, np.int8))
-    acc.add(times, np.array(station.channel_ids, np.uint8)[key], *provenance)
+    start = n
+    for times in _poisson_arrivals(rng, rate_hz, duration_ps):
+        times += station.channel.delay_ps
+        keys = _put(keys, n, np.rint(times, out=times))
+        n += times.shape[0]
+    channels = np.array(station.channel_ids, np.uint8)
+    signs = np.array([(s.outcome_sign, -s.outcome_sign)
+                      for s in station.settings], dtype=np.int8).ravel()
+    for lo in range(start, n, _SIM_CHUNK):
+        hi = min(lo + _SIM_CHUNK, n)
+        key = _setting_choice(rng, hi - lo, probs)
+        _pack_keys(keys[lo:hi], channels[key])
+        if parts is not None:
+            for part, p in zip(parts, (np.full(hi - lo, -1, np.int64),
+                                       key // 2, signs[key],
+                                       np.full(hi - lo, -1, np.int8))):
+                part.append(p)
+    return keys, n
 
 
 # ---------------------------------------------------------------------------
@@ -726,8 +830,9 @@ _HEADER_RE = re.compile(
 
 
 # rows formatted per write: bounds the Python ints and the text in flight
-# (about 70 bytes of objects per row) whatever the stream's length
-_DUMP_ROWS = 1 << 16
+# (about 70 bytes of objects per row, so about 290 KB) whatever the
+# stream's length
+_DUMP_ROWS = 1 << 12
 
 
 def dump_tagstream(stream: TagStream, path_or_file) -> None:
@@ -791,5 +896,7 @@ def load_tagstream(path_or_file) -> TagStream:
         raise ValueError("tag lines must be 'channel<TAB>time_ps'")
     if data.size and ((data[:, 0] < 0).any() or (data[:, 0] > 255).any()):
         raise ValueError("channel ids must be in [0, 255]")
+    # contiguous times, so that readers do not copy a strided column
     return TagStream(party=party, duration_ps=duration,
-                     channels=data[:, 0].astype(np.uint8), times=data[:, 1])
+                     channels=data[:, 0].astype(np.uint8),
+                     times=np.ascontiguousarray(data[:, 1]))

@@ -5,8 +5,14 @@ per-event probabilities from the two-qubit Born rule, and one detection
 attempt applies loss, delay, jitter and dead time tag by tag.  Nothing
 here is shared with ``optics.simulate_session``, which draws whole
 streams at once; tests compare the statistics of the two.
+
+The second half keeps a whole-array reference of one party's last steps
+(singles, sort and dead time): every click batch is concatenated, sorted
+and filtered at full length.  ``optics._party_stream`` must return the
+same bytes and leave its generator in the same state.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,8 +24,10 @@ from hybridqkd.optics import (
     DetectorModel,
     SourceModel,
     Station,
+    TagStream,
 )
 from hybridqkd.quantum import MeasurementSetting, hybrid_state, joint_probability
+from oracle_kernels import dead_time_filter
 
 
 @dataclass(frozen=True)
@@ -162,3 +170,114 @@ def true_pairs(truth) -> tuple[np.ndarray, np.ndarray]:
         truth.alice_emission[a_ok], truth.bob_emission[b_ok],
         assume_unique=True, return_indices=True)
     return np.flatnonzero(a_ok)[ai], np.flatnonzero(b_ok)[bi]
+
+
+# ---------------------------------------------------------------------------
+# whole-array reference of one party's singles, sort and dead time
+# ---------------------------------------------------------------------------
+
+def poisson_stream_ps(rng, rate_hz, duration_ps):
+    """Poisson arrival times in [0, duration) ps, float64, from parts of
+    one whole exponential draw each; a later part adds the last arrival
+    before it after its cumsum."""
+    if rate_hz <= 0 or duration_ps <= 0:
+        return np.empty(0, dtype=np.float64)
+    mean_gap_ps = PS_PER_SECOND / rate_hz
+    expected = duration_ps / mean_gap_ps
+    chunk = int(expected + 6.0 * math.sqrt(expected + 1.0) + 16)
+    parts = []
+    while True:
+        gaps = rng.exponential(mean_gap_ps, size=chunk)
+        times = np.cumsum(gaps, out=gaps)
+        if parts:
+            times += parts[-1][-1]
+        parts.append(times)
+        if times[-1] >= duration_ps:
+            break
+    times = np.concatenate(parts) if len(parts) > 1 else parts[0]
+    return times[:np.searchsorted(times, duration_ps)]
+
+
+def dead_time_keep(times, ports, channel_ids, dead_ps):
+    """The per-channel dead-time keep-mask, one boolean-mask pass per
+    channel through ``oracle_kernels.dead_time_filter``."""
+    keep = np.ones(times.shape[0], dtype=bool)
+    for ch in channel_ids:
+        sel = ports == ch
+        keep[sel] = dead_time_filter(times[sel], np.int64(dead_ps))
+    return keep
+
+
+class PartyAccumulator:
+    """One party's click batches; provenance only when ``truth``."""
+
+    def __init__(self, truth=False):
+        self.times, self.ports = [], []
+        self.provenance = ([], [], [], []) if truth else None
+
+    def add(self, times, ports, emission, setting, outcome, bins):
+        self.times.append(np.asarray(times, dtype=np.float64))
+        self.ports.append(np.asarray(ports, dtype=np.uint8))
+        if self.provenance is not None:
+            for parts, arr, dtype in zip(
+                    self.provenance, (emission, setting, outcome, bins),
+                    (np.int64, np.int8, np.int8, np.int8)):
+                parts.append(np.asarray(arr, dtype=dtype))
+
+
+def emit_singles(acc, station, rng, rate_hz, duration_ps):
+    """One Poisson stream of singles shifted by the channel delay, then one
+    whole uniform draw for their ports, added to ``acc`` as one batch."""
+    share = {"polarizer": 0.5, "time": 0.5, "interference": 0.25}
+    shares = np.array([split * share[mode]
+                       for split, mode in zip(station.splitting, station.modes)
+                       for _ in range(2)])
+    times = poisson_stream_ps(rng, rate_hz * shares.sum(), duration_ps)
+    n = times.shape[0]
+    if n == 0:
+        return
+    times += station.channel.delay_ps
+    r = rng.random(n)
+    key = np.zeros(n, dtype=np.int8)
+    for edge in np.cumsum(shares / shares.sum())[:-1]:
+        key += r >= edge
+    signs = np.array([(s.outcome_sign, -s.outcome_sign)
+                      for s in station.settings], dtype=np.int8).ravel()
+    acc.add(times, np.array(station.channel_ids, np.uint8)[key],
+            np.full(n, -1), key // 2, signs[key], np.full(n, -1))
+
+
+def sort_clicks(acc):
+    """(times, ports, order, provenance) of the concatenated batches in
+    time-major, port-minor order; ``order`` maps them to the batches."""
+    times = (np.concatenate([np.rint(t) for t in acc.times]).astype(np.int64)
+             if acc.times else np.empty(0, np.int64))
+    ports = np.concatenate(acc.ports) if acc.ports else np.empty(0, np.uint8)
+    provenance = None
+    if acc.provenance is not None:
+        provenance = [np.concatenate(parts) if parts else np.empty(0, dtype)
+                      for parts, dtype in zip(acc.provenance,
+                                              (np.int64, np.int8, np.int8,
+                                               np.int8))]
+    ok = times >= 0
+    times, ports = times[ok], ports[ok]
+    if provenance is not None:
+        provenance = [p[ok] for p in provenance]
+    if times.size and times.max() >= 2**55:
+        raise ValueError("tag times of 2**55 ps or more overflow the sort key")
+    order = np.lexsort((ports, times))   # stable: ties keep batch order
+    return times[order], ports[order], order, provenance
+
+
+def party_stream(acc, station, rng, singles_hz, party, duration_ps):
+    """What ``optics._party_stream`` returns, from whole arrays: the
+    singles, the sort and the dead time."""
+    emit_singles(acc, station, rng, singles_hz, duration_ps)
+    times, ports, order, provenance = sort_clicks(acc)
+    keep = dead_time_keep(times, ports, station.channel_ids,
+                          station.detector.dead_time_ps)
+    stream = TagStream(party=party, duration_ps=duration_ps,
+                       channels=ports[keep], times=times[keep])
+    if provenance is not None:
+        provenance = [p[order[keep]] for p in provenance]
+    return stream, provenance

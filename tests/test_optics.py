@@ -29,6 +29,7 @@ from hybridqkd.optics import (
     simulate_session,
 )
 import oracle_kernels
+import oracle_optics
 from oracle_optics import (
     detect,
     generate_pair_times,
@@ -177,6 +178,134 @@ class TestPoissonStream:
         np.testing.assert_array_equal(
             times, np.cumsum(np.full(int(100_000 / gap) - 1, gap)))
         assert times[-1] == 100_000 - gap
+
+
+class ShortGaps:
+    """Generator stand-in whose exponential gaps are a quarter of the mean
+    asked for, so that a Poisson stream needs later parts; its draws are
+    a real generator's."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.sizes = []
+
+    def exponential(self, scale, size):
+        self.sizes.append(size)
+        return self.rng.exponential(scale / 4, size)
+
+    def random(self, size):
+        return self.rng.random(size)
+
+
+# a dead time of about one mean gap of the test streams: many close runs
+DEAD_DETECTOR = DetectorModel(efficiency=1.0, jitter_fwhm_ps=0.0,
+                              dark_rate_hz=0.0, dead_time_ps=2000)
+SPAN_PS = 10**6
+
+
+def click_batches(rng, station, sizes, negative=True):
+    """Click batches as ``simulate_session`` adds them, with provenance:
+    a sorted, jittered batch that starts below 0 when ``negative``, then
+    batches of whole and half ps on a 500 ps grid, where (time, port)
+    ties are common."""
+    ports = np.array(station.channel_ids, dtype=np.uint8)
+    low = -SPAN_PS // 20 if negative else 2000
+    batches = []
+    for i, k in enumerate(sizes):
+        if i == 0:
+            times = (np.sort(rng.uniform(low, SPAN_PS, k))
+                     + rng.normal(0.0, 400.0, k))
+        else:
+            times = (rng.integers(0, 50, k) * 500.0
+                     + rng.choice([0.0, 0.5, 1.5], k))
+        batches.append((times, rng.choice(ports, k),
+                        np.arange(k) + 10_000 * i,
+                        rng.integers(-1, 3, k), rng.choice([-1, 1], k),
+                        rng.integers(-1, 2, k)))
+    return batches
+
+
+class TestPartyPipeline:
+    """``optics._party_stream`` against the whole-array reference in
+    ``tests/oracle_optics.py``, at chunk sizes that put chunk boundaries
+    everywhere: the same stream bytes, the same provenance and the same
+    generator state after."""
+
+    @staticmethod
+    def assert_matches_reference(station, batches, make_rng, singles_hz,
+                                 truth):
+        got_acc = optics._PartyAccumulator(truth)
+        want_acc = oracle_optics.PartyAccumulator(truth)
+        for times, *rest in batches:
+            got_acc.add(times.copy(), *rest)
+            want_acc.add(times.copy(), *rest)
+        got_rng, want_rng = make_rng(), make_rng()
+        got, got_prov = optics._party_stream(
+            got_acc, station, got_rng, singles_hz, "bob", SPAN_PS)
+        want, want_prov = oracle_optics.party_stream(
+            want_acc, station, want_rng, singles_hz, "bob", SPAN_PS)
+        assert 0 < len(want)
+        np.testing.assert_array_equal(got.times, want.times)
+        np.testing.assert_array_equal(got.channels, want.channels)
+        assert got.times.dtype == np.int64 and got.channels.dtype == np.uint8
+        if truth:
+            for g, w, dtype in zip(got_prov, want_prov,
+                                   optics._PROVENANCE_DTYPES):
+                assert g.dtype == dtype
+                np.testing.assert_array_equal(g, w)
+        else:
+            assert got_prov is None
+        assert got_rng.random(1) == want_rng.random(1)
+        return got
+
+    @pytest.mark.parametrize("truth", [False, True])
+    @pytest.mark.parametrize("extra", [0, 1])
+    @pytest.mark.parametrize("chunk", [1, 3, 64])
+    def test_streams_ending_on_a_chunk_boundary(self, monkeypatch, chunk,
+                                                extra, truth):
+        # 192 clicks, a multiple of every chunk size, or one more; the
+        # singles' count comes from the same draws the reference makes
+        monkeypatch.setattr(optics, "_SIM_CHUNK", chunk)
+        station = alice_station(ChannelModel(1.0, 700), DEAD_DETECTOR)
+        singles_hz = 1.2e8
+        singles = oracle_optics.poisson_stream_ps(
+            np.random.default_rng(40), singles_hz, SPAN_PS).shape[0]
+        batched = 192 + extra - singles
+        assert 0 < batched < 192
+        batches = click_batches(np.random.default_rng(41), station,
+                                [batched - 30, 10, 20], negative=False)
+        self.assert_matches_reference(
+            station, batches, lambda: np.random.default_rng(40), singles_hz,
+            truth)
+
+    @pytest.mark.parametrize("truth", [False, True])
+    @pytest.mark.parametrize("chunk", [1, 3, 64])
+    def test_later_parts_negative_times_and_ties(self, monkeypatch, chunk,
+                                                 truth):
+        monkeypatch.setattr(optics, "_SIM_CHUNK", chunk)
+        station = bob_station(ChannelModel(1.0, 300), DEAD_DETECTOR)
+        batches = click_batches(np.random.default_rng(42), station,
+                                [150, 60, 1, 0, 40])
+        assert (batches[0][0] < -0.5).any()
+        # quarter-size gaps: Bob's singles (3/4 of 4e7 Hz reach a port)
+        # need a second part
+        rng = ShortGaps(43)
+        oracle_optics.poisson_stream_ps(rng, 3e7, SPAN_PS)
+        assert len(rng.sizes) > 1
+        self.assert_matches_reference(station, batches,
+                                      lambda: ShortGaps(43), 4e7, truth)
+
+    def test_no_singles_and_no_clicks(self):
+        station = bob_station(ChannelModel(1.0, 0), DEAD_DETECTOR)
+        for batches in ([], [(np.array([-2.0, -0.7]), [1, 2], *[[0, 0]] * 4)]):
+            acc = optics._PartyAccumulator()
+            for batch in batches:
+                acc.add(*batch)
+            rng = np.random.default_rng(44)
+            stream, provenance = optics._party_stream(acc, station, rng, 0.0,
+                                                      "bob", SPAN_PS)
+            assert len(stream) == 0 and provenance is None
+            assert rng.random() == np.random.default_rng(44).random()
 
 
 class TestSamplePairOutcome:
@@ -423,8 +552,8 @@ class TestSimulateSession:
         acc = optics._PartyAccumulator(truth=True)
         acc.add(times, ports, np.arange(n), np.zeros(n), np.zeros(n),
                 np.zeros(n))
-        optics._sort_clicks(acc)
-        stream, (emission, *_) = optics._finalize_party(acc, a, "alice", 100)
+        stream, (emission, *_) = optics._party_stream(
+            acc, a, np.random.default_rng(0), 0.0, "alice", 100)
         ok = np.flatnonzero(times >= 0)
         order = ok[np.lexsort((ports[ok], times[ok]))]
         np.testing.assert_array_equal(emission, order)
@@ -441,7 +570,24 @@ class TestSimulateSession:
                                                         np.int64(dead))
         return keep
 
-    def test_dead_time_keep_matches_per_channel_masks(self):
+    @staticmethod
+    def compacted_keep(times, ports, channel_ids, dead):
+        """The keep-mask ``optics._dead_time_compact`` applies, read from
+        the tag indices it moves to the front along with the tags."""
+        index = np.arange(times.shape[0])
+        kept_times, kept_ports = times.copy(), ports.copy()
+        n = optics._dead_time_compact(kept_times, kept_ports, channel_ids,
+                                      dead, index)
+        assert (np.diff(index[:n]) > 0).all()
+        keep = np.zeros(times.shape[0], dtype=bool)
+        keep[index[:n]] = True
+        np.testing.assert_array_equal(kept_times[:n], times[keep])
+        np.testing.assert_array_equal(kept_ports[:n], ports[keep])
+        return keep
+
+    def test_dead_time_keep_matches_per_channel_masks(self, monkeypatch):
+        # the gaps are compared, and the tags compacted, a chunk at a time
+        monkeypatch.setattr(optics, "_SIM_CHUNK", 7)
         rng = np.random.default_rng(16)
         channel_sets = ((1, 2, 3, 4, 5, 6), (0, 3, 5, 7), (2,))
         for trial in range(200):
@@ -454,7 +600,7 @@ class TestSimulateSession:
             times, ports = times[order], ports[order]
             dead = int(rng.integers(0, 40))
             np.testing.assert_array_equal(
-                optics._dead_time_keep(times, ports, channel_ids, dead),
+                self.compacted_keep(times, ports, channel_ids, dead),
                 self.per_channel_masks(times, ports, channel_ids, dead))
         # inputs that stress the close runs, the only tags the filter visits
         channel_ids = (1, 2, 3, 4, 5, 6)
@@ -479,7 +625,7 @@ class TestSimulateSession:
             times = np.asarray(times, dtype=np.int64)
             ports = np.asarray(ports, dtype=np.uint8)
             np.testing.assert_array_equal(
-                optics._dead_time_keep(times, ports, channel_ids, dead),
+                self.compacted_keep(times, ports, channel_ids, dead),
                 self.per_channel_masks(times, ports, channel_ids, dead))
 
     def test_finalize_dead_time_matches_per_channel_masks(self):
@@ -500,8 +646,8 @@ class TestSimulateSession:
             acc = optics._PartyAccumulator(truth)
             acc.add(times, ports, np.arange(n), np.zeros(n), np.zeros(n),
                     np.zeros(n))
-            optics._sort_clicks(acc)
-            stream, provenance = optics._finalize_party(acc, a, "alice", 100)
+            stream, provenance = optics._party_stream(
+                acc, a, np.random.default_rng(0), 0.0, "alice", 100)
             np.testing.assert_array_equal(stream.times, times[order])
             np.testing.assert_array_equal(stream.channels, ports[order])
             if truth:
@@ -703,8 +849,11 @@ class TestTagStreamIO:
                          channels=np.array([1, 3, 2, 6], dtype=np.uint8),
                          times=np.array([100, 250, 250, 901], dtype=np.int64))
 
+    # a slice boundary and one past it, after one slice and after many
     @pytest.mark.parametrize("n", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1,
-                                   2 * CHUNK + 1])
+                                   2 * CHUNK + 1, 16 * CHUNK - 1,
+                                   16 * CHUNK, 16 * CHUNK + 1,
+                                   32 * CHUNK + 1])
     def test_matches_savetxt_and_round_trips(self, n):
         stream = edge_stream(n)
         assert len(stream) == n
@@ -768,6 +917,15 @@ class TestTagStreamIO:
         assert loaded.duration_ps == 10**9
         assert np.array_equal(loaded.channels, stream.channels)
         assert np.array_equal(loaded.times, stream.times)
+
+    def test_loaded_times_are_contiguous(self):
+        # readers take the times as they are, without copying a column
+        buf = io.StringIO()
+        dump_tagstream(self.make_stream(), buf)
+        buf.seek(0)
+        loaded = load_tagstream(buf)
+        assert loaded.times.flags.c_contiguous
+        assert loaded.channels.flags.c_contiguous
 
     def test_header_format(self):
         stream = self.make_stream()

@@ -6,6 +6,7 @@ path, as on a two-CPU host."""
 
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -57,15 +58,15 @@ def test_worker_exception_reaches_caller():
 
 
 def test_bob_sort_key_overflow_raised_from_worker(split, monkeypatch):
-    # Bob's tags land past 2**55 ps; his clicks sort on the worker
+    # Bob's tags land past 2**55 ps; his sort keys are packed on the worker
     threads = []
-    original = optics._sort_clicks
+    original = optics._pack_keys
 
-    def recorded(acc):
+    def recorded(keys, ports):
         threads.append(threading.current_thread())
-        return original(acc)
+        return original(keys, ports)
 
-    monkeypatch.setattr(optics, "_sort_clicks", recorded)
+    monkeypatch.setattr(optics, "_pack_keys", recorded)
     a = alice_station(ChannelModel(1.0, 0), PERFECT)
     b = bob_station(ChannelModel(1.0, 2**55), PERFECT)
     before = threading.enumerate()
@@ -105,6 +106,19 @@ def test_streams_same_with_and_without_split(split, monkeypatch):
     assert_same_streams(two, one)
     for name, value in vars(two.truth).items():
         np.testing.assert_array_equal(value, getattr(one.truth, name))
+
+
+def test_simulation_memory(split):
+    # one int64 key buffer per party; every other full-length array is
+    # byte-wide, and the rest are chunks
+    tracemalloc.start()
+    try:
+        streams = paper_streams(0.2, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert split and all(split)
+    assert peak <= 16 * (len(streams.alice) + len(streams.bob))
 
 
 def test_one_seed_sequence_gives_same_streams(split):
@@ -184,8 +198,8 @@ def test_public_functions_run_on_their_callers_thread(split, monkeypatch,
     assert any(split)
     # a tracer wraps module-level functions, not methods or closures
     functions = {name for name, top in on_worker if top}
-    assert {"_party_stream", "_emit_singles", "_sort_clicks",
-            "_finalize_party", "_dead_time_filter"} <= functions
+    assert {"_party_stream", "_party_keys", "_singles_keys", "_pack_keys",
+            "_dead_time_compact", "_dead_time_filter"} <= functions
     assert not [name for name in functions if not name.startswith("_")]
 
 
