@@ -76,12 +76,16 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    cfg = harness.load_config(args.config)
-    transmittance, raw_bps, rows = harness.calibrate_loss(
-        cfg, target_raw_bps=args.target_raw, tolerance=args.tolerance)
+    # through the config, so that the schema checks both values
+    overrides = {"calibrate__target_raw_bps": args.target_raw}
+    if args.tolerance is not None:
+        overrides["calibrate__tolerance"] = args.tolerance
+    cfg = harness.load_config(args.config).replaced(**overrides)
+    transmittance, raw_bps, rows = harness.calibrate_loss(cfg)
     print(f"calibrated channel.bob.transmittance = {transmittance:.10g}")
     print(f"verified raw rate = {raw_bps:.6g} bps "
-          f"(target {args.target_raw:.6g}, {len(rows)} probes)")
+          f"(target {cfg['calibrate.target_raw_bps']:.6g}, "
+          f"{len(rows)} probes)")
     if args.out is not None:
         from pathlib import Path
         out = Path(args.out)

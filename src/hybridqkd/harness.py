@@ -90,10 +90,6 @@ def _fraction(x):
     return 0 < x <= 1
 
 
-def _finite(x):
-    return math.isfinite(x)
-
-
 @dataclass(frozen=True)
 class _Key:
     kind: str                   # int | float | str | bool | floats
@@ -134,16 +130,15 @@ SCHEMA = {
     "dump_tags": _Key("bool", False),
     "source.pair_rate_hz": _Key("float", 200_000.0, _positive,
                                 "must be > 0"),
-    "source.reference_phase": _Key("float", math.pi, _finite,
-                                   "must be finite"),
+    "source.reference_phase": _Key("float", math.pi),
     **_channel_keys("alice"),
     **_channel_keys("bob"),
     **_detector_keys("alice"),
     **_detector_keys("bob"),
     "drift.kind": _Key("str", "none", choices=("none", "linear", "sine")),
-    "drift.offset_rad": _Key("float", 0.0, _finite, "must be finite"),
-    "drift.rate_rad_per_s": _Key("float", 0.0, _finite, "must be finite"),
-    "drift.amplitude_rad": _Key("float", 0.0, _finite, "must be finite"),
+    "drift.offset_rad": _Key("float", 0.0),
+    "drift.rate_rad_per_s": _Key("float", 0.0),
+    "drift.amplitude_rad": _Key("float", 0.0),
     "drift.period_s": _Key("float", 1.0, _positive, "must be > 0"),
     "protocol.window_ps": _Key("int", 64, _positive, "must be >= 1"),
     "protocol.sample_fraction": _Key("float", 0.1,
@@ -155,9 +150,8 @@ SCHEMA = {
                                  "must be >= 0"),
     "sweep.parameter": _Key("str", "", choices=("",) + SWEEP_PARAMETERS),
     "sweep.values": _Key("floats", ()),
-    "sweep.temp_coefficient_rad_per_c": _Key("float", 0.8, _finite,
-                                             "must be finite"),
-    "sweep.temp_reference_c": _Key("float", 0.0, _finite, "must be finite"),
+    "sweep.temp_coefficient_rad_per_c": _Key("float", 0.8),
+    "sweep.temp_reference_c": _Key("float", 0.0),
     "calibrate.target_raw_bps": _Key("float", 1500.0, _positive,
                                      "must be > 0"),
     "calibrate.probe_s": _Key("float", 2.0, _positive, "must be > 0"),
@@ -204,6 +198,9 @@ def _convert(path, key, raw, errors):
             value = float(raw)
         except ValueError:
             errors.append(f"{path}: expected a number, got {raw!r}")
+            return None
+        if not math.isfinite(value):
+            errors.append(f"{path}: must be finite, got {value}")
             return None
     elif key.kind == "bool":
         if raw.lower() not in ("true", "false"):
@@ -501,9 +498,14 @@ def _raw_rate(cfg, transmittance, seed, duration_s) -> float:
     return raw_bits / duration_s
 
 
-def calibrate_loss(cfg: ScenarioConfig, target_raw_bps=None,
-                   tolerance=None, max_iterations=32):
-    """Find the Bob-channel transmittance yielding the target raw rate.
+# the probe count at which calibrate_loss's bisection stops, the
+# bracketing probes included
+_CALIBRATE_ITERATIONS = 32
+
+
+def calibrate_loss(cfg: ScenarioConfig):
+    """Find the Bob-channel transmittance yielding the raw rate
+    ``calibrate.target_raw_bps`` within ``calibrate.tolerance``.
 
     The raw rate is monotone in the transmittance, so bisection on a
     bracket around the linear estimate converges quickly; every probe
@@ -511,9 +513,8 @@ def calibrate_loss(cfg: ScenarioConfig, target_raw_bps=None,
     ``(transmittance, verified_raw_bps, iteration_rows)`` where the rows
     log every probe as (iteration, transmittance, raw_bps).
     """
-    target = cfg["calibrate.target_raw_bps"] if target_raw_bps is None \
-        else float(target_raw_bps)
-    tol = cfg["calibrate.tolerance"] if tolerance is None else float(tolerance)
+    target = cfg["calibrate.target_raw_bps"]
+    tol = cfg["calibrate.tolerance"]
     probe_s = cfg["calibrate.probe_s"]
     seed = cfg["seed"]
     rows = []
@@ -549,7 +550,7 @@ def calibrate_loss(cfg: ScenarioConfig, target_raw_bps=None,
             f"transmittance {lo:.3g} is already {rate_lo:.6g} bps")
 
     best, best_rate = (hi, rate_hi) if rate_hi >= target else (lo, rate_lo)
-    for iteration in range(len(rows), max_iterations):
+    for iteration in range(len(rows), _CALIBRATE_ITERATIONS):
         mid = 0.5 * (lo + hi)
         rate = probe(mid, iteration)
         if abs(rate - target) < abs(best_rate - target):

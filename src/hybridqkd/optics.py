@@ -55,10 +55,8 @@ parties expect more than ``kernels._SPLIT_TAGS`` clicks and the process
 may use two CPUs, Bob's singles, sort and dead time (``_party_stream``)
 run on a worker thread while Alice's run on the calling thread.  As
 neither party draws from the other's generator, the streams are the
-same either way.  Per-tag ground truth (:class:`GroundTruth`) is
-produced only on request (``truth=True``); the streams do not depend on
-it.  A scalar one-emission-at-a-time model of the same physics lives in
-``tests/oracle_optics.py`` as the tests' reference.
+same either way.  A scalar one-emission-at-a-time model of the same
+physics lives in ``tests/oracle_optics.py`` as the tests' reference.
 
 All tag times are int64 picoseconds.
 """
@@ -68,7 +66,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -87,7 +85,6 @@ __all__ = [
     "DriftModel",
     "Station",
     "TagStream",
-    "GroundTruth",
     "SessionResult",
     "detector_presets",
     "alice_station",
@@ -103,6 +100,14 @@ __all__ = [
 # models
 # ---------------------------------------------------------------------------
 
+def _require_finite(model):
+    """Refuse a model with an infinite or NaN float field."""
+    for field in fields(model):
+        value = getattr(model, field.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{field.name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class SourceModel:
     """Pair source: emission rate and the static interferometric phase."""
@@ -111,6 +116,7 @@ class SourceModel:
     reference_phase: float = math.pi
 
     def __post_init__(self):
+        _require_finite(self)
         if self.pair_rate_hz < 0:
             raise ValueError("pair_rate_hz must be >= 0")
 
@@ -123,6 +129,7 @@ class ChannelModel:
     delay_ps: int = 0
 
     def __post_init__(self):
+        _require_finite(self)
         if not 0.0 <= self.transmittance <= 1.0:
             raise ValueError("transmittance must be in [0, 1]")
         if self.delay_ps < 0:
@@ -139,6 +146,7 @@ class DetectorModel:
     dead_time_ps: int
 
     def __post_init__(self):
+        _require_finite(self)
         if not 0.0 <= self.efficiency <= 1.0:
             raise ValueError("efficiency must be in [0, 1]")
         if self.jitter_fwhm_ps < 0 or self.dark_rate_hz < 0 or self.dead_time_ps < 0:
@@ -177,6 +185,7 @@ class DriftModel:
     period_s: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self)
         if self.kind not in ("none", "linear", "sine"):
             raise ValueError(f"unknown drift kind {self.kind!r}")
         if self.kind == "sine" and self.period_s <= 0:
@@ -293,34 +302,9 @@ class TagStream:
 
 
 @dataclass
-class GroundTruth:
-    """Per-tag provenance, index-aligned with the two tag streams.
-
-    emission ids are session-local labels of the pairs both parties
-    detected, ``emission_count`` of them; a pair of tags with the same
-    nonnegative id came from the same emission.  -1 means no recorded
-    partner: a single (its partner photon went undetected) or a dark
-    count.  setting is the index into the station's settings tuple (-1
-    dark), outcome the quantum +-1 (0 dark), both read back from the port
-    for a single; bin is the time-bin offset count (-1 single or dark).
-    """
-
-    emission_count: int
-    alice_emission: np.ndarray
-    alice_setting: np.ndarray
-    alice_outcome: np.ndarray
-    alice_bin: np.ndarray
-    bob_emission: np.ndarray
-    bob_setting: np.ndarray
-    bob_outcome: np.ndarray
-    bob_bin: np.ndarray
-
-
-@dataclass
 class SessionResult:
     alice: TagStream
     bob: TagStream
-    truth: GroundTruth | None  # None unless simulated with truth=True
 
 
 # ---------------------------------------------------------------------------
@@ -431,30 +415,6 @@ def _ports_for(station: Station, setting_idx: np.ndarray,
     return table[key]
 
 
-# emission id, setting, outcome, bin
-_PROVENANCE_DTYPES = (np.int64, np.int8, np.int8, np.int8)
-
-
-class _PartyAccumulator:
-    """One party's click batches (float64 times, ports and, only when
-    ``truth`` is set, provenance), in order, until ``_party_keys`` packs
-    them.  Without ``truth`` callers pass None for the arrays that only
-    provenance needs."""
-
-    def __init__(self, truth: bool = False):
-        self.truth = truth
-        self.batches = []  # (times, ports, provenance list or None)
-
-    def add(self, times, ports, emission, setting, outcome, bins):
-        provenance = None
-        if self.truth:
-            provenance = [np.asarray(arr, dtype=dtype) for arr, dtype in
-                          zip((emission, setting, outcome, bins),
-                              _PROVENANCE_DTYPES)]
-        self.batches.append((np.asarray(times),
-                             np.asarray(ports, dtype=np.uint8), provenance))
-
-
 def _pack_keys(keys: np.ndarray, ports: np.ndarray):
     """Turn tag times into ``time << 8 | port`` sort keys, in place."""
     if keys.size and keys.max() >= 2**55:
@@ -463,27 +423,25 @@ def _pack_keys(keys: np.ndarray, ports: np.ndarray):
     keys |= ports
 
 
-def _party_keys(acc: _PartyAccumulator, station: Station, rng,
-                singles_hz: float, duration_ps: int):
+def _party_keys(batches: list, station: Station, rng, singles_hz: float,
+                duration_ps: int) -> np.ndarray:
     """One party's clicks as sort keys (``_pack_keys``) in one int64
-    buffer, in batch order: the batches of ``acc``, each time rounded to
-    the nearest ps and the negative ones dropped, then the singles
-    (``_singles_keys``).  The buffer holds the batches and the singles'
-    draw bound.  Returns the keys (a prefix of the buffer) and, when
-    ``acc`` kept provenance, the per-click (emission, setting, outcome,
-    bin) arrays in the same order (else None)."""
+    buffer, in batch order: the ``(float64 times, uint8 ports)`` batches,
+    popped and freed one by one, each time rounded to the nearest ps and
+    the negative ones dropped, then the singles (``_singles_keys``).  The
+    buffer holds the batches and the singles' draw bound; the keys are a
+    prefix of it."""
     # P(click on port) of a single, per key 2s + 0 (setting s's plus
     # port) and 2s + 1 (its minus port)
     shares = np.array([split * _SINGLE_PORT_SHARE[mode]
                        for split, mode in zip(station.splitting, station.modes)
                        for _ in range(2)])
     rate_hz = singles_hz * shares.sum()
-    keys = np.empty(sum(t.shape[0] for t, _, _ in acc.batches)
+    keys = np.empty(sum(t.shape[0] for t, _ in batches)
                     + _poisson_size(rate_hz, duration_ps), dtype=np.int64)
-    parts = ([], [], [], []) if acc.truth else None
     n = 0
-    while acc.batches:  # each batch is freed once packed
-        times, ports, provenance = acc.batches.pop(0)
+    while batches:
+        times, ports = batches.pop(0)
         end = n + times.shape[0]
         np.copyto(keys[n:end], np.rint(times, out=times), casting="unsafe")
         del times
@@ -493,27 +451,18 @@ def _party_keys(acc: _PartyAccumulator, station: Station, rng,
             end = n + kept.shape[0]
             keys[n:end] = kept
             ports = ports[ok]
-            if provenance is not None:
-                provenance = [p[ok] for p in provenance]
         _pack_keys(keys[n:end], ports)
-        if parts is not None:
-            for part, p in zip(parts, provenance):
-                part.append(p)
         n = end
     keys, n = _singles_keys(keys, n, station, rng, rate_hz,
-                            shares / shares.sum(), duration_ps, parts)
-    provenance = None
-    if parts is not None:
-        provenance = [np.concatenate(part) if part else np.empty(0, dtype)
-                      for part, dtype in zip(parts, _PROVENANCE_DTYPES)]
-    return keys[:n], provenance
+                            shares / shares.sum(), duration_ps)
+    return keys[:n]
 
 
 def _dead_time_compact(times: np.ndarray, ports: np.ndarray, channel_ids,
-                       dead_ps: int, *more: np.ndarray) -> int:
+                       dead_ps: int) -> int:
     """Apply the per-channel dead time to time-sorted tags in place: the
-    kept tags of ``times``, ``ports`` and each array of ``more`` move, in
-    order, to the front.  Returns how many are kept.
+    kept tags of ``times`` and ``ports`` move, in order, to the front.
+    Returns how many are kept.
 
     Only the close runs, the tags next to a gap shorter than ``dead_ps``
     whatever their channels, are filtered.  That is exact: a tag at least
@@ -558,7 +507,7 @@ def _dead_time_compact(times: np.ndarray, ports: np.ndarray, channel_ids,
     while lo < n:
         sel = keep[lo:lo + _SIM_CHUNK]
         count = int(np.count_nonzero(sel))
-        for arr in (times, ports, *more):
+        for arr in (times, ports):
             arr[kept:kept + count] = arr[lo:lo + sel.shape[0]][sel]
         kept += count
         lo += sel.shape[0]
@@ -566,15 +515,11 @@ def _dead_time_compact(times: np.ndarray, ports: np.ndarray, channel_ids,
 
 
 def simulate_session(source: SourceModel, drift: DriftModel, alice: Station,
-                     bob: Station, duration_s: float, seed, *,
-                     truth: bool = False) -> SessionResult:
+                     bob: Station, duration_s: float, seed) -> SessionResult:
     """Simulate one accumulation block and return both tag streams.
 
     ``seed`` may be an int, a SeedSequence, or a Generator.  Identical
-    arguments and seed give bit-identical streams.  With ``truth=True``
-    the result also carries the per-tag :class:`GroundTruth`; without it
-    ``SessionResult.truth`` is None and no provenance is kept.  The flag
-    changes no random draw, so the streams are the same either way.
+    arguments and seed give bit-identical streams.
     """
     rng = np.random.default_rng(seed)
     duration_ps = int(round(duration_s * PS_PER_SECOND))
@@ -583,14 +528,12 @@ def simulate_session(source: SourceModel, drift: DriftModel, alice: Station,
     p_det_b = bob.channel.transmittance * bob.detector.efficiency
     rate = source.pair_rate_hz
 
-    acc_a = _PartyAccumulator(truth)
-    acc_b = _PartyAccumulator(truth)
+    # each party's click batches, (float64 times, uint8 ports), in order
+    batches_a, batches_b = [], []
 
     # --- pairs with both photons detected -------------------------------
     t_both = _poisson_stream_ps(rng, rate * p_det_a * p_det_b, duration_ps)
     n_both = t_both.shape[0]
-    # session-local emission labels; only ground truth reads them
-    ids_both = np.arange(n_both, dtype=np.int64) if truth else None
 
     a_set = _setting_choice(rng, n_both, alice.splitting)
     b_set = _setting_choice(rng, n_both, bob.splitting)
@@ -633,29 +576,22 @@ def simulate_session(source: SourceModel, drift: DriftModel, alice: Station,
     # the central/satellite split: central b1 clicks survive, satellites don't.
 
     t_bob = t_both[b_keep]       # taken before Alice's clicks add into t_both
-    _emit_clicks(acc_a, alice, rng, t_both, ids_both, a_set, x, bin_a)
-    _emit_clicks(acc_b, bob, rng, t_bob,
-                 None if ids_both is None else ids_both[b_keep],
-                 b_set[b_keep], y[b_keep], bin_b[b_keep])
-    del t_both, ids_both, a_set, b_set, central, x, y, bin_a, bin_b, b_keep
+    _emit_clicks(batches_a, alice, rng, t_both, a_set, x, bin_a)
+    _emit_clicks(batches_b, bob, rng, t_bob, b_set[b_keep], y[b_keep],
+                 bin_b[b_keep])
+    del t_both, a_set, b_set, central, x, y, bin_a, bin_b, b_keep
 
     # --- dark counts ------------------------------------------------------
     duration_s_exact = duration_ps / PS_PER_SECOND
-    for station, acc in ((alice, acc_a), (bob, acc_b)):
+    for station, batches in ((alice, batches_a), (bob, batches_b)):
         dark = station.detector.dark_rate_hz
         if dark <= 0:
             continue
         for ch in station.channel_ids:
             n_dark = rng.poisson(dark * duration_s_exact)
             t_dark = rng.integers(0, duration_ps, size=n_dark, dtype=np.int64)
-            provenance = (None,) * 4
-            if truth:
-                provenance = (np.full(n_dark, -1, np.int64),
-                              np.full(n_dark, -1, np.int8),
-                              np.zeros(n_dark, np.int8),
-                              np.full(n_dark, -1, np.int8))
-            acc.add(t_dark.astype(np.float64), np.full(n_dark, ch, np.uint8),
-                    *provenance)
+            batches.append((t_dark.astype(np.float64),
+                            np.full(n_dark, ch, np.uint8)))
 
     # --- pairs with only one photon detected, then sort and dead time -----
     # each party draws its singles from a generator of its own, derived
@@ -668,50 +604,36 @@ def simulate_session(source: SourceModel, drift: DriftModel, alice: Station,
     expected = duration_s_exact * min(
         rate * p_det + st.detector.dark_rate_hz * len(st.channel_ids)
         for st, p_det in ((alice, p_det_a), (bob, p_det_b)))
-    (stream_a, prov_a), (stream_b, prov_b) = kernels._in_parallel(
+    stream_a, stream_b = kernels._in_parallel(
         _party_stream,
-        [(acc_a, alice, rng_a, rate * p_det_a * (1.0 - p_det_b), "alice",
-          duration_ps),
-         (acc_b, bob, rng_b, rate * (1.0 - p_det_a) * p_det_b, "bob",
+        [(batches_a, alice, rng_a, rate * p_det_a * (1.0 - p_det_b),
+          "alice", duration_ps),
+         (batches_b, bob, rng_b, rate * (1.0 - p_det_a) * p_det_b, "bob",
           duration_ps)],
         kernels._two_threads(expected))
-    ground = None
-    if truth:
-        ground = GroundTruth(n_both, *prov_a, *prov_b)
-    return SessionResult(alice=stream_a, bob=stream_b, truth=ground)
+    return SessionResult(alice=stream_a, bob=stream_b)
 
 
-def _party_stream(acc: _PartyAccumulator, station: Station, rng,
-                  singles_hz: float, party: str, duration_ps: int):
-    """One party's stream from its coincidence and dark clicks in ``acc``,
-    with its singles drawn from ``rng``, the party's own generator.
-    Returns the stream and, when ``acc`` kept provenance, the per-tag
-    (emission, setting, outcome, bin) arrays aligned with it (else None).
+def _party_stream(batches: list, station: Station, rng, singles_hz: float,
+                  party: str, duration_ps: int) -> TagStream:
+    """One party's stream from its coincidence and dark click
+    ``batches`` (``_party_keys``), with its singles drawn from ``rng``,
+    the party's own generator.
 
     The keys (``_party_keys``) are sorted in their buffer, then unpacked
     into it and into the ports, the only other full-length array; the
     dead time compacts both in place, so the stream's arrays are
     prefixes of the two.  Runs on a worker thread for Bob
     (``simulate_session``), so it calls no public function."""
-    keys, provenance = _party_keys(acc, station, rng, singles_hz,
-                                   duration_ps)
-    # the batches come as a few sorted runs, which a stable sort merges
-    # fast; with provenance its order is compacted along with the tags
-    order = ()
-    if provenance is None:
-        keys.sort(kind="stable")
-    else:
-        order = (np.argsort(keys, kind="stable"),)
-        keys[:] = keys[order[0]]
+    keys = _party_keys(batches, station, rng, singles_hz, duration_ps)
+    # the batches come as a few sorted runs: a stable sort merges them fast
+    keys.sort(kind="stable")
     ports = keys.astype(np.uint8)       # the low byte
     keys >>= 8
     n = _dead_time_compact(keys, ports, station.channel_ids,
-                           station.detector.dead_time_ps, *order)
-    if provenance is not None:
-        provenance = [p[order[0][:n]] for p in provenance]
-    stream = TagStream(party=party, duration_ps=duration_ps,
-                       channels=ports[:n], times=keys[:n])
-    return stream, provenance
+                           station.detector.dead_time_ps)
+    return TagStream(party=party, duration_ps=duration_ps,
+                     channels=ports[:n], times=keys[:n])
 
 
 def _mode_mask(station: Station, setting_idx: np.ndarray, mode: str) -> np.ndarray:
@@ -746,10 +668,11 @@ def _path_outcomes(station: Station, setting_idx, path, rng) -> np.ndarray:
     return _signs(rng.random(setting_idx.shape[0]) < table[key])
 
 
-def _emit_clicks(acc: _PartyAccumulator, station: Station, rng,
-                 t_emit, emission_ids, setting_idx, outcome, bins):
+def _emit_clicks(batches: list, station: Station, rng, t_emit, setting_idx,
+                 outcome, bins):
     """Turn sampled outcomes into detector clicks: port routing, bin offset,
-    channel delay, jitter, added into ``t_emit`` (the caller's to give)."""
+    channel delay, jitter, added into ``t_emit`` (the caller's to give),
+    appended to ``batches`` as one (times, ports) batch."""
     n = t_emit.shape[0]
     if n == 0:
         return
@@ -765,7 +688,7 @@ def _emit_clicks(acc: _PartyAccumulator, station: Station, rng,
         jitter = rng.standard_normal(n, out=offset)
         jitter *= sigma
         t_emit += jitter
-    acc.add(t_emit, ports, emission_ids, setting_idx, outcome, bins)
+    batches.append((t_emit, ports))
 
 
 # P(port | setting) of a photon whose partner went unrecorded, by analyzer
@@ -776,19 +699,16 @@ _SINGLE_PORT_SHARE = {"polarizer": 0.5, "time": 0.5, "interference": 0.25}
 
 
 def _singles_keys(keys: np.ndarray, n: int, station: Station, rng,
-                  rate_hz: float, probs: np.ndarray, duration_ps: int,
-                  parts):
+                  rate_hz: float, probs: np.ndarray, duration_ps: int):
     """Pack the clicks of the pairs whose partner photon went undetected
     into ``keys[n:]``: one Poisson stream at ``rate_hz``, shifted by the
     channel delay, then one port draw per tag from ``probs`` (each port's
     splitting x mode share, normalised).  Every time is drawn before the
     first port, as with whole draws; the ports are drawn and packed
     ``_SIM_CHUNK`` at a time.  Returns the buffer (a longer copy if the
-    stream outgrew it) and the keys' new end.  With ``parts`` (ground
-    truth) each chunk's provenance is appended to its four lists.
-    ``rng`` is the party's own generator, not the session's
-    (``simulate_session``), so each party's singles can be drawn on its
-    own thread.
+    stream outgrew it) and the keys' new end.  ``rng`` is the party's
+    own generator, not the session's (``simulate_session``), so each
+    party's singles can be drawn on its own thread.
 
     This is exact in distribution: a single's setting, path and outcome
     do not depend on its emission time, so its port is a time-independent
@@ -798,8 +718,7 @@ def _singles_keys(keys: np.ndarray, n: int, station: Station, rng,
     Poisson at the same rate; only the few ns at the span's ends differ,
     the approximation the dark counts make too.  So no setting, path,
     outcome, bin or jitter is drawn, and a party whose singles rate is 0
-    draws nothing.  In the ground truth a single has emission and bin -1
-    and its port's setting and outcome.
+    draws nothing.
     """
     start = n
     for times in _poisson_arrivals(rng, rate_hz, duration_ps):
@@ -807,17 +726,10 @@ def _singles_keys(keys: np.ndarray, n: int, station: Station, rng,
         keys = _put(keys, n, np.rint(times, out=times))
         n += times.shape[0]
     channels = np.array(station.channel_ids, np.uint8)
-    signs = np.array([(s.outcome_sign, -s.outcome_sign)
-                      for s in station.settings], dtype=np.int8).ravel()
     for lo in range(start, n, _SIM_CHUNK):
         hi = min(lo + _SIM_CHUNK, n)
         key = _setting_choice(rng, hi - lo, probs)
         _pack_keys(keys[lo:hi], channels[key])
-        if parts is not None:
-            for part, p in zip(parts, (np.full(hi - lo, -1, np.int64),
-                                       key // 2, signs[key],
-                                       np.full(hi - lo, -1, np.int8))):
-                part.append(p)
     return keys, n
 
 

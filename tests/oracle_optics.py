@@ -161,15 +161,18 @@ def simulate_clicks(source: SourceModel, alice: Station, bob: Station,
     return times.shape[0], alice_ports, bob_ports, joint
 
 
-def true_pairs(truth) -> tuple[np.ndarray, np.ndarray]:
-    """Tag-index pairs of an ``optics.GroundTruth`` whose two sides share
-    an emission id."""
-    a_ok = truth.alice_emission >= 0
-    b_ok = truth.bob_emission >= 0
-    _, ai, bi = np.intersect1d(
-        truth.alice_emission[a_ok], truth.bob_emission[b_ok],
-        assume_unique=True, return_indices=True)
-    return np.flatnonzero(a_ok)[ai], np.flatnonzero(b_ok)[bi]
+def read_ports(station: Station, ports) -> tuple[np.ndarray, np.ndarray]:
+    """(setting index, +-1 outcome) of each click on ``ports``: the
+    setting whose port it is, and the outcome :func:`port_for` wires to
+    that port.  A port off the station reads setting -1, outcome 0."""
+    setting = np.full(256, -1, dtype=np.int8)
+    outcome = np.zeros(256, dtype=np.int8)
+    for index, s in enumerate(station.settings):
+        for x in (1, -1):
+            setting[port_for(s, x)] = index
+            outcome[port_for(s, x)] = x
+    ports = np.asarray(ports, dtype=np.uint8)
+    return setting[ports], outcome[ports]
 
 
 # ---------------------------------------------------------------------------
@@ -209,20 +212,14 @@ def dead_time_keep(times, ports, channel_ids, dead_ps):
 
 
 class PartyAccumulator:
-    """One party's click batches; provenance only when ``truth``."""
+    """One party's click batches, float64 times and uint8 ports."""
 
-    def __init__(self, truth=False):
+    def __init__(self):
         self.times, self.ports = [], []
-        self.provenance = ([], [], [], []) if truth else None
 
-    def add(self, times, ports, emission, setting, outcome, bins):
+    def add(self, times, ports):
         self.times.append(np.asarray(times, dtype=np.float64))
         self.ports.append(np.asarray(ports, dtype=np.uint8))
-        if self.provenance is not None:
-            for parts, arr, dtype in zip(
-                    self.provenance, (emission, setting, outcome, bins),
-                    (np.int64, np.int8, np.int8, np.int8)):
-                parts.append(np.asarray(arr, dtype=dtype))
 
 
 def emit_singles(acc, station, rng, rate_hz, duration_ps):
@@ -241,43 +238,29 @@ def emit_singles(acc, station, rng, rate_hz, duration_ps):
     key = np.zeros(n, dtype=np.int8)
     for edge in np.cumsum(shares / shares.sum())[:-1]:
         key += r >= edge
-    signs = np.array([(s.outcome_sign, -s.outcome_sign)
-                      for s in station.settings], dtype=np.int8).ravel()
-    acc.add(times, np.array(station.channel_ids, np.uint8)[key],
-            np.full(n, -1), key // 2, signs[key], np.full(n, -1))
+    acc.add(times, np.array(station.channel_ids, np.uint8)[key])
 
 
 def sort_clicks(acc):
-    """(times, ports, order, provenance) of the concatenated batches in
-    time-major, port-minor order; ``order`` maps them to the batches."""
+    """(times, ports) of the concatenated batches in time-major,
+    port-minor order."""
     times = (np.concatenate([np.rint(t) for t in acc.times]).astype(np.int64)
              if acc.times else np.empty(0, np.int64))
     ports = np.concatenate(acc.ports) if acc.ports else np.empty(0, np.uint8)
-    provenance = None
-    if acc.provenance is not None:
-        provenance = [np.concatenate(parts) if parts else np.empty(0, dtype)
-                      for parts, dtype in zip(acc.provenance,
-                                              (np.int64, np.int8, np.int8,
-                                               np.int8))]
     ok = times >= 0
     times, ports = times[ok], ports[ok]
-    if provenance is not None:
-        provenance = [p[ok] for p in provenance]
     if times.size and times.max() >= 2**55:
         raise ValueError("tag times of 2**55 ps or more overflow the sort key")
-    order = np.lexsort((ports, times))   # stable: ties keep batch order
-    return times[order], ports[order], order, provenance
+    order = np.lexsort((ports, times))
+    return times[order], ports[order]
 
 
 def party_stream(acc, station, rng, singles_hz, party, duration_ps):
     """What ``optics._party_stream`` returns, from whole arrays: the
     singles, the sort and the dead time."""
     emit_singles(acc, station, rng, singles_hz, duration_ps)
-    times, ports, order, provenance = sort_clicks(acc)
+    times, ports = sort_clicks(acc)
     keep = dead_time_keep(times, ports, station.channel_ids,
                           station.detector.dead_time_ps)
-    stream = TagStream(party=party, duration_ps=duration_ps,
-                       channels=ports[keep], times=times[keep])
-    if provenance is not None:
-        provenance = [p[order[keep]] for p in provenance]
-    return stream, provenance
+    return TagStream(party=party, duration_ps=duration_ps,
+                     channels=ports[keep], times=times[keep])

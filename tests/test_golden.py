@@ -1,8 +1,8 @@
 """Byte-identity gate for the simulator, the tag-file writer and the wire.
 
 Pins the SHA-256 of both tag streams of every shipped preset, simulated
-at the preset's own seed for a short duration, of the paper preset's
-ground truth, and of the ``dump_tagstream`` text of every stream, and
+at the preset's own seed for a short duration, and of the
+``dump_tagstream`` text of every stream, and
 pins every preset's delay estimate on those streams and the coincidences
 ``tags.match_coincidences`` finds at that delay.  Any change to the
 random draws, their order, the routing, the rounding, the sort or the
@@ -23,7 +23,6 @@ current digests, the CSV digests included.
 """
 
 import hashlib
-import inspect
 import io
 import sys
 import tempfile
@@ -212,21 +211,12 @@ CSV_DIGESTS = {
         "e08d76167c8835b39e909408b383626aae133ed25f6d1050ebef6041ebee05b9",
 }
 
-PAPER_TRUTH_DIGEST = (
-    "8a20e49b1f6b9c3f86adcf042bbd6ee2d00a3feed22920f95bf0ebb4d11a63c8")
-
-# lets the same file check commits from before ground truth was opt-in
-_TRUTH = ({"truth": True}
-          if "truth" in inspect.signature(optics.simulate_session).parameters
-          else {})
-
-
-def _simulate(preset, **kwargs):
+def _simulate(preset):
     cfg = harness.load_config(harness.preset_path(preset))
     return optics.simulate_session(
         harness._source(cfg), harness._drift(cfg),
         harness._station(cfg, "alice"), harness._station(cfg, "bob"),
-        DURATION_S, seed=cfg["seed"], **kwargs)
+        DURATION_S, seed=cfg["seed"])
 
 
 def _stream_digest(stream):
@@ -312,18 +302,6 @@ def _csv_digests(out):
     return digests
 
 
-def _truth_digest(truth):
-    h = hashlib.sha256(str(truth.emission_count).encode())
-    for name in ("alice_emission", "alice_setting", "alice_outcome",
-                 "alice_bin", "bob_emission", "bob_setting", "bob_outcome",
-                 "bob_bin"):
-        arr = getattr(truth, name)
-        h.update(name.encode())
-        h.update(np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<"))
-                 .tobytes())
-    return h.hexdigest()
-
-
 @pytest.mark.parametrize("preset", sorted(STREAM_DIGESTS))
 def test_stream_digests(preset):
     res = _simulate(preset)
@@ -360,17 +338,10 @@ def test_csv_digests(tmp_path):
     assert _csv_digests(tmp_path) == CSV_DIGESTS
 
 
-def test_paper_truth_digest():
-    res = _simulate("paper", **_TRUTH)
-    assert (_stream_digest(res.alice), _stream_digest(res.bob)) == \
-        STREAM_DIGESTS["paper"]
-    assert _truth_digest(res.truth) == PAPER_TRUTH_DIGEST
-
-
 if __name__ == "__main__":
     print(f"numpy {np.__version__}", file=sys.stderr)
     for name in sorted(STREAM_DIGESTS):
-        res = _simulate(name, **(_TRUTH if name == "paper" else {}))
+        res = _simulate(name)
         print(f"{name}: {_stream_digest(res.alice)} {_stream_digest(res.bob)}"
               f" {len(res.alice)} {len(res.bob)}")
         print(f"{name} dump: {_dump_digest(res.alice)}"
@@ -380,8 +351,6 @@ if __name__ == "__main__":
               f" {est.peak_count}, {est.background_mean!r},"
               f" {est.bin_width_ps})")
         print(f"{name} match: {_match_digest(res, name)}")
-        if name == "paper":
-            print(f"paper truth: {_truth_digest(res.truth)}")
     for session in sorted(WIRE_SESSIONS):
         alice, bob = _wire_digests(session)
         print(f"wire {session} alice: {' '.join(alice)}")

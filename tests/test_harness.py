@@ -84,6 +84,16 @@ class TestParseConfig:
             parse_config("scenario ideal\n")
         assert "line 1" in str(err.value)
 
+    @pytest.mark.parametrize("raw", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("path", [path for path, key in
+                                      harness.SCHEMA.items()
+                                      if key.kind == "float"])
+    def test_non_finite_float_names_the_path(self, path, raw):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"{path} = {raw}\n")
+        assert err.value.errors == [f"{path}: must be finite, got "
+                                    f"{float(raw)}"]
+
     def test_sweep_values_parsed_as_floats(self):
         cfg = parse_config("sweep.values = 1, 2.5, 3\n")
         assert cfg["sweep.values"] == (1.0, 2.5, 3.0)
@@ -294,7 +304,8 @@ class TestCalibrateLoss:
     def test_target_at_current_rate_returns_current(self):
         cfg = parse_config(self.CONFIG)
         rate_now = harness._raw_rate(cfg, 0.5, 12, 1.0)
-        t, raw, rows = calibrate_loss(cfg, target_raw_bps=rate_now)
+        t, raw, rows = calibrate_loss(
+            cfg.replaced(calibrate__target_raw_bps=rate_now))
         assert t == 0.5
         assert len(rows) == 1
         assert raw == pytest.approx(rate_now, rel=0.1)
@@ -302,18 +313,19 @@ class TestCalibrateLoss:
     def test_bisection_reaches_target(self):
         cfg = parse_config(self.CONFIG)
         # lossless raw rate is ~25 kbps; ask for half the current setting
-        t, raw, rows = calibrate_loss(cfg, target_raw_bps=6250.0)
+        cfg = cfg.replaced(calibrate__target_raw_bps=6250.0)
+        t, raw, rows = calibrate_loss(cfg)
         assert 0.15 < t < 0.35
         assert raw == pytest.approx(6250.0, rel=0.08)
         assert len(rows) >= 2
         # probes recorded as (iteration, transmittance, raw) and reproducible
-        t2, raw2, rows2 = calibrate_loss(cfg, target_raw_bps=6250.0)
+        t2, raw2, rows2 = calibrate_loss(cfg)
         assert t2 == t and raw2 == raw and rows2 == rows
 
     def test_unachievable_target_names_bracket(self):
         cfg = parse_config(self.CONFIG)
         with pytest.raises(CalibrationError) as err:
-            calibrate_loss(cfg, target_raw_bps=60_000.0)
+            calibrate_loss(cfg.replaced(calibrate__target_raw_bps=60_000.0))
         message = str(err.value)
         assert "unachievable" in message
         assert "transmittance 1.0" in message
@@ -452,6 +464,24 @@ class TestCli:
         assert "channel.bob.transmittance" in out
         log = (tmp_path / "out/calibration.csv").read_text()
         assert log.splitlines()[0] == "iteration,transmittance,raw_bps"
+
+    @pytest.mark.parametrize("option, value, key", [
+        ("--target-raw", "inf", "calibrate.target_raw_bps"),
+        ("--target-raw", "nan", "calibrate.target_raw_bps"),
+        ("--target-raw", "-5", "calibrate.target_raw_bps"),
+        ("--target-raw", "0", "calibrate.target_raw_bps"),
+        ("--tolerance", "5", "calibrate.tolerance"),
+        ("--tolerance", "0", "calibrate.tolerance"),
+        ("--tolerance", "inf", "calibrate.tolerance"),
+    ])
+    def test_calibrate_rejects_bad_overrides(self, tmp_path, capsys, option,
+                                             value, key):
+        path = self.write_config(tmp_path, "scenario = ideal\n")
+        # a repeated --target-raw takes its last value
+        rc = cli.main(["calibrate", path, "--target-raw", "6250", option,
+                       value])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"config error: {key}: ")
 
     def test_analyze_command(self, tmp_path, capsys):
         cfg = quick_ideal(dump_tags=True)

@@ -4,6 +4,7 @@ Statistical checks draw with fixed seeds and compare against the closed-form
 quantum correlations, so they are deterministic despite being Monte Carlo.
 """
 
+import dataclasses
 import io
 import math
 import warnings
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from hybridqkd import optics, quantum
+from hybridqkd import optics, quantum, tags
 from hybridqkd.optics import (
     BIN_SEPARATION_PS,
     ChannelModel,
@@ -33,10 +34,9 @@ import oracle_optics
 from oracle_optics import (
     detect,
     generate_pair_times,
-    port_for,
+    read_ports,
     sample_pair_outcome,
     simulate_clicks,
-    true_pairs,
 )
 
 IDEAL_DETECTOR = DetectorModel(efficiency=1.0, jitter_fwhm_ps=0.0,
@@ -49,6 +49,21 @@ def ideal_stations(delay_b=0):
     return a, b
 
 
+# a window that keeps the satellites, +-800 ps off the central peak
+SATELLITE_WINDOW_PS = 2 * BIN_SEPARATION_PS + 1
+
+
+def matched(res, window_ps, delay_ps):
+    """The pairs ``tags.match_coincidences`` finds at the known delay:
+    (Alice's ports, Bob's ports, each pair's offset from the delay).
+    Without jitter a pair of one emission lies exactly on {0, +-800} ps,
+    0 for a central pair and +-800 for a satellite, so a 1 ps window
+    keeps only the central pairs."""
+    ai, bi = tags.match_coincidences(res.alice, res.bob, window_ps, delay_ps)
+    dt = res.bob.times[bi] - res.alice.times[ai] - delay_ps
+    return res.alice.channels[ai], res.bob.channels[bi], dt
+
+
 class TestModels:
     def test_transmittance_range(self):
         with pytest.raises(ValueError):
@@ -59,6 +74,16 @@ class TestModels:
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError):
             SourceModel(pair_rate_hz=-1.0)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_fields_rejected(self, value):
+        for model in (SourceModel(1.0), ChannelModel(0.5, 0), IDEAL_DETECTOR,
+                      DriftModel(kind="sine", period_s=1.0)):
+            for field in dataclasses.fields(model):
+                if isinstance(getattr(model, field.name), float):
+                    with pytest.raises(ValueError,
+                                       match=f"{field.name} must be finite"):
+                        dataclasses.replace(model, **{field.name: value})
 
     def test_detector_validation(self):
         with pytest.raises(ValueError):
@@ -204,8 +229,8 @@ SPAN_PS = 10**6
 
 
 def click_batches(rng, station, sizes, negative=True):
-    """Click batches as ``simulate_session`` adds them, with provenance:
-    a sorted, jittered batch that starts below 0 when ``negative``, then
+    """(times, ports) click batches as ``simulate_session`` adds them: a
+    sorted, jittered batch that starts below 0 when ``negative``, then
     batches of whole and half ps on a 500 ps grid, where (time, port)
     ties are common."""
     ports = np.array(station.channel_ids, dtype=np.uint8)
@@ -218,51 +243,38 @@ def click_batches(rng, station, sizes, negative=True):
         else:
             times = (rng.integers(0, 50, k) * 500.0
                      + rng.choice([0.0, 0.5, 1.5], k))
-        batches.append((times, rng.choice(ports, k),
-                        np.arange(k) + 10_000 * i,
-                        rng.integers(-1, 3, k), rng.choice([-1, 1], k),
-                        rng.integers(-1, 2, k)))
+        batches.append((times, rng.choice(ports, k)))
     return batches
 
 
 class TestPartyPipeline:
     """``optics._party_stream`` against the whole-array reference in
     ``tests/oracle_optics.py``, at chunk sizes that put chunk boundaries
-    everywhere: the same stream bytes, the same provenance and the same
-    generator state after."""
+    everywhere: the same stream bytes and the same generator state
+    after."""
 
     @staticmethod
-    def assert_matches_reference(station, batches, make_rng, singles_hz,
-                                 truth):
-        got_acc = optics._PartyAccumulator(truth)
-        want_acc = oracle_optics.PartyAccumulator(truth)
-        for times, *rest in batches:
-            got_acc.add(times.copy(), *rest)
-            want_acc.add(times.copy(), *rest)
+    def assert_matches_reference(station, batches, make_rng, singles_hz):
+        want_acc = oracle_optics.PartyAccumulator()
+        for times, ports in batches:
+            want_acc.add(times.copy(), ports)
         got_rng, want_rng = make_rng(), make_rng()
-        got, got_prov = optics._party_stream(
-            got_acc, station, got_rng, singles_hz, "bob", SPAN_PS)
-        want, want_prov = oracle_optics.party_stream(
+        got = optics._party_stream(
+            [(times.copy(), ports) for times, ports in batches], station,
+            got_rng, singles_hz, "bob", SPAN_PS)
+        want = oracle_optics.party_stream(
             want_acc, station, want_rng, singles_hz, "bob", SPAN_PS)
         assert 0 < len(want)
         np.testing.assert_array_equal(got.times, want.times)
         np.testing.assert_array_equal(got.channels, want.channels)
         assert got.times.dtype == np.int64 and got.channels.dtype == np.uint8
-        if truth:
-            for g, w, dtype in zip(got_prov, want_prov,
-                                   optics._PROVENANCE_DTYPES):
-                assert g.dtype == dtype
-                np.testing.assert_array_equal(g, w)
-        else:
-            assert got_prov is None
         assert got_rng.random(1) == want_rng.random(1)
         return got
 
-    @pytest.mark.parametrize("truth", [False, True])
     @pytest.mark.parametrize("extra", [0, 1])
     @pytest.mark.parametrize("chunk", [1, 3, 64])
     def test_streams_ending_on_a_chunk_boundary(self, monkeypatch, chunk,
-                                                extra, truth):
+                                                extra):
         # 192 clicks, a multiple of every chunk size, or one more; the
         # singles' count comes from the same draws the reference makes
         monkeypatch.setattr(optics, "_SIM_CHUNK", chunk)
@@ -275,13 +287,10 @@ class TestPartyPipeline:
         batches = click_batches(np.random.default_rng(41), station,
                                 [batched - 30, 10, 20], negative=False)
         self.assert_matches_reference(
-            station, batches, lambda: np.random.default_rng(40), singles_hz,
-            truth)
+            station, batches, lambda: np.random.default_rng(40), singles_hz)
 
-    @pytest.mark.parametrize("truth", [False, True])
     @pytest.mark.parametrize("chunk", [1, 3, 64])
-    def test_later_parts_negative_times_and_ties(self, monkeypatch, chunk,
-                                                 truth):
+    def test_later_parts_negative_times_and_ties(self, monkeypatch, chunk):
         monkeypatch.setattr(optics, "_SIM_CHUNK", chunk)
         station = bob_station(ChannelModel(1.0, 300), DEAD_DETECTOR)
         batches = click_batches(np.random.default_rng(42), station,
@@ -293,18 +302,16 @@ class TestPartyPipeline:
         oracle_optics.poisson_stream_ps(rng, 3e7, SPAN_PS)
         assert len(rng.sizes) > 1
         self.assert_matches_reference(station, batches,
-                                      lambda: ShortGaps(43), 4e7, truth)
+                                      lambda: ShortGaps(43), 4e7)
 
     def test_no_singles_and_no_clicks(self):
         station = bob_station(ChannelModel(1.0, 0), DEAD_DETECTOR)
-        for batches in ([], [(np.array([-2.0, -0.7]), [1, 2], *[[0, 0]] * 4)]):
-            acc = optics._PartyAccumulator()
-            for batch in batches:
-                acc.add(*batch)
+        for batches in ([], [(np.array([-2.0, -0.7]),
+                              np.array([1, 2], np.uint8))]):
             rng = np.random.default_rng(44)
-            stream, provenance = optics._party_stream(acc, station, rng, 0.0,
-                                                      "bob", SPAN_PS)
-            assert len(stream) == 0 and provenance is None
+            stream = optics._party_stream(batches, station, rng, 0.0, "bob",
+                                          SPAN_PS)
+            assert len(stream) == 0
             assert rng.random() == np.random.default_rng(44).random()
 
 
@@ -442,22 +449,18 @@ class TestSimulateSession:
     def test_central_correlations_match_quantum(self):
         src = SourceModel(pair_rate_hz=200_000.0, reference_phase=math.pi)
         a, b = ideal_stations(delay_b=500_000)
-        res = simulate_session(src, DriftModel(), a, b, 10.0, seed=6,
-                               truth=True)
-        tr = res.truth
-        ai, bi = true_pairs(tr)
-        central = tr.alice_bin[ai] == tr.bob_bin[bi]
+        res = simulate_session(src, DriftModel(), a, b, 10.0, seed=6)
+        ports_a, ports_b, _ = matched(res, 1, 500_000)
+        a_set, x = read_ports(a, ports_a)
+        b_set, y = read_ports(b, ports_b)
         st = quantum.standard_settings()
         state = quantum.hybrid_state(math.pi)
         for ia, na in enumerate(("a2", "a0", "a1")):
             for ib, nb in enumerate(("b0", "b1")):
-                m = central & (tr.alice_setting[ai] == ia) \
-                    & (tr.bob_setting[bi] == ib)
+                m = (a_set == ia) & (b_set == ib)
                 n = int(m.sum())
                 assert n > 50_000
-                e_mc = float(np.mean(
-                    tr.alice_outcome[ai][m].astype(float)
-                    * tr.bob_outcome[bi][m]))
+                e_mc = float(np.mean(x[m].astype(float) * y[m]))
                 e_q = quantum.correlation(state, st[na], st[nb])
                 sigma = math.sqrt((1 - e_q**2 + 1e-9) / n)
                 assert abs(e_mc - e_q) < 5 * sigma, (na, nb, e_mc, e_q)
@@ -466,25 +469,29 @@ class TestSimulateSession:
         src = SourceModel(pair_rate_hz=100_000.0)
         delay = 2_000_000
         a, b = ideal_stations(delay_b=delay)
-        res = simulate_session(src, DriftModel(), a, b, 5.0, seed=7,
-                               truth=True)
-        tr = res.truth
-        ai, bi = true_pairs(tr)
-        central = tr.alice_bin[ai] == tr.bob_bin[bi]
-        dt = res.bob.times[bi] - res.alice.times[ai] - delay
-        # without jitter, pair separations are exact
-        assert set(np.unique(dt[central])) == {0}
-        assert set(np.unique(dt[~central])) == {-800, 800}
+        res = simulate_session(src, DriftModel(), a, b, 5.0, seed=7)
+        ports_a, ports_b, dt = matched(res, SATELLITE_WINDOW_PS, delay)
+        a_set, x = read_ports(a, ports_a)
+        b_set, y = read_ports(b, ports_b)
+        central = dt == 0
+        satellite = np.abs(dt) == BIN_SEPARATION_PS
+        # without jitter, pair separations are exact: a pair off the grid
+        # holds a Bob tag of another emission inside the window, which
+        # an Alice tag meets about len(alice) * Bob's rate * window times
+        accidental = (len(res.alice) * res.bob.rate_hz()
+                      * SATELLITE_WINDOW_PS / optics.PS_PER_SECOND)
+        off_grid = int((~central & ~satellite).sum())
+        assert off_grid <= accidental + 5 * math.sqrt(accidental)
+        assert set(np.unique(dt[satellite])) == {-800, 800}
         # satellites exist only against the time basis
-        assert (tr.bob_setting[bi][~central] == 0).all()
+        assert (b_set[satellite] == 0).all()
         # roughly half of time-basis pairs are satellites
-        m_b0 = tr.bob_setting[bi] == 0
-        frac = float((~central & m_b0).sum()) / float(m_b0.sum())
+        m_b0 = (central | satellite) & (b_set == 0)
+        frac = float((satellite & m_b0).sum()) / float(m_b0.sum())
         assert abs(frac - 0.5) < 0.01
         # key-setting satellites are anticorrelated
-        m = ~central & (tr.alice_setting[ai] == 0)
-        prod = tr.alice_outcome[ai][m].astype(int) * tr.bob_outcome[bi][m]
-        assert (prod == -1).all()
+        m = satellite & (a_set == 0)
+        assert (x[m].astype(int) * y[m] == -1).all()
 
     def test_jitter_spread(self):
         src = SourceModel(pair_rate_hz=50_000.0)
@@ -494,13 +501,12 @@ class TestSimulateSession:
                               dark_rate_hz=0, dead_time_ps=0)
         a = alice_station(ChannelModel(1.0, 0), det_a)
         b = bob_station(ChannelModel(1.0, 0), det_b)
-        res = simulate_session(src, DriftModel(), a, b, 5.0, seed=8,
-                               truth=True)
-        tr = res.truth
-        ai, bi = true_pairs(tr)
-        central = tr.alice_bin[ai] == tr.bob_bin[bi]
-        dt = (res.bob.times[bi] - res.alice.times[ai])[central]
+        res = simulate_session(src, DriftModel(), a, b, 5.0, seed=8)
         expected = math.hypot(400.0, 70.0) / 2.3548
+        # Bob's interference basis has no satellites: its pairs are off
+        # by the two jitters alone, all but 2e-9 of them within 6 sigma
+        _, ports_b, dt = matched(res, 2 * round(6 * expected) + 1, 0)
+        dt = dt[read_ports(b, ports_b)[0] == 1]
         assert np.std(dt) == pytest.approx(expected, rel=0.02)
         assert abs(float(np.mean(dt))) < 5 * expected / math.sqrt(len(dt))
 
@@ -523,14 +529,11 @@ class TestSimulateSession:
                             dark_rate_hz=3000.0, dead_time_ps=0)
         a = alice_station(ChannelModel(1.0, 0), det)
         b = bob_station(ChannelModel(1.0, 0), det)
-        res = simulate_session(src, DriftModel(), a, b, 4.0, seed=10,
-                               truth=True)
+        res = simulate_session(src, DriftModel(), a, b, 4.0, seed=10)
         lam = 3000 * 4
         for ch in range(1, 7):
             n = len(res.alice.times[res.alice.channels == ch])
             assert abs(n - lam) < 5 * math.sqrt(lam)
-        assert (res.truth.alice_emission == -1).all()
-        assert (res.truth.alice_setting == -1).all()
 
     def test_no_negative_times(self):
         src = SourceModel(pair_rate_hz=200_000.0)
@@ -549,14 +552,11 @@ class TestSimulateSession:
         n = 2000
         times = rng.integers(-3, 40, n).astype(np.float64)
         ports = rng.choice(a.channel_ids, n).astype(np.uint8)
-        acc = optics._PartyAccumulator(truth=True)
-        acc.add(times, ports, np.arange(n), np.zeros(n), np.zeros(n),
-                np.zeros(n))
-        stream, (emission, *_) = optics._party_stream(
-            acc, a, np.random.default_rng(0), 0.0, "alice", 100)
+        stream = optics._party_stream([(times.copy(), ports)], a,
+                                      np.random.default_rng(0), 0.0, "alice",
+                                      100)
         ok = np.flatnonzero(times >= 0)
         order = ok[np.lexsort((ports[ok], times[ok]))]
-        np.testing.assert_array_equal(emission, order)
         np.testing.assert_array_equal(stream.times, times[order])
         np.testing.assert_array_equal(stream.channels, ports[order])
 
@@ -570,20 +570,17 @@ class TestSimulateSession:
                                                         np.int64(dead))
         return keep
 
-    @staticmethod
-    def compacted_keep(times, ports, channel_ids, dead):
-        """The keep-mask ``optics._dead_time_compact`` applies, read from
-        the tag indices it moves to the front along with the tags."""
-        index = np.arange(times.shape[0])
+    @classmethod
+    def assert_compacts_like_masks(cls, times, ports, channel_ids, dead):
+        """``optics._dead_time_compact`` moves to the front, in order, the
+        tags the per-channel masks keep."""
+        keep = cls.per_channel_masks(times, ports, channel_ids, dead)
         kept_times, kept_ports = times.copy(), ports.copy()
         n = optics._dead_time_compact(kept_times, kept_ports, channel_ids,
-                                      dead, index)
-        assert (np.diff(index[:n]) > 0).all()
-        keep = np.zeros(times.shape[0], dtype=bool)
-        keep[index[:n]] = True
+                                      dead)
+        assert n == keep.sum()
         np.testing.assert_array_equal(kept_times[:n], times[keep])
         np.testing.assert_array_equal(kept_ports[:n], ports[keep])
-        return keep
 
     def test_dead_time_keep_matches_per_channel_masks(self, monkeypatch):
         # the gaps are compared, and the tags compacted, a chunk at a time
@@ -599,9 +596,7 @@ class TestSimulateSession:
             order = np.lexsort((ports, times))
             times, ports = times[order], ports[order]
             dead = int(rng.integers(0, 40))
-            np.testing.assert_array_equal(
-                self.compacted_keep(times, ports, channel_ids, dead),
-                self.per_channel_masks(times, ports, channel_ids, dead))
+            self.assert_compacts_like_masks(times, ports, channel_ids, dead)
         # inputs that stress the close runs, the only tags the filter visits
         channel_ids = (1, 2, 3, 4, 5, 6)
         channels = np.array(channel_ids, dtype=np.uint8)
@@ -624,9 +619,7 @@ class TestSimulateSession:
         for times, ports, dead in cases:
             times = np.asarray(times, dtype=np.int64)
             ports = np.asarray(ports, dtype=np.uint8)
-            np.testing.assert_array_equal(
-                self.compacted_keep(times, ports, channel_ids, dead),
-                self.per_channel_masks(times, ports, channel_ids, dead))
+            self.assert_compacts_like_masks(times, ports, channel_ids, dead)
 
     def test_finalize_dead_time_matches_per_channel_masks(self):
         det = DetectorModel(efficiency=1.0, jitter_fwhm_ps=0.0,
@@ -642,18 +635,11 @@ class TestSimulateSession:
                                       ports[order], a.channel_ids, 25)
         assert 0 < keep.sum() < keep.size
         order = order[keep]
-        for truth in (False, True):
-            acc = optics._PartyAccumulator(truth)
-            acc.add(times, ports, np.arange(n), np.zeros(n), np.zeros(n),
-                    np.zeros(n))
-            stream, provenance = optics._party_stream(
-                acc, a, np.random.default_rng(0), 0.0, "alice", 100)
-            np.testing.assert_array_equal(stream.times, times[order])
-            np.testing.assert_array_equal(stream.channels, ports[order])
-            if truth:
-                np.testing.assert_array_equal(provenance[0], order)
-            else:
-                assert provenance is None
+        stream = optics._party_stream([(times.copy(), ports)], a,
+                                      np.random.default_rng(0), 0.0, "alice",
+                                      100)
+        np.testing.assert_array_equal(stream.times, times[order])
+        np.testing.assert_array_equal(stream.channels, ports[order])
 
     def test_times_beyond_sort_key_rejected(self):
         src = SourceModel(pair_rate_hz=0.01)
@@ -667,68 +653,14 @@ class TestSimulateSession:
         src = SourceModel(pair_rate_hz=100_000.0, reference_phase=math.pi)
         a, b = ideal_stations()
         drift = DriftModel(kind="none", offset_rad=math.pi)
-        res = simulate_session(src, drift, a, b, 5.0, seed=13,
-                               truth=True)
-        tr = res.truth
-        ai, bi = true_pairs(tr)
-        central = tr.alice_bin[ai] == tr.bob_bin[bi]
-        m = central & (tr.alice_setting[ai] == 1) & (tr.bob_setting[bi] == 1)
-        e_mc = float(np.mean(
-            tr.alice_outcome[ai][m].astype(float) * tr.bob_outcome[bi][m]))
+        res = simulate_session(src, drift, a, b, 5.0, seed=13)
+        ports_a, ports_b, _ = matched(res, 1, 0)
+        a_set, x = read_ports(a, ports_a)
+        b_set, y = read_ports(b, ports_b)
+        m = (a_set == 1) & (b_set == 1)
+        e_mc = float(np.mean(x[m].astype(float) * y[m]))
         # total phase is 2*pi: back to cos(0) side, E(a0,b1) = -sin(2a) > 0
         assert e_mc == pytest.approx(-0.7071, abs=0.02)
-
-
-class TestGroundTruthOptIn:
-    def test_truth_none_by_default(self):
-        src = SourceModel(pair_rate_hz=20_000.0)
-        a, b = ideal_stations()
-        assert simulate_session(src, DriftModel(), a, b, 0.1, seed=1).truth \
-            is None
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    @pytest.mark.parametrize("impaired", [False, True])
-    def test_streams_independent_of_truth(self, seed, impaired):
-        src = SourceModel(pair_rate_hz=2_000_000.0)
-        if impaired:  # jitter, dark counts, dead time
-            det = detector_presets()
-            a = alice_station(ChannelModel(0.3, 150_000), det["spcm"])
-            b = bob_station(ChannelModel(0.2, 900_000), det["sspd"])
-        else:
-            a, b = ideal_stations(delay_b=350_000)
-        drift = DriftModel(kind="linear", rate_rad_per_s=0.5)
-        plain = simulate_session(src, drift, a, b, 0.05, seed=seed)
-        full = simulate_session(src, drift, a, b, 0.05, seed=seed, truth=True)
-        for x, y in ((plain.alice, full.alice), (plain.bob, full.bob)):
-            np.testing.assert_array_equal(x.times, y.times)
-            np.testing.assert_array_equal(x.channels, y.channels)
-        assert len(full.truth.alice_emission) == len(full.alice)
-        assert len(full.truth.bob_emission) == len(full.bob)
-
-    def test_unpaired_provenance(self):
-        # singles: emission and bin -1, setting and outcome of their port;
-        # dark counts: emission, setting and bin -1, outcome 0
-        det = detector_presets()
-        a = alice_station(ChannelModel(0.3, 150_000), det["spcm"])
-        b = bob_station(ChannelModel(0.2, 900_000), det["sspd"])
-        res = simulate_session(SourceModel(2_000_000.0), DriftModel(), a, b,
-                               0.05, seed=3, truth=True)
-        tr = res.truth
-        for station, stream, emission, setting, outcome, bins in (
-                (a, res.alice, tr.alice_emission, tr.alice_setting,
-                 tr.alice_outcome, tr.alice_bin),
-                (b, res.bob, tr.bob_emission, tr.bob_setting, tr.bob_outcome,
-                 tr.bob_bin)):
-            assert emission.max() < tr.emission_count
-            single = (emission == -1) & (setting >= 0)
-            dark = setting == -1
-            assert single.sum() > (emission >= 0).sum() > 0
-            assert 0 < dark.sum() and (emission[dark] == -1).all()
-            assert (outcome[dark] == 0).all()
-            assert (bins[single | dark] == -1).all()
-            ports = [port_for(station.settings[s], x)
-                     for s, x in zip(setting[single], outcome[single])]
-            assert ports == stream.channels[single].tolist()
 
 
 class TestScalarOracle:
@@ -756,9 +688,7 @@ class TestScalarOracle:
 
         rate, duration = 200_000.0, 5.0
         res = simulate_session(SourceModel(rate, reference_phase=phase),
-                               DriftModel(), a, b, duration, seed=19,
-                               truth=True)
-        ai, bi = true_pairs(res.truth)
+                               DriftModel(), a, b, duration, seed=19)
 
         # detection probability per emitted pair, per party
         emitted = rate * duration
@@ -775,10 +705,13 @@ class TestScalarOracle:
                 np.array([ports.count(ch) for ch in ids]),
                 np.array([(stream.channels == ch).sum() for ch in ids]))
 
-        # coincidences of one emission over (alice port, bob port)
+        # coincidences of one emission over (alice port, bob port): the
+        # matched pairs on the {0, +-800} ps grid
+        ports_a, ports_b, dt = matched(res, SATELLITE_WINDOW_PS, 50_000)
+        on_grid = np.isin(dt, (-BIN_SEPARATION_PS, 0, BIN_SEPARATION_PS))
         cells = [(x, y) for x in a.channel_ids for y in b.channel_ids]
-        sim_joint = list(zip(res.alice.channels[ai].tolist(),
-                             res.bob.channels[bi].tolist()))
+        sim_joint = list(zip(ports_a[on_grid].tolist(),
+                             ports_b[on_grid].tolist()))
         self.assert_same_shares(
             np.array([joint.count(c) for c in cells]),
             np.array([sim_joint.count(c) for c in cells]))
