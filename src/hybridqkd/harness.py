@@ -184,6 +184,9 @@ class ScenarioConfig:
         update = parse_config("\n".join(text_pairs)).values
         for name, _ in (p.split(" = ", 1) for p in text_pairs):
             merged[name] = update[name]
+        errors = _tag_time_errors(merged)
+        if errors:
+            raise ConfigError(errors)
         return ScenarioConfig(values=merged)
 
 
@@ -254,9 +257,27 @@ def parse_config(text: str) -> ScenarioConfig:
         value = _convert(path, SCHEMA[path], raw, errors)
         if value is not None:
             values[path] = value
+    errors += _tag_time_errors(values)
     if errors:
         raise ConfigError(errors)
     return ScenarioConfig(values=values)
+
+
+def _tag_time_errors(values) -> list:
+    """A party whose tags could reach ``optics.TAG_TIME_LIMIT_PS``
+    (delay plus duration, in whole ps as the simulator counts them),
+    named by its delay key."""
+    errors = []
+    duration = values["duration_s"]
+    for party in ("alice", "bob"):
+        path = f"channel.{party}.delay_ps"
+        delay = values[path]
+        if (delay + int(round(duration * PS_PER_SECOND))
+                >= optics.TAG_TIME_LIMIT_PS):
+            errors.append(f"{path}: delay_ps + duration_s x 10^12 must be "
+                          f"below 2**55 ps, the tag-time limit, got "
+                          f"{delay} ps and {duration:g} s")
+    return errors
 
 
 def load_config(path) -> ScenarioConfig:

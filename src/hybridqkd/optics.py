@@ -63,8 +63,9 @@ All tag times are int64 picoseconds.
 
 from __future__ import annotations
 
-import itertools
+import io
 import math
+import os
 import re
 from dataclasses import dataclass, fields
 
@@ -76,9 +77,13 @@ from .quantum import MeasurementSetting, standard_settings
 BIN_SEPARATION_PS = 800
 FWHM_TO_SIGMA = 1.0 / 2.3548
 PS_PER_SECOND = 1_000_000_000_000
+# tag times are packed into ``time << 8 | port`` int64 sort keys, so every
+# time must stay below this
+TAG_TIME_LIMIT_PS = 2**55
 
 __all__ = [
     "BIN_SEPARATION_PS",
+    "TAG_TIME_LIMIT_PS",
     "SourceModel",
     "ChannelModel",
     "DetectorModel",
@@ -132,8 +137,9 @@ class ChannelModel:
         _require_finite(self)
         if not 0.0 <= self.transmittance <= 1.0:
             raise ValueError("transmittance must be in [0, 1]")
-        if self.delay_ps < 0:
-            raise ValueError("delay_ps must be >= 0")
+        if not 0 <= self.delay_ps < TAG_TIME_LIMIT_PS:
+            raise ValueError(f"delay_ps must be in [0, 2**55), got "
+                             f"{self.delay_ps}")
 
 
 @dataclass(frozen=True)
@@ -417,7 +423,7 @@ def _ports_for(station: Station, setting_idx: np.ndarray,
 
 def _pack_keys(keys: np.ndarray, ports: np.ndarray):
     """Turn tag times into ``time << 8 | port`` sort keys, in place."""
-    if keys.size and keys.max() >= 2**55:
+    if keys.size and keys.max() >= TAG_TIME_LIMIT_PS:
         raise ValueError("tag times of 2**55 ps or more overflow the sort key")
     keys <<= 8
     keys |= ports
@@ -736,79 +742,442 @@ def _singles_keys(keys: np.ndarray, n: int, station: Station, rng,
 # ---------------------------------------------------------------------------
 # tag-stream serialization
 # ---------------------------------------------------------------------------
+#
+# A dump is its header line, then one row per tag in ``"%d\t%d\n"`` form.
+# The reader accepts rows ``[0-9]{1,3}\t[0-9]{1,19}`` whose channel is at
+# most 255 and whose time fits int64, in ascending time; blank lines
+# (empty, or spaces and tabs only) anywhere; ``\r\n`` line ends; and a last
+# line without a newline.  It refuses anything else, naming the line.
+# Both directions work on a row's layout, the digit counts of its channel
+# and its time: the rows of one layout form one (rows, width) uint8 matrix.
 
 _HEADER_RE = re.compile(
     r"^#tagstream v1 party=(alice|bob) duration_ps=(\d+)\s*$")
 
 
-# rows formatted per write: bounds the Python ints and the text in flight
-# (about 70 bytes of objects per row, so about 290 KB) whatever the
-# stream's length
-_DUMP_ROWS = 1 << 12
+# rows formatted per write and body bytes parsed per read: each bounds the
+# arrays in flight whatever the stream's length
+_DUMP_ROWS = 1 << 14
+_LOAD_BYTES = 1 << 18
+# shorter runs of one layout inside a slice are parsed with their neighbours
+_MIN_RUN = 1 << 8
+
+_CHANNEL_DIGITS, _TIME_DIGITS = 3, 19   # the widest fields a row may have
+_TAB, _NEWLINE, _ZERO = 9, 10, 48       # ASCII codes
+
+
+def _digit_quads() -> np.ndarray:
+    """The ASCII digits of 0000 to 9999, four bytes to a uint32 entry."""
+    digits = np.arange(_ZERO, _ZERO + 10, dtype=np.uint8)
+    quads = np.empty((10, 10, 10, 10, 4), dtype=np.uint8)
+    quads[..., 0] = digits[:, None, None, None]
+    quads[..., 1] = digits[:, None, None]
+    quads[..., 2] = digits[:, None]
+    quads[..., 3] = digits
+    return quads.reshape(-1).view(np.uint32)
+
+
+_QUADS = _digit_quads()
+# 10 to 10**18: a time has one digit more than the powers at or below it
+_POWERS = 10 ** np.arange(1, _TIME_DIGITS, dtype=np.int64)
+
+
+def _windows(text: np.ndarray, width: int) -> np.ndarray:
+    """A view of ``text`` with one ``width``-byte element starting at
+    each byte: indexing it gathers or scatters whole rows at any
+    offsets, one element per row."""
+    return np.ndarray((text.shape[0] - width + 1,), buffer=text,
+                      dtype=np.dtype((np.void, width)), strides=(1,))
+
+
+def _write_layout(rows: np.ndarray, channels: np.ndarray,
+                  times: np.ndarray, c: int) -> None:
+    """Write tags whose channels have ``c`` digits and whose times all
+    have the same count into the uint8 matrix ``rows``, one text row per
+    matrix row.  The time goes in four digits at a time from its right
+    end (a floor division by a constant is fast, a remainder is not); the
+    leading quad may spill left into the channel and tab columns, which
+    are written after it."""
+    end, left = rows.shape[1] - 1, rows.shape[1] - 2 - c
+    rest = times
+    while left > 4:
+        high = rest // 10_000
+        low = high * -10_000
+        low += rest
+        rows[:, end - 4:end].view(np.uint32)[:, 0] = _QUADS[low]
+        rest, end, left = high, end - 4, left - 4
+    if end >= 4:
+        rows[:, end - 4:end].view(np.uint32)[:, 0] = _QUADS[rest]
+    else:  # a one-digit channel and a one-digit time
+        rows[:, end - 1] = rest + _ZERO
+    rest = channels
+    for j in range(c - 1, 0, -1):
+        high = rest // 10
+        rows[:, j] = rest - high * 10 + _ZERO
+        rest = high
+    rows[:, 0] = rest + _ZERO
+    rows[:, c] = _TAB
+    rows[:, -1] = _NEWLINE
+
+
+def _format_rows(channels: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """The ``"%d\t%d\n"`` text of some tags as a uint8 array: one matrix
+    when they share a layout, as a run of ascending times does between
+    powers of ten; else each layout's rows written at their offsets."""
+    lo, hi = int(times.min()), int(times.max())
+    if lo < 0:
+        raise ValueError("tag times must be >= 0")
+    c, t = len(str(int(channels.max()))), len(str(hi))
+    if c == len(str(int(channels.min()))) and t == len(str(lo)):
+        text = np.empty((times.shape[0], c + t + 2), dtype=np.uint8)
+        _write_layout(text, channels, times, c)
+        return text.reshape(-1)
+    cs = (channels >= 10).view(np.uint8) + (channels >= 100) + 1
+    ts = np.searchsorted(_POWERS, times, side="right") + 1
+    widths = ts + cs + 2
+    starts = np.cumsum(widths)
+    text = np.empty(int(starts[-1]), dtype=np.uint8)
+    starts -= widths
+    layout = cs * 32 + ts
+    for key in np.flatnonzero(np.bincount(layout)):
+        c, t = divmod(int(key), 32)
+        width = c + t + 2
+        rows = np.flatnonzero(layout == key)
+        first, last = int(rows[0]), int(rows[-1]) + 1
+        if last - first == rows.shape[0]:  # consecutive rows: in place
+            at = int(starts[first])
+            _write_layout(text[at:at + (last - first) * width].reshape(
+                -1, width), channels[first:last], times[first:last], c)
+        else:
+            block = np.empty((rows.shape[0], width), dtype=np.uint8)
+            _write_layout(block, channels[rows], times[rows], c)
+            _windows(text, width)[starts[rows]] = block.view(
+                np.dtype((np.void, width)))[:, 0]
+    return text
 
 
 def dump_tagstream(stream: TagStream, path_or_file) -> None:
     """Write the plain-text ``#tagstream v1`` dump: a one-line header,
-    then one ``channel<TAB>time_ps`` line per tag in stream order.
+    then one ``channel<TAB>time_ps`` line per tag in stream order, the
+    bytes ``"%d\t%d\n"`` makes of each.
 
-    ``path_or_file`` is a path or an open text file.  Rows are formatted
-    a fixed-size slice at a time, so memory stays bounded by the slice.
-    The bytes are those ``np.savetxt`` writes for the (channel, time)
-    rows with ``fmt="%d"`` and a tab delimiter.
+    ``path_or_file`` is a path, written in binary mode, or an open file:
+    a text file receives ``str``, any other bytes.  Rows are formatted
+    ``_DUMP_ROWS`` at a time, so memory stays bounded by the slice.
     """
     own = isinstance(path_or_file, (str, bytes))
-    f = open(path_or_file, "w") if own else path_or_file
+    f = open(path_or_file, "wb") if own else path_or_file
+    text = isinstance(f, io.TextIOBase)
     try:
-        f.write(f"#tagstream v1 party={stream.party} "
-                f"duration_ps={stream.duration_ps}\n")
+        header = (f"#tagstream v1 party={stream.party} "
+                  f"duration_ps={stream.duration_ps}\n")
+        f.write(header if text else header.encode())
         for lo in range(0, len(stream), _DUMP_ROWS):
-            hi = min(lo + _DUMP_ROWS, len(stream))
-            pairs = np.empty((hi - lo, 2), dtype=np.int64)
-            pairs[:, 0] = stream.channels[lo:hi]
-            pairs[:, 1] = stream.times[lo:hi]
-            f.write(("%d\t%d\n" * (hi - lo)) % tuple(pairs.ravel().tolist()))
+            rows = _format_rows(stream.channels[lo:lo + _DUMP_ROWS],
+                                stream.times[lo:lo + _DUMP_ROWS])
+            f.write(str(rows, "ascii") if text else rows)
     finally:
         if own:
             f.close()
+
+
+def _count_rows(f) -> int:
+    """The rows a binary file can hold from its position on: its
+    newlines, plus one for a last line without one.  Reads ``f`` a slice
+    at a time and leaves its position where it was."""
+    start, count, last = f.tell(), 0, b"\n"
+    while chunk := f.read(_LOAD_BYTES):
+        count += np.count_nonzero(np.frombuffer(chunk, np.uint8) == _NEWLINE)
+        last = chunk[-1:]
+    f.seek(start)
+    return count + (last != b"\n")
+
+
+def _body_lines(f):
+    """The rest of ``f`` as bytearrays of whole lines: each read of
+    ``_LOAD_BYTES`` is cut after its last newline and the rest carried
+    into the next.  Text is encoded as UTF-8, ``\r\n`` becomes ``\n`` and
+    a last line without a newline gets one."""
+    carry = b""
+    while chunk := f.read(_LOAD_BYTES):
+        lines = bytearray(carry)
+        lines += chunk.encode("utf-8", "replace") if isinstance(
+            chunk, str) else chunk
+        cut = lines.rfind(b"\n") + 1
+        carry = bytes(lines[cut:])
+        del lines[cut:]
+        if lines:
+            yield lines.replace(b"\r\n", b"\n") if b"\r" in lines else lines
+    if carry:
+        yield bytearray(carry.replace(b"\r\n", b"\n") + b"\n")
+
+
+def _row_error(line: bytes) -> str:
+    """Why a line that is neither a row nor blank was refused."""
+    fields = line.split(b"\t")
+    if len(fields) != 2 or not all(map(_DIGITS_RE.fullmatch, fields)):
+        text = line.decode("ascii", "backslashreplace")
+        return f"expected 'channel<TAB>time' in decimal digits, got {text!r}"
+    name, field, most = (("channel", fields[0], _CHANNEL_DIGITS)
+                         if len(fields[0]) > _CHANNEL_DIGITS
+                         else ("time", fields[1], _TIME_DIGITS))
+    return f"{name} {field.decode()} has more than {most} digits"
+
+
+_DIGITS_RE = re.compile(rb"[0-9]+")
+
+
+class _TagRows:
+    """The channels and times of a dump's body, parsed one bytearray of
+    whole lines at a time (``parse``) into arrays of ``capacity``
+    entries, grown in place if they fill and cut to length by
+    ``result``.  ``source`` prefixes every refusal."""
+
+    def __init__(self, capacity: int, source: str):
+        self.channels = np.empty(capacity, dtype=np.uint8)
+        self.times = np.empty(capacity, dtype=np.int64)
+        self.n = 0
+        self.line = 2           # of the next line; the header is line 1
+        self.source = source
+
+    def result(self) -> tuple[np.ndarray, np.ndarray]:
+        self._resize(self.n)
+        return self.channels, self.times
+
+    def _resize(self, size: int) -> None:
+        # in place (realloc): no view of either array outlives a call
+        self.channels.resize(size, refcheck=False)
+        self.times.resize(size, refcheck=False)
+
+    def _refuse(self, line: int, cause: str):
+        raise ValueError(f"{self.source}line {self.line + line}: {cause}")
+
+    def parse(self, lines: bytearray) -> None:
+        """Parse whole lines, the last ending in a newline: runs of rows
+        of one layout as matrices that view ``lines`` (``_run``), and
+        the rest, from the first short run on, by ``_parse_mixed``."""
+        text = np.frombuffer(lines, dtype=np.uint8)
+        at = 0
+        while at < text.shape[0]:
+            used = self._run(lines, text, at)
+            if not used:
+                self._parse_mixed(text[at:])
+                return
+            at += used
+
+    def _run(self, lines: bytearray, text: np.ndarray, at: int) -> int:
+        """Parse the rows from byte ``at`` on that have the layout of
+        the line there, as one (rows, width) matrix; returns the bytes
+        parsed, or 0 when that line is no row or its run is short and
+        not the last."""
+        width = lines.find(b"\n", at) + 1 - at
+        c = lines.find(b"\t", at, at + width) - at
+        if not (1 <= c <= _CHANNEL_DIGITS
+                and 1 <= width - 2 - c <= _TIME_DIGITS):
+            return 0
+        rows = text[at:at + (text.shape[0] - at) // width * width]
+        rows = rows.reshape(-1, width)
+        # the run ends at the first matrix row that does not end a line
+        ends = rows[:, -1] == _NEWLINE
+        stop = int(ends.argmin())
+        count = rows.shape[0] if ends[stop] else stop
+        if count < _MIN_RUN and at + count * width < text.shape[0]:
+            return 0
+        rows = rows[:count]
+        if not (rows[:, c] == _TAB).all():
+            return 0
+        rows -= _ZERO
+        # every byte but the tab and the newline is a digit
+        if np.count_nonzero(rows > 9) != 2 * count:
+            rows += _ZERO
+            return 0
+        channel = rows[:, 0].astype(np.uint16)
+        for j in range(1, c):
+            channel *= 10
+            channel += rows[:, j]
+        self._reserve(count)
+        where = slice(self.n, self.n + count)
+        faults = self._store_channels(channel, where, None)
+        faults += self._store_times(rows[:, c + 1:-1], where, None)
+        self._finish(count, None, faults)
+        return count * width
+
+    def _parse_mixed(self, text: np.ndarray) -> None:
+        """Parse whole lines of any mix of layouts.  Find the non-digit
+        bytes: when they are a tab and a newline per line every line is
+        a row, else ``_sort_out`` drops the blank lines or refuses.  A
+        channel is the up to three digits before its tab; the times of
+        one width are gathered into one matrix, aligned at the tab."""
+        marks = np.flatnonzero((text - _ZERO) > 9)
+        kinds = text[marks]
+        tabs = None
+        if (kinds.shape[0] % 2 == 0 and (kinds[0::2] == _TAB).all()
+                and (kinds[1::2] == _NEWLINE).all()):
+            tabs, ends = marks[0::2], marks[1::2]
+            starts = _line_starts(ends)
+            if _bad_fields(tabs - starts, ends - tabs - 1).any():
+                tabs = None   # a blank line of one tab, or a refusal
+        if tabs is None:
+            count, lines, starts, tabs, ends = self._sort_out(text, marks,
+                                                             kinds)
+        else:
+            count, lines = ends.shape[0], None
+        c, t = tabs - starts, ends - tabs - 1
+        channel = (text[tabs - 1] - _ZERO).astype(np.uint16)
+        for k, scale in ((2, 10), (3, 100)):
+            digit = text[tabs - k] - _ZERO   # any byte where c < k
+            digit[c < k] = 0
+            channel += digit.astype(np.uint16) * scale
+        self._reserve(tabs.shape[0])
+        first = self.n
+        faults = self._store_channels(
+            channel, slice(first, first + tabs.shape[0]), lines)
+        for width in np.flatnonzero(np.bincount(t)):
+            group = np.flatnonzero(t == width)
+            lo, size = int(group[0]), group.shape[0]
+            digits = _windows(text, int(width))[tabs[group] + 1]
+            digits = digits.view(np.uint8).reshape(size, int(width))
+            digits -= _ZERO
+            where = (slice(first + lo, first + lo + size)
+                     if int(group[-1]) - lo == size - 1 else group + first)
+            faults += self._store_times(
+                digits, where, group if lines is None else lines[group])
+        self._finish(count, lines, faults)
+
+    def _sort_out(self, text: np.ndarray, marks: np.ndarray,
+                  kinds: np.ndarray):
+        """Classify whole lines by their non-digit bytes ``marks`` (of
+        ``kinds``): refuse the first line that is neither a row nor
+        blank, else return the count of lines, the rows' lines, and
+        their starts, tabs and ends."""
+        newline = kinds == _NEWLINE
+        ends = marks[newline]
+        count = ends.shape[0]
+        starts = _line_starts(ends)
+        line_of = np.cumsum(newline) - newline   # each mark's line
+        tab, space = kinds == _TAB, kinds == ord(" ")
+        tabs = np.bincount(line_of[tab], minlength=count)
+        blanks = np.bincount(line_of[space], minlength=count) + tabs
+        at = np.zeros(count, dtype=np.int64)   # a row's tab
+        at[line_of[tab]] = marks[tab]
+        row = ((tabs == 1) & (blanks == 1)
+               & ~_bad_fields(at - starts, ends - at - 1))
+        row[line_of[~(tab | space | newline)]] = False
+        bad = ~row & (blanks != ends - starts)
+        if bad.any():
+            self._refuse_line(text, starts, ends, int(bad.argmax()))
+        lines = np.flatnonzero(row)
+        return count, lines, starts[lines], at[lines], ends[lines]
+
+    def _refuse_line(self, text, starts, ends, i: int):
+        """Refuse line ``i`` of ``text``, neither a row nor blank, once
+        the lines before it are parsed: one of them may fault first."""
+        if i:
+            self._parse_mixed(text[:starts[i]])
+        self._refuse(0, _row_error(text[starts[i]:ends[i]].tobytes()))
+
+    def _reserve(self, count: int) -> None:
+        if self.n + count > self.times.shape[0]:
+            self._resize(max(self.n + count, self.times.shape[0] * 3 // 2))
+
+    def _store_channels(self, channel: np.ndarray, where, lines) -> list:
+        """Store channels at ``where``; returns the first above 255 as
+        ``[(line, cause)]``, ``lines`` giving each row's line in the
+        slice (None: the rows are the lines)."""
+        self.channels[where] = channel
+        over = channel > 255
+        if not over.any():
+            return []
+        i = int(over.argmax())
+        return [(i if lines is None else int(lines[i]),
+                 f"channel {channel[i]} is above 255")]
+
+    def _store_times(self, digits: np.ndarray, where, lines) -> list:
+        """Sum the rows of ``digits``, the digit values of times of one
+        width, column by column into the times at ``where`` (a slice,
+        written in place, or indices); returns the first time past int64
+        as in ``_store_channels``."""
+        in_place = isinstance(where, slice)
+        times = (self.times[where] if in_place
+                 else np.empty(digits.shape[0], dtype=np.int64))
+        np.copyto(times, digits[:, 0])
+        for j in range(1, digits.shape[1]):
+            times *= 10
+            times += digits[:, j]
+        if not in_place:
+            self.times[where] = times
+        # 19 digits can pass 2**63 - 1; the sum then wraps negative
+        if digits.shape[1] < _TIME_DIGITS or not (times < 0).any():
+            return []
+        i = int((times < 0).argmax())
+        field = (digits[i] + _ZERO).tobytes().decode()
+        return [(i if lines is None else int(lines[i]),
+                 f"time {field} does not fit int64")]
+
+    def _finish(self, count: int, lines, faults: list) -> None:
+        """Refuse the first line of the slice with a fault: one of
+        ``faults`` or a time below the row before it (from the row
+        before the slice on).  Else take in the slice's rows and move
+        past its ``count`` lines."""
+        first = self.n
+        end = first + (count if lines is None else lines.shape[0])
+        times = self.times[max(first - 1, 0):end]
+        back = times[1:] < times[:-1]
+        if back.any():
+            i = int(back.argmax()) + 1   # the row in ``times``
+            row = i - (first > 0)        # the row in the slice
+            faults.append((row if lines is None else int(lines[row]),
+                           f"time {times[i]} is below the previous row's "
+                           f"{times[i - 1]}"))
+        if faults:
+            self._refuse(*min(faults))
+        self.n = end
+        self.line += count
+
+
+def _line_starts(ends: np.ndarray) -> np.ndarray:
+    """Where each line starts, given where each ends (its newline)."""
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    np.add(ends[:-1], 1, out=starts[1:])
+    return starts
+
+
+def _bad_fields(c: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Rows whose channel or time field is empty or too wide."""
+    return (c < 1) | (t < 1) | (c > _CHANNEL_DIGITS) | (t > _TIME_DIGITS)
 
 
 def load_tagstream(path_or_file) -> TagStream:
-    """Read a ``#tagstream v1`` dump written by :func:`dump_tagstream`.
+    """Read a ``#tagstream v1`` dump (the grammar at the head of this
+    section).
 
-    ``path_or_file`` is a path or an open text file, read from its
-    current position.  After the header, ``np.loadtxt`` parses the open
-    file line by line, so memory stays bounded by its chunks and the
-    output arrays.  A body of blank lines gives an empty stream.  Raises
-    ``ValueError`` on a bad header, a row that is not two integer
-    columns, a channel outside [0, 255], or times out of order.
+    ``path_or_file`` is a path, read in binary mode, or an open text or
+    binary file, read from its current position.  The body is parsed a
+    slice of whole lines at a time (``_body_lines``, ``_TagRows``), so
+    memory stays bounded by the slice and the output arrays.  These are
+    sized once from a newline count for a seekable path, and grown as
+    rows arrive otherwise.  Raises ``ValueError`` on a bad header, or,
+    naming the path, the 1-based line and the cause, on a line that is
+    neither a row nor blank, a channel above 255, a time past int64 or a
+    time below the one before it.
     """
     own = isinstance(path_or_file, (str, bytes))
-    f = open(path_or_file, "r") if own else path_or_file
+    f = open(path_or_file, "rb") if own else path_or_file
     try:
         header = f.readline()
+        if isinstance(header, bytes):
+            header = header.decode("ascii", "replace")
         m = _HEADER_RE.match(header)
         if not m:
             raise ValueError(f"bad tag-stream header: {header!r}")
-        party, duration = m.group(1), int(m.group(2))
-        # a body of only blank lines is an empty stream (np.loadtxt would
-        # warn on it); the lines read here go to the parser unchanged
-        lead = []
-        for line in f:
-            lead.append(line)
-            if line.strip():
-                data = np.loadtxt(itertools.chain(lead, f), dtype=np.int64,
-                                  delimiter="\t", ndmin=2)
-                break
-        else:
-            data = np.empty((0, 2), dtype=np.int64)
+        rows = _TagRows(_count_rows(f) if own and f.seekable() else 0,
+                        f"{os.fsdecode(path_or_file)}: " if own else "")
+        for lines in _body_lines(f):
+            rows.parse(lines)
+        channels, times = rows.result()
     finally:
         if own:
             f.close()
-    if data.shape[1] != 2:
-        raise ValueError("tag lines must be 'channel<TAB>time_ps'")
-    if data.size and ((data[:, 0] < 0).any() or (data[:, 0] > 255).any()):
-        raise ValueError("channel ids must be in [0, 255]")
-    # contiguous times, so that readers do not copy a strided column
-    return TagStream(party=party, duration_ps=duration,
-                     channels=data[:, 0].astype(np.uint8),
-                     times=np.ascontiguousarray(data[:, 1]))
+    return TagStream(party=m.group(1), duration_ps=int(m.group(2)),
+                     channels=channels, times=times)

@@ -793,14 +793,15 @@ class _Session:
         if endpoint.role != self.role:
             raise ValueError(f"{type(self).__name__} needs an endpoint of "
                              f"role {self.role!r}")
-        # refuse a stream with a tag on a channel the endpoint does not map;
-        # only then look for the first such tag, to name its channel
-        used = np.bincount(stream.channels, minlength=256)
-        if used[endpoint.channel_setting == UNMAPPED].any():
-            unmapped = endpoint.channel_setting[stream.channels] == UNMAPPED
-            channel = stream.channels[unmapped.argmax()]
+        # refuse a stream with a tag on a channel the endpoint does not map:
+        # deleting the mapped channels' bytes leaves the unmapped tags'
+        # channels, in stream order, without an index as long as the stream
+        mapped = np.flatnonzero(endpoint.channel_setting != UNMAPPED)
+        unmapped = stream.channels.tobytes().translate(
+            None, mapped.astype(np.uint8).tobytes())
+        if unmapped:
             raise ValueError(f"{endpoint.role}'s stream has a tag on channel "
-                             f"{channel}, which the endpoint does not map")
+                             f"{unmapped[0]}, which the endpoint does not map")
         self.endpoint = endpoint
         self.stream = stream
 

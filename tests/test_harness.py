@@ -118,6 +118,31 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             cfg.replaced(channel__bob__transmittance=1.5)
 
+    def test_delay_past_tag_time_limit_names_the_key(self):
+        # a delay whose tags could pass the 2**55 ps sort-key limit once
+        # ran into a float cast and an empty-stream error naming neither
+        text = (harness.preset_path("ideal").read_text()
+                + "duration_s = 0.05\n"
+                  "channel.bob.delay_ps = 100000000000000000000\n")
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert len(err.value.errors) == 1
+        assert err.value.errors[0].startswith("channel.bob.delay_ps: ")
+
+    def test_delay_plus_duration_bounded(self):
+        limit = 2**55
+        ok = parse_config(f"duration_s = 1\nchannel.alice.delay_ps = "
+                          f"{limit - 10**12 - 1}\n")
+        assert ok["channel.alice.delay_ps"] == limit - 10**12 - 1
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"duration_s = 1\nchannel.alice.delay_ps = "
+                         f"{limit - 10**12}\n")
+        assert "channel.alice.delay_ps" in str(err.value)
+        # the merged values of an override are checked too
+        with pytest.raises(ConfigError) as err:
+            ok.replaced(duration_s=2)
+        assert "channel.alice.delay_ps" in str(err.value)
+
 
 class TestConfigHash:
     def test_reordering_and_comments_do_not_change_hash(self):
@@ -438,6 +463,15 @@ class TestCli:
         assert rc == 1
         err = capsys.readouterr().err
         assert "detector.alice.efficiency" in err
+
+    def test_delay_past_tag_time_limit_exit_one(self, tmp_path, capsys):
+        path = self.write_config(
+            tmp_path, "scenario = ideal\nduration_s = 0.05\n"
+            "channel.bob.delay_ps = 100000000000000000000\n")
+        rc = cli.main(["run", path, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: channel.bob.delay_ps: ")
 
     def test_missing_config_exit_two(self, tmp_path, capsys):
         rc = cli.main(["run", str(tmp_path / "nope.cfg")])

@@ -7,6 +7,7 @@ quantum correlations, so they are deterministic despite being Monte Carlo.
 import dataclasses
 import io
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -70,6 +71,12 @@ class TestModels:
             ChannelModel(transmittance=1.2)
         with pytest.raises(ValueError):
             ChannelModel(transmittance=-0.1)
+
+    def test_delay_range(self):
+        assert ChannelModel(1.0, 2**55 - 1).delay_ps == 2**55 - 1
+        for delay in (-1, 2**55):
+            with pytest.raises(ValueError, match="delay_ps must be in"):
+                ChannelModel(1.0, delay)
 
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError):
@@ -773,7 +780,9 @@ def edge_stream(n, seed=0):
                      channels=channels, times=times)
 
 
-CHUNK = optics._DUMP_ROWS
+# the writer's slice in the round trips below, so that their sizes fall on
+# and around slice edges
+CHUNK = 1 << 12
 
 
 class TestTagStreamIO:
@@ -787,7 +796,8 @@ class TestTagStreamIO:
                                    2 * CHUNK + 1, 16 * CHUNK - 1,
                                    16 * CHUNK, 16 * CHUNK + 1,
                                    32 * CHUNK + 1])
-    def test_matches_savetxt_and_round_trips(self, n):
+    def test_matches_savetxt_and_round_trips(self, n, monkeypatch):
+        monkeypatch.setattr(optics, "_DUMP_ROWS", CHUNK)
         stream = edge_stream(n)
         assert len(stream) == n
         if n > 1:
@@ -894,3 +904,231 @@ class TestTagStreamIO:
         buf = io.StringIO("#tagstream v1 party=bob duration_ps=10\n300\t5\n")
         with pytest.raises(ValueError):
             load_tagstream(buf)
+
+
+def tag_stream(channels, times):
+    return TagStream(party="alice", duration_ps=10**13,
+                     channels=np.asarray(channels, dtype=np.uint8),
+                     times=np.asarray(times, dtype=np.int64))
+
+
+def savetxt_bytes(stream):
+    ref = io.StringIO()
+    savetxt_dump(stream, ref)
+    return ref.getvalue().encode()
+
+
+def writer_streams():
+    """Streams named by what the writer must get right."""
+    rng = np.random.default_rng(21)
+    n = 700
+    ideal = rng.integers(1, 7, n)
+    # every 10**k - 1 and 10**k, the largest time a sort key holds, and
+    # channels at each digit-count edge
+    edges = np.sort(np.r_[0, 10 ** np.arange(1, 17) - 1,
+                          10 ** np.arange(1, 17), 2**55 - 1])
+    edge_channels = np.resize([9, 10, 99, 100, 255, 0], edges.size)
+    twelve = np.sort(rng.integers(10**11, 10**12, n))
+    return {
+        # one layout in every slice
+        "uniform": tag_stream(ideal, twelve),
+        # ascending times that pass 10**k partway through slices
+        "crossing": tag_stream(ideal, np.sort(
+            (10 ** rng.uniform(0, 13, n)).astype(np.int64))),
+        "time_edges": tag_stream(edge_channels, edges),
+        "channel_9": tag_stream(np.full(n, 9), twelve),
+        "channel_99": tag_stream(np.full(n, 99), twelve),
+        "channel_255": tag_stream(np.full(n, 255), twelve),
+        "channels_mixed": tag_stream(rng.choice([9, 10, 99, 100, 255], n),
+                                     twelve),
+        "random": edge_stream(n, seed=4),
+    }
+
+
+WRITER_STREAMS = writer_streams()
+HEADER = "#tagstream v1 party=bob duration_ps=10\n"
+
+
+def load_text(text, slice_bytes=None, monkeypatch=None):
+    if slice_bytes is not None:
+        monkeypatch.setattr(optics, "_LOAD_BYTES", slice_bytes)
+    return load_tagstream(io.StringIO(HEADER + text))
+
+
+class TestTagStreamWriter:
+    @pytest.mark.parametrize("rows", [1, 3, 64, None])
+    @pytest.mark.parametrize("name", sorted(WRITER_STREAMS))
+    def test_matches_savetxt(self, name, rows, tmp_path, monkeypatch):
+        if rows is not None:
+            monkeypatch.setattr(optics, "_DUMP_ROWS", rows)
+        stream = WRITER_STREAMS[name]
+        ref = savetxt_bytes(stream)
+        text, binary = io.StringIO(), io.BytesIO()
+        dump_tagstream(stream, text)
+        dump_tagstream(stream, binary)
+        dump_tagstream(stream, str(tmp_path / "s.tags"))
+        assert text.getvalue().encode() == ref
+        assert binary.getvalue() == ref
+        assert (tmp_path / "s.tags").read_bytes() == ref
+
+    def test_negative_time_refused(self):
+        stream = tag_stream([1, 2], [0, 5])
+        stream.times[0] = -5
+        with pytest.raises(ValueError, match=">= 0"):
+            dump_tagstream(stream, io.BytesIO())
+
+    def test_traced_peak_does_not_grow_with_the_stream(self, tmp_path):
+        peaks = []
+        for n in (1 << 16, 1 << 20):
+            rng = np.random.default_rng(n)
+            stream = tag_stream(rng.integers(0, 256, n),
+                                np.sort(rng.integers(0, 10**12, n)))
+            tracemalloc.start()
+            try:
+                dump_tagstream(stream, str(tmp_path / "s.tags"))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
+        assert peaks[1] < 4 << 20
+
+
+# body, then each tag's channel and time
+ACCEPTED = {
+    "empty": ("", [], []),
+    "one row": ("1\t5\n", [1], [5]),
+    "no final newline": ("1\t5\n2\t6", [1, 2], [5, 6]),
+    "blank lines anywhere": ("\n \n\t\n1\t5\n  \t \n\n2\t6\n\t\n\n",
+                             [1, 2], [5, 6]),
+    "crlf": ("1\t5\r\n\r\n2\t6\r\n3\t7", [1, 2, 3], [5, 6, 7]),
+    "widest fields": ("255\t9223372036854775807\n", [255], [2**63 - 1]),
+    "leading zeros": ("007\t0000000000000000009\n0\t0010\n", [7, 0],
+                      [9, 10]),
+    "zeros": ("0\t0\n0\t0\n", [0, 0], [0, 0]),
+    # rows of one width whose tabs differ are not one layout
+    "tab moves, width stays": ("12\t11\n1\t100\n", [12, 1], [11, 100]),
+}
+
+# body, the line refused (the header is line 1) and the cause
+REFUSED = {
+    "one column": ("1\n", 2, "expected 'channel<TAB>time'"),
+    "three columns": ("1\t2\t3\n", 2, "expected"),
+    "fraction": ("1\t2.5\n", 2, "expected"),
+    "letter": ("1\t5\nx\t6\n", 3, "expected"),
+    "negative channel": ("-1\t5\n", 2, "expected"),
+    "plus sign": ("1\t5\n+2\t6\n", 3, "expected"),
+    "plus sign on time": ("1\t+5\n", 2, "expected"),
+    "space before channel": (" 1\t5\n", 2, "expected"),
+    "space before tab": ("1 \t5\n", 2, "expected"),
+    "space after tab": ("1\t 5\n", 2, "expected"),
+    "space after time": ("1\t5 \n", 2, "expected"),
+    "comment": ("# note\n1\t5\n", 2, "expected"),
+    "trailing tab": ("1\t5\t\n", 2, "expected"),
+    "empty channel": ("\t5\n", 2, "expected"),
+    "empty time": ("1\t\n", 2, "expected"),
+    "lone carriage return": ("1\t5\r6\n", 2, "expected"),
+    "non-ASCII": ("1\t5\n2\t\u0666\n", 3, "expected"),
+    "wide channel": ("0001\t5\n", 2, "channel 0001 has more than 3 digits"),
+    "20-digit time": ("1\t00000000000000000005\n", 2,
+                      "time 00000000000000000005 has more than 19 digits"),
+    "channel above 255": ("1\t5\n256\t6\n", 3, "channel 256 is above 255"),
+    "time past int64": ("1\t9223372036854775808\n", 2,
+                        "time 9223372036854775808 does not fit int64"),
+    "times out of order": ("1\t9\n2\t5\n", 3,
+                           "time 5 is below the previous row's 9"),
+    "after blank lines": ("1\t5\n\n \n300\t7\n", 5,
+                          "channel 300 is above 255"),
+    "first fault wins": ("1\t5\n300\t6\nx\n", 3, "channel 300"),
+    "order before width": ("1\t9\n1\t5\n1\t00000000000000000001\n", 3,
+                           "below"),
+}
+
+
+class TestTagStreamReader:
+    @pytest.mark.parametrize("slice_bytes", [1, 3, 64, None])
+    @pytest.mark.parametrize("name", sorted(ACCEPTED))
+    def test_accepted(self, name, slice_bytes, tmp_path, monkeypatch):
+        body, channels, times = ACCEPTED[name]
+        path = tmp_path / "s.tags"
+        path.write_bytes((HEADER + body).encode())
+        with open(path, newline="") as text_crlf, open(path) as text:
+            loads = [load_text(body, slice_bytes, monkeypatch),
+                     load_tagstream(io.BytesIO((HEADER + body).encode())),
+                     load_tagstream(str(path)),
+                     load_tagstream(text), load_tagstream(text_crlf)]
+        for loaded in loads:
+            assert (loaded.party, loaded.duration_ps) == ("bob", 10)
+            assert loaded.channels.tolist() == channels
+            assert loaded.times.tolist() == times
+            assert loaded.channels.dtype == np.uint8
+            assert loaded.times.dtype == np.int64
+
+    @pytest.mark.parametrize("slice_bytes", [1, 3, 64, None])
+    @pytest.mark.parametrize("name", sorted(REFUSED))
+    def test_refused_naming_line(self, name, slice_bytes, monkeypatch):
+        body, line, cause = REFUSED[name]
+        with pytest.raises(ValueError) as err:
+            load_text(body, slice_bytes, monkeypatch)
+        assert str(err.value).startswith(f"line {line}: ")
+        assert cause in str(err.value)
+
+    def test_path_named_in_refusal(self, tmp_path):
+        path = tmp_path / "bob.tags"
+        path.write_text(HEADER + "1\t5\n1\t4\n")
+        with pytest.raises(ValueError) as err:
+            load_tagstream(str(path))
+        assert str(err.value).startswith(f"{path}: line 3: ")
+
+    @pytest.mark.parametrize("slice_bytes", [1, 3, 64, None])
+    @pytest.mark.parametrize("name", ["crossing", "time_edges",
+                                      "channels_mixed", "random"])
+    def test_round_trip_across_slice_edges(self, name, slice_bytes,
+                                           monkeypatch):
+        # lines, and runs of one layout, straddle the slices
+        stream = WRITER_STREAMS[name]
+        text = savetxt_bytes(stream).decode().split("\n", 1)[1]
+        loaded = load_text(text, slice_bytes, monkeypatch)
+        np.testing.assert_array_equal(loaded.channels, stream.channels)
+        np.testing.assert_array_equal(loaded.times, stream.times)
+
+    @pytest.mark.parametrize("slice_bytes", [3, 64, None])
+    def test_fault_line_counted_across_slices(self, slice_bytes,
+                                              monkeypatch):
+        # a long run of one layout, a mixed stretch with blank lines, then
+        # a fault: the line count carries over every slice and run
+        rows = [f"{c}\t{t}" for c, t in zip(np.resize([1, 2, 3], 400),
+                                              range(10**6, 10**6 + 400))]
+        rows += ["", "  "] + [f"{c}\t{t}" for c, t in
+                              zip(np.resize([7, 77, 177], 30),
+                                  range(10**7, 10**7 + 30))]
+        body = "\n".join(rows + ["2\t10000000", "\t"]) + "\n"
+        with pytest.raises(ValueError) as err:
+            load_text(body, slice_bytes, monkeypatch)
+        # the header, 432 lines, then the time that goes back
+        assert str(err.value) == ("line 434: time 10000000 is below the "
+                                  "previous row's 10000029")
+
+    def test_file_read_from_its_position(self):
+        buf = io.StringIO("preamble\n" + HEADER + "3\t4\n")
+        buf.readline()
+        loaded = load_tagstream(buf)
+        assert loaded.times.tolist() == [4]
+
+    def test_load_peak_per_tag(self, tmp_path):
+        # loading from a path sizes the arrays once and parses a slice at
+        # a time: 9 B a tag of output plus bounded temporaries
+        n = 1 << 20
+        rng = np.random.default_rng(8)
+        stream = tag_stream(rng.integers(1, 7, n),
+                            np.sort(rng.integers(0, 10**12, n)))
+        path = str(tmp_path / "alice.tags")
+        dump_tagstream(stream, path)
+        tracemalloc.start()
+        try:
+            loaded = load_tagstream(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * n
+        np.testing.assert_array_equal(loaded.times, stream.times)
+        np.testing.assert_array_equal(loaded.channels, stream.channels)

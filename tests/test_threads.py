@@ -58,7 +58,8 @@ def test_worker_exception_reaches_caller():
 
 
 def test_bob_sort_key_overflow_raised_from_worker(split, monkeypatch):
-    # Bob's tags land past 2**55 ps; his sort keys are packed on the worker
+    # Bob's tags land past 2**55 ps, his delay just below it; his sort
+    # keys are packed on the worker
     threads = []
     original = optics._pack_keys
 
@@ -68,7 +69,7 @@ def test_bob_sort_key_overflow_raised_from_worker(split, monkeypatch):
 
     monkeypatch.setattr(optics, "_pack_keys", recorded)
     a = alice_station(ChannelModel(1.0, 0), PERFECT)
-    b = bob_station(ChannelModel(1.0, 2**55), PERFECT)
+    b = bob_station(ChannelModel(1.0, 2**55 - 1), PERFECT)
     before = threading.enumerate()
     with pytest.raises(ValueError, match="2\\*\\*55"):
         simulate_session(SourceModel(pair_rate_hz=1e7), DriftModel(), a, b,
