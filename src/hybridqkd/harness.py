@@ -180,14 +180,13 @@ class ScenarioConfig:
             if isinstance(value, (tuple, list)):
                 value = ", ".join(str(v) for v in value)
             text_pairs.append(f"{path} = {value}")
-        merged = dict(self.values)
-        update = parse_config("\n".join(text_pairs)).values
-        for name, _ in (p.split(" = ", 1) for p in text_pairs):
-            merged[name] = update[name]
-        errors = _tag_time_errors(merged)
+        update, errors = _parse_values("\n".join(text_pairs))
         if errors:
             raise ConfigError(errors)
-        return ScenarioConfig(values=merged)
+        merged = dict(self.values)
+        for name, _ in (p.split(" = ", 1) for p in text_pairs):
+            merged[name] = update[name]
+        return _validated(merged, [])
 
 
 def _convert(path, key, raw, errors):
@@ -238,6 +237,12 @@ def _convert(path, key, raw, errors):
 def parse_config(text: str) -> ScenarioConfig:
     """Parse and validate config text; raises ConfigError listing every
     problem with its key path."""
+    return _validated(*_parse_values(text))
+
+
+def _parse_values(text: str) -> tuple[dict, list]:
+    """The schema's defaults with the keys of ``text`` set, and the
+    problems found in each key on its own."""
     values = {path: key.default for path, key in SCHEMA.items()}
     errors = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -257,7 +262,13 @@ def parse_config(text: str) -> ScenarioConfig:
         value = _convert(path, SCHEMA[path], raw, errors)
         if value is not None:
             values[path] = value
-    errors += _tag_time_errors(values)
+    return values, errors
+
+
+def _validated(values: dict, errors: list) -> ScenarioConfig:
+    """A config of complete ``values``, once they pass the checks that
+    span keys; raises ConfigError with ``errors`` and those failures."""
+    errors = errors + _tag_time_errors(values)
     if errors:
         raise ConfigError(errors)
     return ScenarioConfig(values=values)

@@ -759,11 +759,14 @@ _HEADER_RE = re.compile(
 # arrays in flight whatever the stream's length
 _DUMP_ROWS = 1 << 14
 _LOAD_BYTES = 1 << 18
-# shorter runs of one layout inside a slice are parsed with their neighbours
+# shorter runs of one layout inside a slice are parsed with their neighbours,
+# about _MIXED_BYTES of lines at a time: the general parse keeps some 8
+# bytes of index arrays per byte of text
 _MIN_RUN = 1 << 8
+_MIXED_BYTES = 1 << 16
 
 _CHANNEL_DIGITS, _TIME_DIGITS = 3, 19   # the widest fields a row may have
-_TAB, _NEWLINE, _ZERO = 9, 10, 48       # ASCII codes
+_TAB, _NEWLINE, _SPACE, _ZERO = 9, 10, 32, 48   # ASCII codes
 
 
 def _digit_quads() -> np.ndarray:
@@ -823,7 +826,7 @@ def _write_layout(rows: np.ndarray, channels: np.ndarray,
 def _format_rows(channels: np.ndarray, times: np.ndarray) -> np.ndarray:
     """The ``"%d\t%d\n"`` text of some tags as a uint8 array: one matrix
     when they share a layout, as a run of ascending times does between
-    powers of ten; else each layout's rows written at their offsets."""
+    powers of ten; else each layout's rows scattered to their offsets."""
     lo, hi = int(times.min()), int(times.max())
     if lo < 0:
         raise ValueError("tag times must be >= 0")
@@ -843,16 +846,10 @@ def _format_rows(channels: np.ndarray, times: np.ndarray) -> np.ndarray:
         c, t = divmod(int(key), 32)
         width = c + t + 2
         rows = np.flatnonzero(layout == key)
-        first, last = int(rows[0]), int(rows[-1]) + 1
-        if last - first == rows.shape[0]:  # consecutive rows: in place
-            at = int(starts[first])
-            _write_layout(text[at:at + (last - first) * width].reshape(
-                -1, width), channels[first:last], times[first:last], c)
-        else:
-            block = np.empty((rows.shape[0], width), dtype=np.uint8)
-            _write_layout(block, channels[rows], times[rows], c)
-            _windows(text, width)[starts[rows]] = block.view(
-                np.dtype((np.void, width)))[:, 0]
+        block = np.empty((rows.shape[0], width), dtype=np.uint8)
+        _write_layout(block, channels[rows], times[rows], c)
+        _windows(text, width)[starts[rows]] = block.view(
+            np.dtype((np.void, width)))[:, 0]
     return text
 
 
@@ -862,12 +859,13 @@ def dump_tagstream(stream: TagStream, path_or_file) -> None:
     bytes ``"%d\t%d\n"`` makes of each.
 
     ``path_or_file`` is a path, written in binary mode, or an open file:
-    a text file receives ``str``, any other bytes.  Rows are formatted
-    ``_DUMP_ROWS`` at a time, so memory stays bounded by the slice.
+    a binary file (``io.RawIOBase`` or ``io.BufferedIOBase``) receives
+    bytes, any other ``str``.  Rows are formatted ``_DUMP_ROWS`` at a
+    time, so memory stays bounded by the slice.
     """
     own = isinstance(path_or_file, (str, bytes))
     f = open(path_or_file, "wb") if own else path_or_file
-    text = isinstance(f, io.TextIOBase)
+    text = not isinstance(f, (io.RawIOBase, io.BufferedIOBase))
     try:
         header = (f"#tagstream v1 party={stream.party} "
                   f"duration_ps={stream.duration_ps}\n")
@@ -955,14 +953,17 @@ class _TagRows:
     def parse(self, lines: bytearray) -> None:
         """Parse whole lines, the last ending in a newline: runs of rows
         of one layout as matrices that view ``lines`` (``_run``), and
-        the rest, from the first short run on, by ``_parse_mixed``."""
+        the lines from a short run on by ``_parse_mixed``, up to the
+        first newline ``_MIXED_BYTES`` on."""
         text = np.frombuffer(lines, dtype=np.uint8)
         at = 0
         while at < text.shape[0]:
             used = self._run(lines, text, at)
             if not used:
-                self._parse_mixed(text[at:])
-                return
+                end = lines.find(b"\n", min(at + _MIXED_BYTES,
+                                            text.shape[0] - 1)) + 1
+                self._parse_mixed(text[at:end])
+                used = end - at
             at += used
 
     def _run(self, lines: bytearray, text: np.ndarray, at: int) -> int:
@@ -998,31 +999,17 @@ class _TagRows:
         self._reserve(count)
         where = slice(self.n, self.n + count)
         faults = self._store_channels(channel, where, None)
-        faults += self._store_times(rows[:, c + 1:-1], where, None)
+        faults += _sum_times(rows[:, c + 1:-1], self.times[where], None)
         self._finish(count, None, faults)
         return count * width
 
     def _parse_mixed(self, text: np.ndarray) -> None:
-        """Parse whole lines of any mix of layouts.  Find the non-digit
-        bytes: when they are a tab and a newline per line every line is
-        a row, else ``_sort_out`` drops the blank lines or refuses.  A
-        channel is the up to three digits before its tab; the times of
-        one width are gathered into one matrix, aligned at the tab."""
-        marks = np.flatnonzero((text - _ZERO) > 9)
-        kinds = text[marks]
-        tabs = None
-        if (kinds.shape[0] % 2 == 0 and (kinds[0::2] == _TAB).all()
-                and (kinds[1::2] == _NEWLINE).all()):
-            tabs, ends = marks[0::2], marks[1::2]
-            starts = _line_starts(ends)
-            if _bad_fields(tabs - starts, ends - tabs - 1).any():
-                tabs = None   # a blank line of one tab, or a refusal
-        if tabs is None:
-            count, lines, starts, tabs, ends = self._sort_out(text, marks,
-                                                             kinds)
-        else:
-            count, lines = ends.shape[0], None
-        c, t = tabs - starts, ends - tabs - 1
+        """Parse whole lines of any mix of layouts: ``_sort_out`` finds
+        the rows among them from their non-digit bytes.  A channel is the
+        up to three digits before its tab; the times of one width are
+        gathered into one matrix, aligned at the tab, and scattered back
+        to their rows."""
+        count, lines, tabs, c, t = self._sort_out(text)
         channel = (text[tabs - 1] - _ZERO).astype(np.uint16)
         for k, scale in ((2, 10), (3, 100)):
             digit = text[tabs - k] - _ZERO   # any byte where c < k
@@ -1034,40 +1021,39 @@ class _TagRows:
             channel, slice(first, first + tabs.shape[0]), lines)
         for width in np.flatnonzero(np.bincount(t)):
             group = np.flatnonzero(t == width)
-            lo, size = int(group[0]), group.shape[0]
             digits = _windows(text, int(width))[tabs[group] + 1]
-            digits = digits.view(np.uint8).reshape(size, int(width))
+            digits = digits.view(np.uint8).reshape(group.shape[0], int(width))
             digits -= _ZERO
-            where = (slice(first + lo, first + lo + size)
-                     if int(group[-1]) - lo == size - 1 else group + first)
-            faults += self._store_times(
-                digits, where, group if lines is None else lines[group])
+            times = np.empty(group.shape[0], dtype=np.int64)
+            faults += _sum_times(digits, times, lines[group])
+            self.times[first + group] = times
         self._finish(count, lines, faults)
 
-    def _sort_out(self, text: np.ndarray, marks: np.ndarray,
-                  kinds: np.ndarray):
-        """Classify whole lines by their non-digit bytes ``marks`` (of
-        ``kinds``): refuse the first line that is neither a row nor
-        blank, else return the count of lines, the rows' lines, and
-        their starts, tabs and ends."""
-        newline = kinds == _NEWLINE
-        ends = marks[newline]
-        count = ends.shape[0]
+    def _sort_out(self, text: np.ndarray):
+        """Classify whole lines by their non-digit bytes: a row has two,
+        its tab and its newline, around fields of 1-3 and 1-19 digits; a
+        blank line has no digit and no bytes but spaces and tabs.  Refuse
+        the first line that is neither, else return the count of lines,
+        and the rows' lines, tabs and channel and time digit counts."""
+        marks = np.flatnonzero((text - _ZERO) > 9)
+        kinds = text[marks]
+        last = np.flatnonzero(kinds == _NEWLINE)   # each line's last mark
+        ends = marks[last]
         starts = _line_starts(ends)
-        line_of = np.cumsum(newline) - newline   # each mark's line
-        tab, space = kinds == _TAB, kinds == ord(" ")
-        tabs = np.bincount(line_of[tab], minlength=count)
-        blanks = np.bincount(line_of[space], minlength=count) + tabs
-        at = np.zeros(count, dtype=np.int64)   # a row's tab
-        at[line_of[tab]] = marks[tab]
-        row = ((tabs == 1) & (blanks == 1)
-               & ~_bad_fields(at - starts, ends - at - 1))
-        row[line_of[~(tab | space | newline)]] = False
-        bad = ~row & (blanks != ends - starts)
+        tabs = marks[last - 1]   # a row's tab, the mark before its newline
+        c, t = tabs - starts, ends - tabs - 1
+        per_line = np.diff(last, prepend=-1)
+        row = ((per_line == 2) & (kinds[last - 1] == _TAB)
+               & (c >= 1) & (c <= _CHANNEL_DIGITS)
+               & (t >= 1) & (t <= _TIME_DIGITS))
+        blank = per_line == ends - starts + 1
+        other = (kinds != _TAB) & (kinds != _SPACE) & (kinds != _NEWLINE)
+        blank[np.searchsorted(last, np.flatnonzero(other))] = False
+        bad = ~(row | blank)
         if bad.any():
             self._refuse_line(text, starts, ends, int(bad.argmax()))
         lines = np.flatnonzero(row)
-        return count, lines, starts[lines], at[lines], ends[lines]
+        return last.shape[0], lines, tabs[lines], c[lines], t[lines]
 
     def _refuse_line(self, text, starts, ends, i: int):
         """Refuse line ``i`` of ``text``, neither a row nor blank, once
@@ -1092,33 +1078,12 @@ class _TagRows:
         return [(i if lines is None else int(lines[i]),
                  f"channel {channel[i]} is above 255")]
 
-    def _store_times(self, digits: np.ndarray, where, lines) -> list:
-        """Sum the rows of ``digits``, the digit values of times of one
-        width, column by column into the times at ``where`` (a slice,
-        written in place, or indices); returns the first time past int64
-        as in ``_store_channels``."""
-        in_place = isinstance(where, slice)
-        times = (self.times[where] if in_place
-                 else np.empty(digits.shape[0], dtype=np.int64))
-        np.copyto(times, digits[:, 0])
-        for j in range(1, digits.shape[1]):
-            times *= 10
-            times += digits[:, j]
-        if not in_place:
-            self.times[where] = times
-        # 19 digits can pass 2**63 - 1; the sum then wraps negative
-        if digits.shape[1] < _TIME_DIGITS or not (times < 0).any():
-            return []
-        i = int((times < 0).argmax())
-        field = (digits[i] + _ZERO).tobytes().decode()
-        return [(i if lines is None else int(lines[i]),
-                 f"time {field} does not fit int64")]
-
     def _finish(self, count: int, lines, faults: list) -> None:
         """Refuse the first line of the slice with a fault: one of
         ``faults`` or a time below the row before it (from the row
-        before the slice on).  Else take in the slice's rows and move
-        past its ``count`` lines."""
+        before the slice on), which ranks after a fault of the same line
+        (a time past int64 wraps below its predecessor).  Else take in
+        the slice's rows and move past its ``count`` lines."""
         first = self.n
         end = first + (count if lines is None else lines.shape[0])
         times = self.times[max(first - 1, 0):end]
@@ -1130,9 +1095,27 @@ class _TagRows:
                            f"time {times[i]} is below the previous row's "
                            f"{times[i - 1]}"))
         if faults:
-            self._refuse(*min(faults))
+            self._refuse(*min(faults, key=lambda fault: fault[0]))
         self.n = end
         self.line += count
+
+
+def _sum_times(digits: np.ndarray, times: np.ndarray, lines) -> list:
+    """Sum the rows of ``digits``, the digit values of times of one
+    width, column by column into ``times``; returns the first time past
+    int64 as ``[(line, cause)]``, ``lines`` giving each row's line in the
+    slice (None: the rows are the lines)."""
+    np.copyto(times, digits[:, 0])
+    for j in range(1, digits.shape[1]):
+        times *= 10
+        times += digits[:, j]
+    # 19 digits can pass 2**63 - 1; the sum then wraps negative
+    if digits.shape[1] < _TIME_DIGITS or not (times < 0).any():
+        return []
+    i = int((times < 0).argmax())
+    field = (digits[i] + _ZERO).tobytes().decode()
+    return [(i if lines is None else int(lines[i]),
+             f"time {field} does not fit int64")]
 
 
 def _line_starts(ends: np.ndarray) -> np.ndarray:
@@ -1141,11 +1124,6 @@ def _line_starts(ends: np.ndarray) -> np.ndarray:
     starts[0] = 0
     np.add(ends[:-1], 1, out=starts[1:])
     return starts
-
-
-def _bad_fields(c: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Rows whose channel or time field is empty or too wide."""
-    return (c < 1) | (t < 1) | (c > _CHANNEL_DIGITS) | (t > _TIME_DIGITS)
 
 
 def load_tagstream(path_or_file) -> TagStream:

@@ -143,6 +143,15 @@ class TestParseConfig:
             ok.replaced(duration_s=2)
         assert "channel.alice.delay_ps" in str(err.value)
 
+    def test_override_checked_against_merged_duration(self):
+        # the default duration (10 s) would refuse this delay; the
+        # config's own 1 ms does not
+        short = parse_config("duration_s = 0.001\n")
+        delay = 2**55 - 10**10
+        out = short.replaced(channel__bob__delay_ps=delay)
+        assert out["channel.bob.delay_ps"] == delay
+        assert out["duration_s"] == 0.001
+
 
 class TestConfigHash:
     def test_reordering_and_comments_do_not_change_hash(self):

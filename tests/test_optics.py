@@ -4,6 +4,7 @@ Statistical checks draw with fixed seeds and compare against the closed-form
 quantum correlations, so they are deterministic despite being Monte Carlo.
 """
 
+import codecs
 import dataclasses
 import io
 import math
@@ -949,9 +950,11 @@ WRITER_STREAMS = writer_streams()
 HEADER = "#tagstream v1 party=bob duration_ps=10\n"
 
 
-def load_text(text, slice_bytes=None, monkeypatch=None):
+def load_text(text, slice_bytes=None, monkeypatch=None, piece_bytes=None):
     if slice_bytes is not None:
         monkeypatch.setattr(optics, "_LOAD_BYTES", slice_bytes)
+    if piece_bytes is not None:
+        monkeypatch.setattr(optics, "_MIXED_BYTES", piece_bytes)
     return load_tagstream(io.StringIO(HEADER + text))
 
 
@@ -963,12 +966,15 @@ class TestTagStreamWriter:
             monkeypatch.setattr(optics, "_DUMP_ROWS", rows)
         stream = WRITER_STREAMS[name]
         ref = savetxt_bytes(stream)
-        text, binary = io.StringIO(), io.BytesIO()
+        text, binary, encoded = io.StringIO(), io.BytesIO(), io.BytesIO()
         dump_tagstream(stream, text)
         dump_tagstream(stream, binary)
+        # a text sink that is no io.TextIOBase still receives str
+        dump_tagstream(stream, codecs.getwriter("ascii")(encoded))
         dump_tagstream(stream, str(tmp_path / "s.tags"))
         assert text.getvalue().encode() == ref
         assert binary.getvalue() == ref
+        assert encoded.getvalue() == ref
         assert (tmp_path / "s.tags").read_bytes() == ref
 
     def test_negative_time_refused(self):
@@ -1034,6 +1040,10 @@ REFUSED = {
     "channel above 255": ("1\t5\n256\t6\n", 3, "channel 256 is above 255"),
     "time past int64": ("1\t9223372036854775808\n", 2,
                         "time 9223372036854775808 does not fit int64"),
+    # its sum wraps below the row before: the value's fault is named
+    "time past int64 after a row": (
+        "1\t5\n1\t9223372036854775808\n", 3,
+        "time 9223372036854775808 does not fit int64"),
     "times out of order": ("1\t9\n2\t5\n", 3,
                            "time 5 is below the previous row's 9"),
     "after blank lines": ("1\t5\n\n \n300\t7\n", 5,
@@ -1063,12 +1073,14 @@ class TestTagStreamReader:
             assert loaded.channels.dtype == np.uint8
             assert loaded.times.dtype == np.int64
 
+    @pytest.mark.parametrize("piece_bytes", [1, None])
     @pytest.mark.parametrize("slice_bytes", [1, 3, 64, None])
     @pytest.mark.parametrize("name", sorted(REFUSED))
-    def test_refused_naming_line(self, name, slice_bytes, monkeypatch):
+    def test_refused_naming_line(self, name, slice_bytes, piece_bytes,
+                                 monkeypatch):
         body, line, cause = REFUSED[name]
         with pytest.raises(ValueError) as err:
-            load_text(body, slice_bytes, monkeypatch)
+            load_text(body, slice_bytes, monkeypatch, piece_bytes)
         assert str(err.value).startswith(f"line {line}: ")
         assert cause in str(err.value)
 
@@ -1079,21 +1091,24 @@ class TestTagStreamReader:
             load_tagstream(str(path))
         assert str(err.value).startswith(f"{path}: line 3: ")
 
+    @pytest.mark.parametrize("piece_bytes", [1, None])
     @pytest.mark.parametrize("slice_bytes", [1, 3, 64, None])
     @pytest.mark.parametrize("name", ["crossing", "time_edges",
                                       "channels_mixed", "random"])
     def test_round_trip_across_slice_edges(self, name, slice_bytes,
-                                           monkeypatch):
-        # lines, and runs of one layout, straddle the slices
+                                           piece_bytes, monkeypatch):
+        # lines, and runs of one layout, straddle the slices; short runs
+        # are parsed in pieces of one line or of the whole slice
         stream = WRITER_STREAMS[name]
         text = savetxt_bytes(stream).decode().split("\n", 1)[1]
-        loaded = load_text(text, slice_bytes, monkeypatch)
+        loaded = load_text(text, slice_bytes, monkeypatch, piece_bytes)
         np.testing.assert_array_equal(loaded.channels, stream.channels)
         np.testing.assert_array_equal(loaded.times, stream.times)
 
+    @pytest.mark.parametrize("piece_bytes", [1, None])
     @pytest.mark.parametrize("slice_bytes", [3, 64, None])
     def test_fault_line_counted_across_slices(self, slice_bytes,
-                                              monkeypatch):
+                                              piece_bytes, monkeypatch):
         # a long run of one layout, a mixed stretch with blank lines, then
         # a fault: the line count carries over every slice and run
         rows = [f"{c}\t{t}" for c, t in zip(np.resize([1, 2, 3], 400),
@@ -1103,7 +1118,7 @@ class TestTagStreamReader:
                                   range(10**7, 10**7 + 30))]
         body = "\n".join(rows + ["2\t10000000", "\t"]) + "\n"
         with pytest.raises(ValueError) as err:
-            load_text(body, slice_bytes, monkeypatch)
+            load_text(body, slice_bytes, monkeypatch, piece_bytes)
         # the header, 432 lines, then the time that goes back
         assert str(err.value) == ("line 434: time 10000000 is below the "
                                   "previous row's 10000029")
