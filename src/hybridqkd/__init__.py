@@ -7,7 +7,7 @@ ends, the time-tag streams they record, and the two-party post-processing
 that turns coincidences into a sifted key with a CHSH-based security verdict.
 
 Modules:
-    quantum   -- states, measurement settings, CHSH, key-rate information math
+    quantum   -- measurement settings, key-rate information math
     optics    -- Monte-Carlo session simulator producing time-tag streams
     kernels   -- vectorized numpy inner loops over time-tag arrays
     tags      -- delay recovery, coincidence matching, correlation estimates
@@ -23,14 +23,8 @@ from .quantum import (  # noqa: F401
     CHSH_QUANTUM_BOUND,
     MeasurementSetting,
     SecurityQuantities,
-    TwoQubitState,
     binary_entropy,
-    chsh_value,
-    correlation,
     holevo_bound,
-    hybrid_state,
-    joint_probability,
     mutual_information,
-    secure_fraction,
     standard_settings,
 )

@@ -427,7 +427,7 @@ def _run_single(cfg, out: Path):
     files = [_write(out / "report.csv", alice.report_bytes)]
     if cfg["dump_tags"]:
         for stream, name in ((res.alice, "alice.tags"), (res.bob, "bob.tags")):
-            optics.dump_tagstream(stream, str(out / name))
+            optics.dump_tagstream(stream, out / name)
             files.append(out / name)
     agg = alice.report.aggregate
     abort_block = alice.report.abort_block()
@@ -605,8 +605,8 @@ def analyze_streams(alice_path, bob_path, window_ps: int, out_dir=None):
     """Offline analysis of two dumped tag streams: delay search, matching
     at the given window, correlation estimates, CHSH, and QBER.  Writes
     matrix.csv and estimates.csv; returns a summary dict."""
-    a = optics.load_tagstream(str(alice_path))
-    b = optics.load_tagstream(str(bob_path))
+    a = optics.load_tagstream(alice_path)
+    b = optics.load_tagstream(bob_path)
     est, (pairs,) = tags.find_coincidences(a, b, [window_ps])
     matrix = tags.build_matrix(a, b, pairs)
     estimates = tags.estimate(tags.fold(matrix))

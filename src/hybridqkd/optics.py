@@ -15,8 +15,9 @@ two timing classes:
 
 * central (probability 1/2): both photons acquire the same bin offset.
   These are the coincidences a narrow window keeps, and their outcomes
-  follow the two-qubit Born rule of :mod:`hybridqkd.quantum`, including the
-  phase-sensitive interference terms.
+  follow the two-qubit Born rule for the settings of
+  :mod:`hybridqkd.quantum`, including the phase-sensitive interference
+  terms.
 * satellite (probability 1/2): the offsets differ by +-800 ps, the paths are
   distinguishable, and outcomes carry no phase correlation.  For the time
   basis these clicks exist and sit 800 ps off the coincidence peak (they are
@@ -300,11 +301,6 @@ class TagStream:
 
     def __len__(self):
         return self.times.shape[0]
-
-    def rate_hz(self) -> float:
-        if self.duration_ps == 0:
-            return 0.0
-        return len(self) * PS_PER_SECOND / self.duration_ps
 
 
 @dataclass
@@ -858,12 +854,13 @@ def dump_tagstream(stream: TagStream, path_or_file) -> None:
     then one ``channel<TAB>time_ps`` line per tag in stream order, the
     bytes ``"%d\t%d\n"`` makes of each.
 
-    ``path_or_file`` is a path, written in binary mode, or an open file:
-    a binary file (``io.RawIOBase`` or ``io.BufferedIOBase``) receives
-    bytes, any other ``str``.  Rows are formatted ``_DUMP_ROWS`` at a
-    time, so memory stays bounded by the slice.
+    ``path_or_file`` is a path (``str``, ``bytes`` or ``os.PathLike``),
+    written in binary mode, or an open file: a binary file
+    (``io.RawIOBase`` or ``io.BufferedIOBase``) receives bytes, any other
+    ``str``.  Rows are formatted ``_DUMP_ROWS`` at a time, so memory stays
+    bounded by the slice.
     """
-    own = isinstance(path_or_file, (str, bytes))
+    own = isinstance(path_or_file, (str, bytes, os.PathLike))
     f = open(path_or_file, "wb") if own else path_or_file
     text = not isinstance(f, (io.RawIOBase, io.BufferedIOBase))
     try:
@@ -1130,17 +1127,18 @@ def load_tagstream(path_or_file) -> TagStream:
     """Read a ``#tagstream v1`` dump (the grammar at the head of this
     section).
 
-    ``path_or_file`` is a path, read in binary mode, or an open text or
-    binary file, read from its current position.  The body is parsed a
-    slice of whole lines at a time (``_body_lines``, ``_TagRows``), so
-    memory stays bounded by the slice and the output arrays.  These are
-    sized once from a newline count for a seekable path, and grown as
-    rows arrive otherwise.  Raises ``ValueError`` on a bad header, or,
-    naming the path, the 1-based line and the cause, on a line that is
-    neither a row nor blank, a channel above 255, a time past int64 or a
-    time below the one before it.
+    ``path_or_file`` is a path (``str``, ``bytes`` or ``os.PathLike``),
+    read in binary mode, or an open text or binary file, read from its
+    current position.  The body is parsed a slice of whole lines at a
+    time (``_body_lines``, ``_TagRows``), so memory stays bounded by the
+    slice and the output arrays.  These are sized once from a newline
+    count for a seekable path, and grown as rows arrive otherwise.
+    Raises ``ValueError`` on a bad header, or, naming the path, the
+    1-based line and the cause, on a line that is neither a row nor
+    blank, a channel above 255, a time past int64 or a time below the one
+    before it.
     """
-    own = isinstance(path_or_file, (str, bytes))
+    own = isinstance(path_or_file, (str, bytes, os.PathLike))
     f = open(path_or_file, "rb") if own else path_or_file
     try:
         header = f.readline()

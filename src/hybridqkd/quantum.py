@@ -1,4 +1,4 @@
-"""Two-qubit state, measurement, and key-rate math for the entangled-pair link.
+"""Measurement settings and key-rate math for the entangled-pair link.
 
 The source emits photon pairs in the superposition
 
@@ -10,16 +10,19 @@ which measures the Bloch observable cos(2a) sigma_z + sin(2a) sigma_x; Bob
 either reads the arrival-time bin directly (sigma_z) or interferes the bins
 and reads the relative phase (sigma_x).
 
-This module is pure state/measurement arithmetic: Born-rule joint
-probabilities, correlation coefficients, the CHSH combination, and the
+This module keeps what the simulator and the protocol read: the five
+analyzer settings (Bloch vectors and detector-port wiring) and the
 information-theoretic quantities (mutual information, eavesdropper bound,
-secure fraction) derived from the measured S value and error rate.
+secure fraction) derived from the measured S value and error rate.  The
+simulator draws outcomes from the settings' Bloch vectors directly; the
+Born-rule state, joint probabilities and CHSH value the tests check it
+against live in ``tests/oracle_quantum.py``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,45 +31,17 @@ CHSH_CLASSICAL_BOUND = 2.0
 CHSH_QUANTUM_BOUND = 2.0 * SQRT2
 
 __all__ = [
-    "TwoQubitState",
     "MeasurementSetting",
     "SecurityQuantities",
-    "hybrid_state",
     "polarizer_setting",
     "time_basis_setting",
     "phase_basis_setting",
     "standard_settings",
-    "joint_probability",
-    "correlation",
-    "chsh_value",
     "binary_entropy",
     "mutual_information",
     "holevo_bound",
-    "secure_fraction",
     "security_quantities",
 ]
-
-
-@dataclass(frozen=True)
-class TwoQubitState:
-    """Pure two-qubit state as four amplitudes in the (H0, H1, V0, V1) order."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex).reshape(4)
-        norm = np.linalg.norm(amps)
-        if not math.isclose(norm, 1.0, rel_tol=0, abs_tol=1e-9):
-            raise ValueError(f"state norm is {norm:.12f}, expected 1")
-        object.__setattr__(self, "amplitudes", amps)
-
-
-def hybrid_state(phase: float) -> TwoQubitState:
-    """The source state (|H0> + e^{i phase} |V1>)/sqrt(2)."""
-    amps = np.zeros(4, dtype=complex)
-    amps[0] = 1.0 / SQRT2
-    amps[3] = np.exp(1j * phase) / SQRT2
-    return TwoQubitState(amps)
 
 
 @dataclass(frozen=True)
@@ -143,66 +118,6 @@ def standard_settings() -> dict[str, MeasurementSetting]:
     }
 
 
-def _eigenvector(bloch: tuple[float, float, float], outcome: int) -> np.ndarray:
-    """Eigenvector of n.sigma with eigenvalue ``outcome`` (+1 or -1)."""
-    nx, ny, nz = bloch
-    if outcome == -1:
-        nx, ny, nz = -nx, -ny, -nz
-    theta = math.acos(max(-1.0, min(1.0, nz)))
-    azim = math.atan2(ny, nx)
-    return np.array(
-        [math.cos(theta / 2.0),
-         np.exp(1j * azim) * math.sin(theta / 2.0)],
-        dtype=complex,
-    )
-
-
-def joint_probability(state: TwoQubitState, a: MeasurementSetting,
-                      b: MeasurementSetting, a_out: int, b_out: int) -> float:
-    """Born probability of quantum outcomes (a_out, b_out) for settings (a, b).
-
-    Outcomes are the +/-1 eigenvalues of the settings' observables; port
-    wiring and outcome_sign play no role here.
-    """
-    if a_out not in (1, -1) or b_out not in (1, -1):
-        raise ValueError("outcomes must be +1 or -1")
-    chi_a = _eigenvector(a.bloch, a_out)
-    chi_b = _eigenvector(b.bloch, b_out)
-    amp = np.vdot(np.kron(chi_a, chi_b), state.amplitudes)
-    p = float(np.real(amp * np.conj(amp)))
-    # clip float dust so downstream sampling sees exact [0, 1]
-    return min(1.0, max(0.0, p))
-
-
-def correlation(state: TwoQubitState, a: MeasurementSetting,
-                b: MeasurementSetting) -> float:
-    """E(a, b) = sum over outcomes of x*y*P(x, y).  In [-1, 1]."""
-    total = 0.0
-    for xa in (1, -1):
-        for xb in (1, -1):
-            total += xa * xb * joint_probability(state, a, b, xa, xb)
-    return total
-
-
-def _signed_correlation(state, a, b):
-    return a.outcome_sign * b.outcome_sign * correlation(state, a, b)
-
-
-def chsh_value(state: TwoQubitState, a0: MeasurementSetting, a1: MeasurementSetting,
-               b0: MeasurementSetting, b1: MeasurementSetting) -> float:
-    """S = E(a0,b0) + E(a0,b1) + E(a1,b0) - E(a1,b1), port-sign convention applied.
-
-    Each term uses the settings' outcome_sign flags, i.e. it is the value a
-    count-based estimator over the plus/minus detector pairs converges to.
-    """
-    return (
-        _signed_correlation(state, a0, b0)
-        + _signed_correlation(state, a0, b1)
-        + _signed_correlation(state, a1, b0)
-        - _signed_correlation(state, a1, b1)
-    )
-
-
 def binary_entropy(x: float) -> float:
     """h(x) = -x log2 x - (1-x) log2 (1-x), with h(0) = h(1) = 0.
 
@@ -238,21 +153,18 @@ def holevo_bound(s: float) -> float:
     return binary_entropy((1.0 + math.sqrt(s * s / 4.0 - 1.0)) / 2.0)
 
 
-def secure_fraction(s: float, qber: float) -> float:
-    """Distillable fraction per sifted bit: max(0, I_AB - I_E)."""
-    return max(0.0, mutual_information(qber) - holevo_bound(s))
-
-
 @dataclass(frozen=True)
 class SecurityQuantities:
     """Information-theoretic summary of one measurement block."""
 
     i_ab: float
     i_eve: float
-    secure_fraction: float = field(default=0.0)
+    secure_fraction: float
 
 
 def security_quantities(s: float, qber: float) -> SecurityQuantities:
+    """I_AB, I_E and the distillable fraction max(0, I_AB - I_E) per
+    sifted bit."""
     i_ab = mutual_information(qber)
     i_eve = holevo_bound(s)
     return SecurityQuantities(i_ab=i_ab, i_eve=i_eve,

@@ -86,6 +86,16 @@ _LOCATE_BINS = 4
 # the coarse pair count runs on two threads above this many prefix tags
 # (CHANGES.md gives the measurements)
 _COARSE_SPLIT_TAGS = 1 << 17
+# The search itself (see ``estimate_delay``): its range and bin widths,
+# the prefix lengths of the two stages and the peak checks.
+_SEARCH_RANGE_PS = 2**28
+_BIN_PS = 16
+_COARSE_BIN_PS = 4096
+_COARSE_TAGS = 1 << 18
+_FINE_TAGS = 1 << 21
+_MIN_SIGNIFICANCE = 5.0
+_MAX_FALSE_ALARM = 1e-6
+_MIN_PEAK_COUNT = 8
 
 
 @dataclass(frozen=True)
@@ -170,30 +180,28 @@ def _background_mean(hist: np.ndarray, peak: int) -> float:
     return float(bg.mean()) if bg.size else 0.0
 
 
-def _check_peak(peak_count: int, mu: float, nbins: int,
-                min_significance: float, max_false_alarm: float,
-                min_peak_count: int) -> float:
+def _check_peak(peak_count: int, mu: float, nbins: int) -> float:
     """Demand the peak stand out from a Poisson-flat background of mean
     ``mu`` over ``nbins`` bins; returns its significance.
 
-    Two tests must both pass: the peak exceeds the off-peak mean by
-    ``min_significance`` standard deviations, and the Bonferroni-corrected
-    Poisson tail probability of any bin reaching the peak count is below
-    ``max_false_alarm``.  The second test is what reliably rejects
-    independent streams, where a lucky accidental bin can clear a
-    mean-based threshold alone.
+    Three tests must all pass: the peak holds ``_MIN_PEAK_COUNT`` counts,
+    it exceeds the off-peak mean by ``_MIN_SIGNIFICANCE`` standard
+    deviations, and the Bonferroni-corrected Poisson tail probability of
+    any bin reaching the peak count is below ``_MAX_FALSE_ALARM``.  The
+    last test is what reliably rejects independent streams, where a
+    lucky accidental bin can clear a mean-based threshold alone.
     """
     sigma = math.sqrt(max(mu, 1e-9))
     significance = (peak_count - mu) / sigma
-    if peak_count < min_peak_count:
+    if peak_count < _MIN_PEAK_COUNT:
         raise NoCorrelationError(
             f"correlation peak has only {peak_count} counts")
-    if significance < min_significance:
+    if significance < _MIN_SIGNIFICANCE:
         raise NoCorrelationError(
             f"peak {peak_count} is {significance:.1f} sigma above the "
-            f"background mean {mu:.2f}; need {min_significance}")
+            f"background mean {mu:.2f}; need {_MIN_SIGNIFICANCE}")
     log_tail = _poisson_tail_log_bound(peak_count, max(mu, 1e-3))
-    if log_tail + math.log(nbins) > math.log(max_false_alarm):
+    if log_tail + math.log(nbins) > math.log(_MAX_FALSE_ALARM):
         raise NoCorrelationError(
             "peak is consistent with an accidental fluctuation "
             f"(log tail bound {log_tail:.1f} over {nbins} bins)")
@@ -223,7 +231,7 @@ def _locate_widths(pairs: int, spanned: int, nbins: int) -> list:
 
 
 def _located_coarse_peak(ca, cb, lo: int, hi: int, width: int, nbins: int,
-                         pairs: int, step: int, checks) -> int | None:
+                         pairs: int, step: int) -> int | None:
     """The coarse peak bin of the full histogram, found from exact counts
     near the peak of an FFT cross-correlation, or None if those counts
     fail the checks.
@@ -250,11 +258,10 @@ def _located_coarse_peak(ca, cb, lo: int, hi: int, width: int, nbins: int,
     first = max(0, center - 1)
     peak = first + int(np.argmax(near[first - k0:min(nbins, center + 2) - k0]))
     left, right = max(0, peak - 2), min(nbins, peak + 3)
-    rest = nbins - (right - left)
-    mu = float(pairs - int(near[left - k0:right - k0].sum())) / rest \
-        if rest else 0.0
+    mu = float(pairs - int(near[left - k0:right - k0].sum())) \
+        / (nbins - (right - left))
     try:
-        _check_peak(int(near[peak - k0]), mu, nbins, *checks)
+        _check_peak(int(near[peak - k0]), mu, nbins)
     except NoCorrelationError:
         return None
     return peak
@@ -272,18 +279,18 @@ def _listed(ranges, searched, length):
     return tags, kernels._union(first, first + count)
 
 
-def estimate_delay(a, b, search_range_ps: int = 2**28, bin_width_ps: int = 16,
-                   *, coarse_bin_ps: int = 4096,
-                   max_coarse_tags: int = 1 << 18, max_fine_tags: int = 1 << 21,
-                   min_significance: float = 5.0, max_false_alarm: float = 1e-6,
-                   min_peak_count: int = 8, _fine=None) -> DelayEstimate:
+def estimate_delay(a, b, *, _fine=None) -> DelayEstimate:
     """Find the delay (Bob minus Alice) by cross-correlation of tag times.
 
-    A coarse histogram over the full +-``search_range_ps`` locates the
-    peak on a time-ordered prefix of each stream (prefixes preserve the
-    coincidence overlap; random thinning would suppress it quadratically).
-    An exact fine histogram at ``bin_width_ps`` around the coarse peak then
-    gives the delay as the peak bin's center.
+    A coarse histogram of ``_COARSE_BIN_PS`` bins over the full
+    +-``_SEARCH_RANGE_PS`` (+-268 us) locates the peak on the
+    ``_COARSE_TAGS`` time-ordered prefix of each stream (prefixes
+    preserve the coincidence overlap; random thinning would suppress it
+    quadratically).  An exact fine histogram of ``_BIN_PS`` bins over two
+    coarse bins either side of the coarse peak then gives the delay as
+    the peak's background-subtracted centroid.  Each stage's peak must
+    pass ``_check_peak``.  These figures are fixed: they suit every
+    preset, from the ideal link to 20 km of fiber with dark counts.
 
     The coarse peak is located with an FFT cross-correlation on a grid of
     L coarse bins per bin, and only the coarse bins near the located peak
@@ -312,7 +319,7 @@ def estimate_delay(a, b, search_range_ps: int = 2**28, bin_width_ps: int = 16,
     moves L, and the total changes little near its least, so round
     figures serve (CHANGES.md gives the measurements).
 
-    The fine stage searches from the ``max_fine_tags`` prefix of the
+    The fine stage searches from the ``_FINE_TAGS`` prefix of the
     shorter stream into the whole other one, and its histogram counts
     only the pairs inside both prefixes.  ``_fine``, a list, receives
     what ``find_coincidences`` keeps of that search (``_listed``): (lo,
@@ -328,64 +335,55 @@ def estimate_delay(a, b, search_range_ps: int = 2**28, bin_width_ps: int = 16,
     if ta.size == 0 or tb.size == 0:
         raise InsufficientDataError("cannot estimate a delay from an "
                                     "empty tag stream")
-    if bin_width_ps < 1:
-        raise ValueError("bin_width_ps must be >= 1")
-    if search_range_ps < bin_width_ps:
-        raise ValueError("search_range_ps must cover at least one bin")
-    coarse_bin_ps = max(bin_width_ps, coarse_bin_ps)
-
-    checks = (min_significance, max_false_alarm, min_peak_count)
 
     # --- coarse stage ---------------------------------------------------
-    ca, cb = ta[:max_coarse_tags], tb[:max_coarse_tags]
-    lo, hi = -search_range_ps, search_range_ps
-    nbins = -(-(hi - lo) // coarse_bin_ps)
+    ca, cb = ta[:_COARSE_TAGS], tb[:_COARSE_TAGS]
+    lo, hi = -_SEARCH_RANGE_PS, _SEARCH_RANGE_PS
+    nbins = -(-(hi - lo) // _COARSE_BIN_PS)
     above, below = kernels._in_parallel(
         kernels._sorted_search, [(cb, ca, hi), (cb, ca, lo)],
         kernels._CPUS > 1 and ca.shape[0] > _COARSE_SPLIT_TAGS)
     above -= below
     pairs = int(above.sum())
     del above, below
-    spanned = int(ca[-1] - ca[0]) // coarse_bin_ps + nbins
+    spanned = int(ca[-1] - ca[0]) // _COARSE_BIN_PS + nbins
     peak = None
-    # on three bins or fewer _peak_bin does not smooth; keep those exact
-    if nbins > 3 and pairs:
+    if pairs:
         for step in _locate_widths(pairs, spanned, nbins):
-            peak = _located_coarse_peak(ca, cb, lo, hi, coarse_bin_ps, nbins,
-                                        pairs, step, checks)
+            peak = _located_coarse_peak(ca, cb, lo, hi, _COARSE_BIN_PS,
+                                        nbins, pairs, step)
             if peak is not None:
                 break
     if peak is None:
-        hist = kernels.diff_histogram(ca, cb, lo, hi, coarse_bin_ps)
+        hist = kernels.diff_histogram(ca, cb, lo, hi, _COARSE_BIN_PS)
         peak = _peak_bin(hist, smooth_bins=3)
-        _check_peak(int(hist[peak]), _background_mean(hist, peak), nbins,
-                    *checks)
-    coarse_center = lo + peak * coarse_bin_ps + coarse_bin_ps // 2
+        _check_peak(int(hist[peak]), _background_mean(hist, peak), nbins)
+    coarse_center = lo + peak * _COARSE_BIN_PS + _COARSE_BIN_PS // 2
 
     # --- fine stage -------------------------------------------------------
-    span = 2 * coarse_bin_ps
+    span = 2 * _COARSE_BIN_PS
     lo, hi = coarse_center - span, coarse_center + span
     # one binary search per tag of the shorter stream
     swapped = tb.shape[0] < ta.shape[0]
     near, far = (tb, ta) if swapped else (ta, tb)
     diffs = (1 - hi, 1 - lo) if swapped else (lo, hi)
-    ranges = kernels._window_ranges(near[:max_fine_tags], far, *diffs)
+    ranges = kernels._window_ranges(near[:_FINE_TAGS], far, *diffs)
     hist = kernels._histogram(
-        ta, tb, kernels._prefix_ranges(ranges, max_fine_tags), lo, hi,
-        bin_width_ps, swapped=swapped)
+        ta, tb, kernels._prefix_ranges(ranges, _FINE_TAGS), lo, hi,
+        _BIN_PS, swapped=swapped)
     peak = _peak_bin(hist, smooth_bins=5)
     peak_count = int(hist[peak])
     mu = _background_mean(hist, peak)
-    significance = _check_peak(peak_count, mu, hist.shape[0], *checks)
+    significance = _check_peak(peak_count, mu, hist.shape[0])
     if _fine is not None:
-        listed = _listed(ranges, max_fine_tags, near.shape[0])
+        listed = _listed(ranges, _FINE_TAGS, near.shape[0])
         _fine.append((lo, hi) + (listed[::-1] if swapped else listed))
     del ranges
     center = _refine_centroid(hist, peak, mu)
-    delay = lo + int(round(center * bin_width_ps)) + bin_width_ps // 2
+    delay = lo + int(round(center * _BIN_PS)) + _BIN_PS // 2
     return DelayEstimate(delay_ps=int(delay), significance=float(significance),
                          peak_count=peak_count, background_mean=mu,
-                         bin_width_ps=bin_width_ps)
+                         bin_width_ps=_BIN_PS)
 
 
 # ---------------------------------------------------------------------------
@@ -423,19 +421,18 @@ def match_coincidences(a, b, window_ps: int, delay_ps: int, *, _fine=None):
     return listed_a[ai], listed_b[bi]
 
 
-def find_coincidences(a, b, windows, **options):
+def find_coincidences(a, b, windows):
     """Estimate the delay of ``b`` against ``a``, then match at each window.
 
     Returns (``DelayEstimate``, an iterator of (alice_indices,
-    bob_indices), one per window), the same as ``estimate_delay(a, b,
-    **options)`` followed by ``match_coincidences`` at its delay for each
-    window.  Each window is matched when the iterator reaches it, so a
+    bob_indices), one per window), the same as ``estimate_delay(a, b)``
+    followed by ``match_coincidences`` at its delay for each window.  Each window is matched when the iterator reaches it, so a
     caller done with one window's pairs before the next holds one
     window's pairs at a time.
     """
     ta, tb = _times(a), _times(b)
     fine = []
-    est = estimate_delay(ta, tb, _fine=fine, **options)
+    est = estimate_delay(ta, tb, _fine=fine)
     return est, (match_coincidences(ta, tb, w, est.delay_ps, _fine=fine[0])
                  for w in windows)
 

@@ -47,7 +47,10 @@ def estimate_delay(ta, tb, search_range_ps=2**28, bin_width_ps=16, *,
                    coarse_bin_ps=4096, max_coarse_tags=1 << 18,
                    max_fine_tags=1 << 21, min_significance=5.0,
                    max_false_alarm=1e-6, min_peak_count=8):
-    """Same arguments and result as ``tags.estimate_delay`` on arrays."""
+    """The result of ``tags.estimate_delay`` on arrays.  The defaults are
+    the search's constants in ``tags`` (``_SEARCH_RANGE_PS``, ``_BIN_PS``,
+    ``_COARSE_BIN_PS``, ``_COARSE_TAGS``, ``_FINE_TAGS`` and the peak
+    checks); a test that patches one passes the same value here."""
     ta = np.ascontiguousarray(ta, dtype=np.int64)
     tb = np.ascontiguousarray(tb, dtype=np.int64)
     checks = (min_significance, max_false_alarm, min_peak_count)

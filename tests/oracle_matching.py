@@ -15,6 +15,8 @@ counterpart, ties toward the earlier one) on tie cases.
 
 import numpy as np
 
+from hybridqkd.optics import PS_PER_SECOND
+
 
 def _cluster_spans(a, b, half_window):
     """Split indices into clusters separated by gaps > half_window in the
@@ -109,7 +111,14 @@ def matching_cost(a, b, ai, bi):
     return int(np.abs(a[ai] - b[bi]).sum())
 
 
+def rate_hz(stream) -> float:
+    """Tags per second of a ``TagStream`` over its ``duration_ps``."""
+    if stream.duration_ps == 0:
+        return 0.0
+    return len(stream) * PS_PER_SECOND / stream.duration_ps
+
+
 def accidental_pair_rate(a, b, window_ps: int) -> float:
     """Expected uncorrelated pairs per second between two tag streams: the
     product of the two singles rates times the window width."""
-    return a.rate_hz() * b.rate_hz() * (window_ps * 1e-12)
+    return rate_hz(a) * rate_hz(b) * (window_ps * 1e-12)

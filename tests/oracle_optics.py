@@ -26,8 +26,9 @@ from hybridqkd.optics import (
     Station,
     TagStream,
 )
-from hybridqkd.quantum import MeasurementSetting, hybrid_state, joint_probability
+from hybridqkd.quantum import MeasurementSetting
 from oracle_kernels import dead_time_filter
+from oracle_quantum import hybrid_state, joint_probability
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,8 @@ from hybridqkd.optics import (
 )
 
 from oracle_matching import optimal_matching
-from oracle_quantum import monte_carlo_correlation
+from oracle_quantum import (hybrid_state, monte_carlo_correlation,
+                            setting_correlation)
 
 SQRT8 = 2.0 * math.sqrt(2.0)
 IDEAL_DETECTOR = DetectorModel(efficiency=1.0, jitter_fwhm_ps=0.0,
@@ -81,12 +82,12 @@ def test_criterion_02_monte_carlo_matches_analytic():
     rng = np.random.default_rng(2026)
     within = 0
     for _ in range(100):
-        state = quantum.hybrid_state(rng.uniform(0.0, 2.0 * math.pi))
+        state = hybrid_state(rng.uniform(0.0, 2.0 * math.pi))
         a = quantum.polarizer_setting("a", rng.uniform(-0.5 * math.pi,
                                                        0.5 * math.pi), 1, 2)
         b = quantum.polarizer_setting("b", rng.uniform(-0.5 * math.pi,
                                                        0.5 * math.pi), 1, 2)
-        exact = quantum.correlation(state, a, b)
+        exact = setting_correlation(state, a, b)
         estimate, err = monte_carlo_correlation(state, a, b, 100_000, rng)
         within += abs(estimate - exact) <= 3.0 * max(err, 1e-12)
     elapsed = time.perf_counter() - start

@@ -33,6 +33,8 @@ from hybridqkd.optics import (
 )
 import oracle_kernels
 import oracle_optics
+import oracle_quantum
+from oracle_matching import rate_hz
 from oracle_optics import (
     detect,
     generate_pair_times,
@@ -351,7 +353,7 @@ class TestSamplePairOutcome:
     def test_central_correlation_matches_born(self):
         draws = self.draw_many(math.pi, 30_000, 23)
         st = quantum.standard_settings()
-        state = quantum.hybrid_state(math.pi)
+        state = oracle_quantum.hybrid_state(math.pi)
         prods, n = 0.0, 0
         for a_part, b_part, central in draws:
             if not central or b_part is None:
@@ -360,7 +362,7 @@ class TestSamplePairOutcome:
                 prods += a_part[1] * b_part[1]
                 n += 1
         e_mc = prods / n
-        e_q = quantum.correlation(state, st["a0"], st["b1"])
+        e_q = oracle_quantum.setting_correlation(state, st["a0"], st["b1"])
         sigma = math.sqrt((1 - e_q**2) / n)
         assert abs(e_mc - e_q) < 5 * sigma
 
@@ -462,14 +464,14 @@ class TestSimulateSession:
         a_set, x = read_ports(a, ports_a)
         b_set, y = read_ports(b, ports_b)
         st = quantum.standard_settings()
-        state = quantum.hybrid_state(math.pi)
+        state = oracle_quantum.hybrid_state(math.pi)
         for ia, na in enumerate(("a2", "a0", "a1")):
             for ib, nb in enumerate(("b0", "b1")):
                 m = (a_set == ia) & (b_set == ib)
                 n = int(m.sum())
                 assert n > 50_000
                 e_mc = float(np.mean(x[m].astype(float) * y[m]))
-                e_q = quantum.correlation(state, st[na], st[nb])
+                e_q = oracle_quantum.setting_correlation(state, st[na], st[nb])
                 sigma = math.sqrt((1 - e_q**2 + 1e-9) / n)
                 assert abs(e_mc - e_q) < 5 * sigma, (na, nb, e_mc, e_q)
 
@@ -486,7 +488,7 @@ class TestSimulateSession:
         # without jitter, pair separations are exact: a pair off the grid
         # holds a Bob tag of another emission inside the window, which
         # an Alice tag meets about len(alice) * Bob's rate * window times
-        accidental = (len(res.alice) * res.bob.rate_hz()
+        accidental = (len(res.alice) * rate_hz(res.bob)
                       * SATELLITE_WINDOW_PS / optics.PS_PER_SECOND)
         off_grid = int((~central & ~satellite).sum())
         assert off_grid <= accidental + 5 * math.sqrt(accidental)
@@ -972,10 +974,12 @@ class TestTagStreamWriter:
         # a text sink that is no io.TextIOBase still receives str
         dump_tagstream(stream, codecs.getwriter("ascii")(encoded))
         dump_tagstream(stream, str(tmp_path / "s.tags"))
+        dump_tagstream(stream, tmp_path / "path.tags")
         assert text.getvalue().encode() == ref
         assert binary.getvalue() == ref
         assert encoded.getvalue() == ref
         assert (tmp_path / "s.tags").read_bytes() == ref
+        assert (tmp_path / "path.tags").read_bytes() == ref
 
     def test_negative_time_refused(self):
         stream = tag_stream([1, 2], [0, 5])
@@ -1064,7 +1068,7 @@ class TestTagStreamReader:
         with open(path, newline="") as text_crlf, open(path) as text:
             loads = [load_text(body, slice_bytes, monkeypatch),
                      load_tagstream(io.BytesIO((HEADER + body).encode())),
-                     load_tagstream(str(path)),
+                     load_tagstream(str(path)), load_tagstream(path),
                      load_tagstream(text), load_tagstream(text_crlf)]
         for loaded in loads:
             assert (loaded.party, loaded.duration_ps) == ("bob", 10)
@@ -1087,9 +1091,10 @@ class TestTagStreamReader:
     def test_path_named_in_refusal(self, tmp_path):
         path = tmp_path / "bob.tags"
         path.write_text(HEADER + "1\t5\n1\t4\n")
-        with pytest.raises(ValueError) as err:
-            load_tagstream(str(path))
-        assert str(err.value).startswith(f"{path}: line 3: ")
+        for name in (str(path), path):
+            with pytest.raises(ValueError) as err:
+                load_tagstream(name)
+            assert str(err.value).startswith(f"{path}: line 3: ")
 
     @pytest.mark.parametrize("piece_bytes", [1, None])
     @pytest.mark.parametrize("slice_bytes", [1, 3, 64, None])

@@ -19,49 +19,54 @@ def settings():
 
 class TestState:
     def test_hybrid_state_amplitudes(self):
-        st = q.hybrid_state(0.0)
+        st = oracle.hybrid_state(0.0)
         np.testing.assert_allclose(st.amplitudes, [1 / SQRT2, 0, 0, 1 / SQRT2])
 
     def test_hybrid_state_phase(self):
-        st = q.hybrid_state(np.pi / 3)
+        st = oracle.hybrid_state(np.pi / 3)
         assert st.amplitudes[3] == pytest.approx(np.exp(1j * np.pi / 3) / SQRT2)
 
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError, match="norm"):
-            q.TwoQubitState(np.array([1.0, 1.0, 0.0, 0.0]))
+            oracle.TwoQubitState(np.array([1.0, 1.0, 0.0, 0.0]))
 
 
 class TestJointProbability:
     def test_frozen_value(self, settings):
         # oracle_quantum.joint_prob(0.0, a0, b0, +1, +1)
-        p = q.joint_probability(q.hybrid_state(0.0), settings["a0"], settings["b0"], 1, 1)
+        p = oracle.joint_probability(oracle.hybrid_state(0.0), settings["a0"],
+                                     settings["b0"], 1, 1)
         assert p == pytest.approx(0.42677669529663675, abs=1e-12)
 
     def test_outcomes_sum_to_one(self, settings):
-        st = q.hybrid_state(1.234)
+        st = oracle.hybrid_state(1.234)
         for a_name in ("a0", "a1", "a2"):
             for b_name in ("b0", "b1"):
                 total = sum(
-                    q.joint_probability(st, settings[a_name], settings[b_name], xa, xb)
+                    oracle.joint_probability(st, settings[a_name],
+                                             settings[b_name], xa, xb)
                     for xa in (1, -1) for xb in (1, -1)
                 )
                 assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_marginals_uniform(self, settings):
         # the source state is maximally entangled: every single-party marginal is 1/2
-        st = q.hybrid_state(2.1)
+        st = oracle.hybrid_state(2.1)
         for a_name in ("a0", "a1", "a2"):
-            pa = sum(q.joint_probability(st, settings[a_name], settings["b0"], 1, xb)
+            pa = sum(oracle.joint_probability(st, settings[a_name],
+                                              settings["b0"], 1, xb)
                      for xb in (1, -1))
             assert pa == pytest.approx(0.5, abs=1e-12)
         for b_name in ("b0", "b1"):
-            pb = sum(q.joint_probability(st, settings["a2"], settings[b_name], xa, 1)
+            pb = sum(oracle.joint_probability(st, settings["a2"],
+                                              settings[b_name], xa, 1)
                      for xa in (1, -1))
             assert pb == pytest.approx(0.5, abs=1e-12)
 
     def test_invalid_outcome_rejected(self, settings):
         with pytest.raises(ValueError):
-            q.joint_probability(q.hybrid_state(0.0), settings["a0"], settings["b0"], 0, 1)
+            oracle.joint_probability(oracle.hybrid_state(0.0), settings["a0"],
+                                     settings["b0"], 0, 1)
 
     def test_against_projector_oracle_random(self, settings):
         rng = np.random.default_rng(91)
@@ -73,7 +78,8 @@ class TestJointProbability:
             b = settings[b_name]
             xa = int(rng.choice([1, -1]))
             xb = int(rng.choice([1, -1]))
-            got = q.joint_probability(q.hybrid_state(phase), a, b, xa, xb)
+            got = oracle.joint_probability(oracle.hybrid_state(phase), a, b,
+                                           xa, xb)
             want = oracle.joint_prob(phase, oracle.polarizer_bloch(alpha),
                                      b.bloch, xa, xb)
             assert got == pytest.approx(want, abs=1e-12)
@@ -89,13 +95,15 @@ class TestCorrelation:
         (np.pi, "a1", "b1", 0.7071067811865475),
     ])
     def test_frozen_values(self, settings, phase, a_name, b_name, expected):
-        e = q.correlation(q.hybrid_state(phase), settings[a_name], settings[b_name])
+        e = oracle.setting_correlation(oracle.hybrid_state(phase),
+                                       settings[a_name], settings[b_name])
         assert e == pytest.approx(expected, abs=1e-9)
 
     def test_time_basis_phase_free(self, settings):
         # arrival-time correlations must not move with the source phase
         for phase in np.linspace(0, 2 * np.pi, 7):
-            e = q.correlation(q.hybrid_state(phase), settings["a0"], settings["b0"])
+            e = oracle.setting_correlation(oracle.hybrid_state(phase),
+                                           settings["a0"], settings["b0"])
             assert e == pytest.approx(0.7071067811865474, abs=1e-9)
 
     def test_closed_forms_random(self, settings):
@@ -104,36 +112,36 @@ class TestCorrelation:
             phase = rng.uniform(0, 2 * np.pi)
             alpha = rng.uniform(-np.pi / 2, np.pi / 2)
             a = q.polarizer_setting("a", alpha, 1, 2)
-            st = q.hybrid_state(phase)
-            assert q.correlation(st, a, settings["b0"]) == pytest.approx(
-                math.cos(2 * alpha), abs=1e-9)
-            assert q.correlation(st, a, settings["b1"]) == pytest.approx(
-                math.sin(2 * alpha) * math.cos(phase), abs=1e-9)
+            st = oracle.hybrid_state(phase)
+            assert oracle.setting_correlation(st, a, settings["b0"]) == \
+                pytest.approx(math.cos(2 * alpha), abs=1e-9)
+            assert oracle.setting_correlation(st, a, settings["b1"]) == \
+                pytest.approx(math.sin(2 * alpha) * math.cos(phase), abs=1e-9)
 
     def test_bounded(self, settings):
         rng = np.random.default_rng(93)
         for _ in range(100):
-            st = q.hybrid_state(rng.uniform(0, 2 * np.pi))
+            st = oracle.hybrid_state(rng.uniform(0, 2 * np.pi))
             a = q.polarizer_setting("a", rng.uniform(-np.pi, np.pi), 1, 2)
-            e = q.correlation(st, a, settings["b1"])
+            e = oracle.setting_correlation(st, a, settings["b1"])
             assert -1.0 - 1e-12 <= e <= 1.0 + 1e-12
 
 
 class TestChsh:
     def test_peak_at_reference_phase(self, settings):
-        s = q.chsh_value(q.hybrid_state(np.pi), settings["a0"], settings["a1"],
-                         settings["b0"], settings["b1"])
+        s = oracle.chsh_value(oracle.hybrid_state(np.pi), settings["a0"],
+                              settings["a1"], settings["b0"], settings["b1"])
         assert s == pytest.approx(2 * SQRT2, abs=1e-9)
 
     def test_zero_opposite_phase(self, settings):
-        s = q.chsh_value(q.hybrid_state(0.0), settings["a0"], settings["a1"],
-                         settings["b0"], settings["b1"])
+        s = oracle.chsh_value(oracle.hybrid_state(0.0), settings["a0"],
+                              settings["a1"], settings["b0"], settings["b1"])
         assert s == pytest.approx(0.0, abs=1e-9)
 
     def test_phase_curve(self, settings):
         for phase in np.linspace(0, 2 * np.pi, 16):
-            s = q.chsh_value(q.hybrid_state(phase), settings["a0"], settings["a1"],
-                             settings["b0"], settings["b1"])
+            s = oracle.chsh_value(oracle.hybrid_state(phase), settings["a0"],
+                                  settings["a1"], settings["b0"], settings["b1"])
             assert s == pytest.approx(SQRT2 * (1 - math.cos(phase)), abs=1e-9)
             assert s == pytest.approx(oracle.chsh_phase_curve(phase), abs=1e-9)
 
@@ -141,19 +149,19 @@ class TestChsh:
         # property: no phase and no analyzer angles beat 2*sqrt(2)
         rng = np.random.default_rng(94)
         for _ in range(200):
-            st = q.hybrid_state(rng.uniform(0, 2 * np.pi))
+            st = oracle.hybrid_state(rng.uniform(0, 2 * np.pi))
             angles = rng.uniform(-np.pi / 2, np.pi / 2, size=2)
             a0 = q.polarizer_setting("a0", angles[0], 3, 4)
             a1 = q.polarizer_setting("a1", angles[1], 6, 5, outcome_sign=-1)
-            s = q.chsh_value(st, a0, a1, settings["b0"], settings["b1"])
+            s = oracle.chsh_value(st, a0, a1, settings["b0"], settings["b1"])
             assert abs(s) <= 2 * SQRT2 + 1e-9
 
     def test_matches_signed_oracle(self, settings):
         rng = np.random.default_rng(95)
         for _ in range(25):
             phase = rng.uniform(0, 2 * np.pi)
-            got = q.chsh_value(q.hybrid_state(phase), settings["a0"], settings["a1"],
-                               settings["b0"], settings["b1"])
+            got = oracle.chsh_value(oracle.hybrid_state(phase), settings["a0"],
+                                    settings["a1"], settings["b0"], settings["b1"])
             want = oracle.chsh(
                 phase,
                 oracle.polarizer_bloch(-22.5 * q.DEG),
@@ -227,9 +235,12 @@ class TestInformationMath:
         assert q.holevo_bound(2.9) == 0.0
 
     def test_secure_fraction(self):
-        assert q.secure_fraction(2 * SQRT2, 0.0) == pytest.approx(1.0)
-        assert q.secure_fraction(2.0, 0.0) == 0.0          # no violation, no key
-        assert q.secure_fraction(2.6, 0.5) == 0.0          # max(0, ...) clamps
+        assert q.security_quantities(2 * SQRT2, 0.0).secure_fraction == \
+            pytest.approx(1.0)
+        # no violation, no key
+        assert q.security_quantities(2.0, 0.0).secure_fraction == 0.0
+        # max(0, ...) clamps
+        assert q.security_quantities(2.6, 0.5).secure_fraction == 0.0
         sq = q.security_quantities(2.618, 0.0371)
         assert sq.i_ab == pytest.approx(0.7711659825714894, abs=1e-9)
         assert sq.secure_fraction == pytest.approx(sq.i_ab - sq.i_eve, abs=1e-12)

@@ -120,14 +120,14 @@ def spy_coarse_search(monkeypatch):
     located, checked = [], []
     locate, check = tags._located_coarse_peak, tags._check_peak
 
-    def locate_spy(ca, cb, lo, hi, width, nbins, pairs, step, checks):
+    def locate_spy(ca, cb, lo, hi, width, nbins, pairs, step):
         located.append((step, locate(ca, cb, lo, hi, width, nbins, pairs,
-                                     step, checks)))
+                                     step)))
         return located[-1][1]
 
-    def check_spy(peak_count, mu, nbins, *checks):
+    def check_spy(peak_count, mu, nbins):
         checked.append((peak_count, mu, nbins))
-        return check(peak_count, mu, nbins, *checks)
+        return check(peak_count, mu, nbins)
     monkeypatch.setattr(tags, "_located_coarse_peak", locate_spy)
     monkeypatch.setattr(tags, "_check_peak", check_spy)
     return located, checked
@@ -316,8 +316,8 @@ def preset_streams(preset, seed, duration_s=0.1):
     return res.alice, res.bob
 
 
-def separate_calls(a, b, windows, **options):
-    est = tags.estimate_delay(a, b, **options)
+def separate_calls(a, b, windows):
+    est = tags.estimate_delay(a, b)
     return est, [tags.match_coincidences(a, b, w, est.delay_ps)
                  for w in windows]
 
@@ -338,16 +338,17 @@ def match_sizes(monkeypatch):
 
 class TestFindCoincidences:
     """``find_coincidences`` against ``estimate_delay`` followed by
-    ``match_coincidences`` on the full streams."""
+    ``match_coincidences`` on the full streams.  A test that shortens the
+    fine stage's prefix patches ``tags._FINE_TAGS``."""
 
-    def assert_same(self, a, b, windows, **options):
-        est, matched = tags.find_coincidences(a, b, windows, **options)
+    def assert_same(self, a, b, windows):
+        est, matched = tags.find_coincidences(a, b, windows)
         matched = list(matched)
-        want_est, want = separate_calls(a, b, windows, **options)
+        want_est, want = separate_calls(a, b, windows)
         assert est == want_est
         # the fine histogram counts only the pairs inside both prefixes
-        assert est == oracle_delay.estimate_delay(tags._times(a),
-                                                  tags._times(b), **options)
+        assert est == oracle_delay.estimate_delay(
+            tags._times(a), tags._times(b), max_fine_tags=tags._FINE_TAGS)
         assert len(matched) == len(windows)
         for (ai, bi), (wai, wbi) in zip(matched, want):
             np.testing.assert_array_equal(ai, wai)
@@ -356,16 +357,19 @@ class TestFindCoincidences:
 
     @pytest.mark.parametrize("seed", [3, 17, 29])
     @pytest.mark.parametrize("preset", harness.SCENARIOS)
-    def test_presets_with_short_fine_prefix(self, preset, seed):
+    def test_presets_with_short_fine_prefix(self, preset, seed, monkeypatch):
         a, b = preset_streams(preset, seed)
         prefix = min(len(a), len(b)) * 3 // 4
-        _, matched = self.assert_same(a, b, [64], max_fine_tags=prefix)
+        monkeypatch.setattr(tags, "_FINE_TAGS", prefix)
+        _, matched = self.assert_same(a, b, [64])
         assert matched[0][0].size
 
-    def test_stream_past_the_prefix_matches_every_tag(self, match_sizes):
+    def test_stream_past_the_prefix_matches_every_tag(self, match_sizes,
+                                                      monkeypatch):
         # the fine search stops at the prefix and lists nothing past it
         a, b = preset_streams("paper", 4)
-        self.assert_same(a, b, [64], max_fine_tags=len(b) // 2)
+        monkeypatch.setattr(tags, "_FINE_TAGS", len(b) // 2)
+        self.assert_same(a, b, [64])
         assert match_sizes[0] == len(a)
 
     def test_dense_search_matches_every_tag(self, match_sizes):
@@ -375,15 +379,17 @@ class TestFindCoincidences:
         self.assert_same(a, b, [64])
         assert match_sizes[0] == len(a)
 
-    def test_bob_longer_than_prefix_alice_not(self):
+    def test_bob_longer_than_prefix_alice_not(self, monkeypatch):
         a, b = preset_streams("paper", 5)
         a = a.times[:len(b) // 2]
-        self.assert_same(a, b, [64, 800], max_fine_tags=len(b) * 3 // 4)
+        monkeypatch.setattr(tags, "_FINE_TAGS", len(b) * 3 // 4)
+        self.assert_same(a, b, [64, 800])
 
-    def test_alice_longer_than_prefix_bob_not(self):
+    def test_alice_longer_than_prefix_bob_not(self, monkeypatch):
         a, b = preset_streams("paper", 6)
         b = b.times[:len(a) // 2]
-        self.assert_same(a, b, [64, 800], max_fine_tags=len(a) * 3 // 4)
+        monkeypatch.setattr(tags, "_FINE_TAGS", len(a) * 3 // 4)
+        self.assert_same(a, b, [64, 800])
 
     def test_window_outside_fine_span_searches_every_tag(self, match_sizes):
         # the fine stage spans +-2 coarse bins (8192 ps) around the coarse
