@@ -127,8 +127,6 @@ def _peak_bin(hist: np.ndarray, smooth_bins: int) -> int:
     spreading the peak over neighbors), then the largest raw bin inside
     that neighborhood.  All ties resolve to the smaller index, i.e. the
     smaller delay."""
-    if hist.shape[0] <= smooth_bins:
-        return int(np.argmax(hist))
     kernel = np.ones(smooth_bins, dtype=np.int64)
     windowed = np.convolve(hist, kernel, mode="same")
     center = int(np.argmax(windowed))
