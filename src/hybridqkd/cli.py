@@ -90,9 +90,8 @@ def _cmd_calibrate(args) -> int:
         from pathlib import Path
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        lines = ["iteration,transmittance,raw_bps"]
-        lines.extend(f"{i},{t:.10g},{r:.10g}" for i, t, r in rows)
-        (out / "calibration.csv").write_text("\n".join(lines) + "\n")
+        (out / "calibration.csv").write_text(
+            tags.csv_text("iteration,transmittance,raw_bps", rows))
         print(f"wrote {out / 'calibration.csv'}")
     return 0
 

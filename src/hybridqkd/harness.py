@@ -36,6 +36,7 @@ import numpy as np
 
 from . import __version__, optics, protocol, tags
 from .optics import (
+    PS_PER_SECOND,
     ChannelModel,
     DetectorModel,
     DriftModel,
@@ -44,7 +45,7 @@ from .optics import (
     bob_station,
     simulate_session,
 )
-from .protocol import SessionParams, alice_endpoint, bob_endpoint, run_session
+from .protocol import SessionParams, run_session
 
 __all__ = [
     "ConfigError",
@@ -59,8 +60,6 @@ __all__ = [
     "analyze_streams",
     "preset_path",
 ]
-
-PS_PER_SECOND = 10**12
 
 SCENARIOS = ("ideal", "paper", "phase_sweep", "stability", "window_sweep")
 SWEEP_PARAMETERS = ("temperature_c", "phase_rad", "window_ps")
@@ -125,7 +124,9 @@ SCHEMA = {
     "scenario": _Key("str", "ideal", choices=SCENARIOS),
     "seed": _Key("int", 0, _non_negative, "must be >= 0"),
     "duration_s": _Key("float", 10.0, _positive, "must be > 0"),
-    "block_s": _Key("float", 10.0, _positive, "must be > 0"),
+    "block_s": _Key("float", 10.0,
+                    lambda x: 0 < x and round(x * PS_PER_SECOND)
+                    < protocol.PS_LIMIT, "must be > 0 and below 2**63 ps"),
     "out_dir": _Key("str", "results"),
     "dump_tags": _Key("bool", False),
     "source.pair_rate_hz": _Key("float", 200_000.0, _positive,
@@ -140,7 +141,8 @@ SCHEMA = {
     "drift.rate_rad_per_s": _Key("float", 0.0),
     "drift.amplitude_rad": _Key("float", 0.0),
     "drift.period_s": _Key("float", 1.0, _positive, "must be > 0"),
-    "protocol.window_ps": _Key("int", 64, _positive, "must be >= 1"),
+    "protocol.window_ps": _Key("int", 64, lambda x: 1 <= x < protocol.PS_LIMIT,
+                               "must be >= 1 and below 2**63"),
     "protocol.sample_fraction": _Key("float", 0.1,
                                      lambda x: 0 < x <= 0.5,
                                      "must be in (0, 0.5]"),
@@ -422,8 +424,7 @@ def _sweep_values(cfg, expected_parameter=None):
 def _run_single(cfg, out: Path):
     res = _simulate(cfg, cfg["seed"])
     params = _session_params(cfg)
-    alice, _bob = run_session(alice_endpoint(params), bob_endpoint(params),
-                              res.alice, res.bob)
+    alice, _bob = run_session(params, params, res.alice, res.bob)
     files = [_write(out / "report.csv", alice.report_bytes)]
     if cfg["dump_tags"]:
         for stream, name in ((res.alice, "alice.tags"), (res.bob, "bob.tags")):
@@ -453,20 +454,18 @@ def _phase_for(cfg, parameter, value):
 def _run_phase_sweep(cfg, out: Path):
     parameter, values = _sweep_values(cfg, ("temperature_c", "phase_rad"))
     seeds = np.random.SeedSequence(cfg["seed"]).spawn(len(values))
-    rows = ["point,value,phase_rad,S,S_err,qber,raw_bps,secure_bps,verdict"]
+    rows = []
     for index, value in enumerate(values):
         phase = _phase_for(cfg, parameter, value)
         res = _simulate(cfg, seeds[index], phase=phase)
         params = _session_params(cfg, seed=cfg["seed"] + index)
-        alice, _ = run_session(alice_endpoint(params), bob_endpoint(params),
-                               res.alice, res.bob)
+        alice, _ = run_session(params, params, res.alice, res.bob)
         agg = alice.report.aggregate
-        rows.append(",".join([
-            str(index), "%.10g" % value, "%.10g" % phase, "%.10g" % agg.s,
-            "%.10g" % agg.s_err, "%.10g" % agg.qber, "%.10g" % agg.raw_bps,
-            "%.10g" % agg.secure_bps, agg.verdict,
-        ]))
-    files = [_write(out / "sweep.csv", "\n".join(rows) + "\n")]
+        rows.append((index, value, phase, agg.s, agg.s_err, agg.qber,
+                     agg.raw_bps, agg.secure_bps, agg.verdict))
+    files = [_write(out / "sweep.csv", tags.csv_text(
+        "point,value,phase_rad,S,S_err,qber,raw_bps,secure_bps,verdict",
+        rows))]
     summary = f"{len(values)} {parameter} points -> sweep.csv"
     return files, "accept", summary
 
@@ -481,11 +480,9 @@ def _run_window_sweep(cfg, out: Path):
         windows.append(int(v))
     res = _simulate(cfg, cfg["seed"])
     points = tags.window_sweep(res.alice, res.bob, windows)
-    rows = ["window_ps,S,S_err,pairs"]
-    rows.extend(",".join([str(p.window_ps), "%.10g" % p.s,
-                          "%.10g" % p.s_err, str(p.pairs)])
-                for p in points)
-    files = [_write(out / "windows.csv", "\n".join(rows) + "\n")]
+    files = [_write(out / "windows.csv", tags.csv_text(
+        "window_ps,S,S_err,pairs",
+        ((p.window_ps, p.s, p.s_err, p.pairs) for p in points)))]
     summary = ", ".join(f"S({p.window_ps}) = {p.s:.4f}" for p in points)
     return files, "accept", summary
 

@@ -327,69 +327,44 @@ def _match_nearest_impl(a, b, half_window):
 
     Returns index arrays (ai, bi), in pairing order.
     """
-    n = a.shape[0]
-    m = b.shape[0]
-    paired_a = np.zeros(n, dtype=np.bool_)
-    paired_b = np.zeros(m, dtype=np.bool_)
-    cap = n if n < m else m
-    out_a = np.empty(cap, dtype=np.int64)
-    out_b = np.empty(cap, dtype=np.int64)
+    times = (a, b)
+    sizes = (a.shape[0], b.shape[0])
+    paired = (np.zeros(sizes[0], dtype=np.bool_),
+              np.zeros(sizes[1], dtype=np.bool_))
+    out = (np.empty(min(sizes), dtype=np.int64),
+           np.empty(min(sizes), dtype=np.int64))
     npairs = 0
-    i = 0
-    j = 0
-    lo_b = 0
-    lo_a = 0
-    while i < n or j < m:
-        take_a = i < n and (j >= m or a[i] <= b[j])
-        if take_a:
-            if not paired_a[i]:
-                t = a[i]
-                while lo_b < m and b[lo_b] < t - half_window:
-                    lo_b += 1
-                best = -1
-                best_d = half_window + 1
-                k = lo_b
-                while k < m and b[k] <= t + half_window:
-                    if not paired_b[k]:
-                        d = b[k] - t
-                        if d < 0:
-                            d = -d
-                        if d < best_d:  # ascending scan: first seen wins ties
-                            best_d = d
-                            best = k
-                    k += 1
-                if best >= 0:
-                    paired_a[i] = True
-                    paired_b[best] = True
-                    out_a[npairs] = i
-                    out_b[npairs] = best
-                    npairs += 1
-            i += 1
-        else:
-            if not paired_b[j]:
-                t = b[j]
-                while lo_a < n and a[lo_a] < t - half_window:
-                    lo_a += 1
-                best = -1
-                best_d = half_window + 1
-                k = lo_a
-                while k < n and a[k] <= t + half_window:
-                    if not paired_a[k]:
-                        d = a[k] - t
-                        if d < 0:
-                            d = -d
-                        if d < best_d:
-                            best_d = d
-                            best = k
-                    k += 1
-                if best >= 0:
-                    paired_b[j] = True
-                    paired_a[best] = True
-                    out_a[npairs] = best
-                    out_b[npairs] = j
-                    npairs += 1
-            j += 1
-    return out_a[:npairs], out_b[:npairs]
+    at = [0, 0]  # each stream's next event
+    lo = [0, 0]  # each stream's first tag not yet behind every window
+    while at[0] < sizes[0] or at[1] < sizes[1]:
+        i, j = at
+        side = int(i >= sizes[0] or (j < sizes[1] and b[j] < a[i]))
+        other = 1 - side
+        k = at[side]
+        at[side] += 1
+        if paired[side][k]:
+            continue
+        t = times[side][k]
+        theirs, taken, size = times[other], paired[other], sizes[other]
+        c = lo[other]
+        while c < size and theirs[c] < t - half_window:
+            c += 1
+        lo[other] = c
+        best = -1
+        best_d = half_window + 1
+        while c < size and theirs[c] <= t + half_window:
+            if not taken[c]:
+                d = abs(theirs[c] - t)
+                if d < best_d:  # ascending scan: first seen wins ties
+                    best_d = d
+                    best = c
+            c += 1
+        if best >= 0:
+            paired[side][k] = taken[best] = True
+            out[side][npairs] = k
+            out[other][npairs] = best
+            npairs += 1
+    return out[0][:npairs], out[1][:npairs]
 
 
 def match_nearest(a, b, half_window: int):
@@ -455,8 +430,7 @@ def match_nearest(a, b, half_window: int):
 # windowed difference histogram
 # ---------------------------------------------------------------------------
 
-def diff_histogram(a, b, lo: int, hi: int, bin_width: int,
-                   _chunk: int | None = None) -> np.ndarray:
+def diff_histogram(a, b, lo: int, hi: int, bin_width: int) -> np.ndarray:
     """Histogram of pairwise differences b - a restricted to [lo, hi).
 
     Bin k covers [lo + k*w, lo + (k+1)*w).  ``_window_ranges`` lists
@@ -468,8 +442,7 @@ def diff_histogram(a, b, lo: int, hi: int, bin_width: int,
         raise ValueError("bin_width must be positive")
     a, b = _as_i64(a), _as_i64(b)
     lo, hi, bin_width = np.int64(lo), np.int64(hi), np.int64(bin_width)
-    return _histogram(a, b, _window_ranges(a, b, lo, hi), lo, hi, bin_width,
-                      _chunk)
+    return _histogram(a, b, _window_ranges(a, b, lo, hi), lo, hi, bin_width)
 
 
 def _prefix_ranges(ranges, m):
@@ -483,8 +456,11 @@ def _prefix_ranges(ranges, m):
     return tags, first, end
 
 
-def _histogram(a, b, ranges, lo, hi, bin_width, chunk=None,
-               swapped=False):
+# pairs a histogram chunk expands at least (see ``_histogram``)
+_HISTOGRAM_CHUNK = 1 << 14
+
+
+def _histogram(a, b, ranges, lo, hi, bin_width, swapped=False):
     """``diff_histogram`` of the pairs ``ranges`` lists, as
     ``_window_ranges(a, b, lo, hi)`` returns them, or with ``swapped`` as
     ``_window_ranges(b, a, 1 - hi, 1 - lo)`` does (the same pairs, listed
@@ -493,14 +469,13 @@ def _histogram(a, b, ranges, lo, hi, bin_width, chunk=None,
     Pairs are numbered in order of the listed tags; pair p of listed tag i
     pairs it with entry first[i] + p - start[i] of the other stream, where
     start[i] is the number of pairs of the tags before i.  They are
-    expanded in chunks of about ``chunk`` pairs, each holding the pairs of
-    whole listed tags: by default 2^14, so that a chunk's temporaries
-    stay in cache, or the number of bins when that is larger, as each
-    chunk's bincount is that long.
+    expanded in chunks of about ``_HISTOGRAM_CHUNK`` pairs, so that a
+    chunk's temporaries stay in cache, or of the number of bins when
+    that is larger, as each chunk's bincount is that long; a chunk holds
+    the pairs of whole listed tags.
     """
     nbins = int((hi - lo + bin_width - 1) // bin_width)
-    if chunk is None:
-        chunk = max(1 << 14, nbins)
+    chunk = max(_HISTOGRAM_CHUNK, nbins)
     counts = np.zeros(nbins, dtype=np.int64)
     tags, first, per_tag = ranges
     near, far = (b, a) if swapped else (a, b)
@@ -536,8 +511,12 @@ def _histogram(a, b, ranges, lo, hi, bin_width, chunk=None,
     return counts
 
 
-def binned_correlation(a, b, lo: int, nlags: int, bin_width: int,
-                       _block: int = 1 << 20) -> np.ndarray:
+# the longest FFT ``binned_correlation`` takes
+_CORRELATION_BLOCK = 1 << 20
+
+
+def binned_correlation(a, b, lo: int, nlags: int,
+                       bin_width: int) -> np.ndarray:
     """Pair counts by binned difference: entry k counts the pairs with
     floor((b[j] - o) / w) - floor((a[i] + lo - o) / w) == k, for k in
     [0, nlags), with a common origin o.
@@ -545,10 +524,10 @@ def binned_correlation(a, b, lo: int, nlags: int, bin_width: int,
     A pair with b[j] - a[i] in [lo + k*w, lo + (k+1)*w) lands in entry k
     or k + 1, so these are counts of ``diff_histogram`` bins blurred by
     one bin, computed without visiting the pairs: overlap-save with real
-    FFTs of length ``_block`` (at least 2 * nlags), the cross-spectrum of
-    every block summed, one inverse transform.  The float error of an
-    entry grows with the product of the two streams' norms, so with the
-    bin width as more tags share a bin; at the widths
+    FFTs of length ``_CORRELATION_BLOCK`` (at least 2 * nlags), the
+    cross-spectrum of every block summed, one inverse transform.  The
+    float error of an entry grows with the product of the two streams'
+    norms, so with the bin width as more tags share a bin; at the widths
     ``tags.estimate_delay`` picks it stays far below 1/2, so rounding
     recovers the integer counts (CHANGES.md gives the measurement).
     """
@@ -561,7 +540,7 @@ def binned_correlation(a, b, lo: int, nlags: int, bin_width: int,
     ib = (b - origin) // bin_width
     # short inputs take one block just long enough
     need = int(ia[-1] - ia[0]) + nlags
-    block = max(min(_block, 1 << (need - 1).bit_length()), 16)
+    block = max(min(_CORRELATION_BLOCK, 1 << (need - 1).bit_length()), 16)
     while block < 2 * nlags:
         block *= 2
     step = block - nlags + 1  # a-bins per block whose lags do not wrap

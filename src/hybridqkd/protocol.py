@@ -34,11 +34,12 @@ throughout): a 4-byte frame length covering a 1-byte message type, an
 8-byte strictly increasing per-direction sequence number, and the payload.
 Frames above the size limit are rejected before the payload is read.
 
-Each party reads its analyzer wiring from ``tags.wiring``: two tables
-indexed by detector channel, the setting behind each channel (its index
-in ``tags.SETTINGS``, which is also its wire value) and the bit it
-encodes.  Endpoints are sequential state machines communicating only via
-a transport (an ordered reliable byte stream); an in-process queue pair
+Each party reads its analyzer wiring from ``tags.WIRING[party]``: two
+tables indexed by detector channel, built once when ``tags`` is
+imported, the setting behind each channel (its index in
+``tags.SETTINGS``, which is also its wire value) and the bit it encodes.
+The two sessions are sequential state machines communicating only via a
+transport (an ordered reliable byte stream); an in-process queue pair
 and a TCP socket implement the same interface and produce identical
 bytes.
 """
@@ -50,12 +51,12 @@ import queue
 import socket
 import struct
 import threading
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from . import tags
-from .optics import TagStream
+from .optics import PS_PER_SECOND, TagStream
 from .quantum import security_quantities
 
 __all__ = [
@@ -64,13 +65,10 @@ __all__ = [
     "SessionAbort",
     "InsufficientKeyError",
     "SessionParams",
-    "Endpoint",
     "SiftedKey",
     "BlockReport",
     "SecurityReport",
     "SessionOutcome",
-    "alice_endpoint",
-    "bob_endpoint",
     "sample_positions",
     "build_report",
     "report_csv",
@@ -84,9 +82,8 @@ __all__ = [
     "PS_PER_SECOND",
 ]
 
-PS_PER_SECOND = 10**12
-
 MAX_FRAME_BYTES = 32 * 1024 * 1024
+PS_LIMIT = 2**63  # picosecond parameters are int64 here and u8 on the wire
 _TCP_READ = 1 << 16  # the bytes each socket read asks for
 CHUNK_ROWS = 1 << 19  # rows a chunk of a chunked message carries
 
@@ -120,8 +117,6 @@ LABEL_TEST_PLUS = 1
 LABEL_TEST_MINUS = 2
 
 OUTCOME_HIDDEN = 255
-
-UNMAPPED = 255  # ``Endpoint.channel_setting`` of a channel with no setting
 
 _FRAME_HEAD = struct.Struct(">IBQ")
 
@@ -160,7 +155,7 @@ class InsufficientKeyError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# session parameters and endpoints
+# session parameters
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -176,6 +171,9 @@ class SessionParams:
     sample_seed: int = 0
 
     def __post_init__(self):
+        for name in ("duration_ps", "window_ps", "block_ps"):
+            if getattr(self, name) >= PS_LIMIT:
+                raise ValueError(f"{name} must be below 2**63")
         if self.duration_ps <= 0:
             raise ValueError("duration_ps must be positive")
         if self.window_ps < 1:
@@ -193,49 +191,6 @@ class SessionParams:
     def n_blocks(self) -> int:
         """Accumulation blocks in the session; the last may be shorter."""
         return max(1, -(-self.duration_ps // self.block_ps))
-
-
-@dataclass(frozen=True)
-class Endpoint:
-    """One party's static view of the session: its role, the session
-    parameters, and its analyzer wiring from ``tags.wiring(role)`` as two
-    tables indexed by channel id.
-
-    ``channel_setting`` holds the index of the setting behind each channel
-    (its position in ``tags.SETTINGS``), ``UNMAPPED`` for a channel no
-    setting names; ``channel_bit`` holds the bit each channel encodes, 0 on
-    a setting's + port and 1 on its - port, with the flipped a1 analyzer's
-    sign already folded in, so equal bits always mean a +1 outcome product.
-    """
-
-    role: str
-    params: SessionParams
-    channel_setting: np.ndarray = field(init=False, repr=False,
-                                        compare=False)
-    channel_bit: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.role not in tags.SETTINGS:
-            raise ValueError("role must be 'alice' or 'bob'")
-        setting = np.full(256, UNMAPPED, dtype=np.uint8)
-        bit = np.zeros(256, dtype=np.uint8)
-        for channel, (index, value) in tags.wiring(self.role).items():
-            setting[channel], bit[channel] = index, value
-        object.__setattr__(self, "channel_setting", setting)
-        object.__setattr__(self, "channel_bit", bit)
-
-
-def alice_endpoint(params: SessionParams) -> Endpoint:
-    """Alice's six channels: the key setting a2 on 1/2, test settings a0
-    on 3/4 and a1 on 5/6 (a1's analyzer is wired with swapped ports, so
-    its + port is channel 6)."""
-    return Endpoint("alice", params)
-
-
-def bob_endpoint(params: SessionParams) -> Endpoint:
-    """Bob's four channels: the key basis b0 on 1/2, the test basis b1 on
-    3/4."""
-    return Endpoint("bob", params)
 
 
 # ---------------------------------------------------------------------------
@@ -342,28 +297,10 @@ _CSV_HEADER = ("block_id,S,S_err,qber,raw_bits,raw_bps,i_ab,i_eve,"
                "secure_fraction,secure_bps,verdict")
 
 
-def _csv_row(row: BlockReport) -> str:
-    return ",".join([
-        str(row.block_id),
-        "%.10g" % row.s,
-        "%.10g" % row.s_err,
-        "%.10g" % row.qber,
-        str(row.raw_bits),
-        "%.10g" % row.raw_bps,
-        "%.10g" % row.i_ab,
-        "%.10g" % row.i_eve,
-        "%.10g" % row.secure_fraction,
-        "%.10g" % row.secure_bps,
-        row.verdict,
-    ])
-
-
 def report_csv(report: SecurityReport) -> str:
     """Canonical CSV rendering; both parties must produce identical bytes."""
-    lines = [_CSV_HEADER]
-    lines.extend(_csv_row(r) for r in report.blocks)
-    lines.append(_csv_row(report.aggregate))
-    return "\n".join(lines) + "\n"
+    rows = (*report.blocks, report.aggregate)
+    return tags.csv_text(_CSV_HEADER, map(astuple, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -772,7 +709,7 @@ def _receive(channel, msg_type: int):
 
 
 # ---------------------------------------------------------------------------
-# endpoint sessions
+# the two parties' sessions
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -785,24 +722,23 @@ class SessionOutcome:
 
 
 class _Session:
-    """One party's sequential state machine; ``role`` names the party."""
+    """One party's sequential state machine: ``role`` names the party, and
+    ``setting`` and ``bit`` are its wiring tables, ``tags.WIRING[role]``."""
 
     role = ""
 
-    def __init__(self, endpoint: Endpoint, stream: TagStream):
-        if endpoint.role != self.role:
-            raise ValueError(f"{type(self).__name__} needs an endpoint of "
-                             f"role {self.role!r}")
-        # refuse a stream with a tag on a channel the endpoint does not map:
+    def __init__(self, params: SessionParams, stream: TagStream):
+        self.setting, self.bit = tags.WIRING[self.role]
+        # refuse a stream with a tag on a channel the wiring does not map:
         # deleting the mapped channels' bytes leaves the unmapped tags'
         # channels, in stream order, without an index as long as the stream
-        mapped = np.flatnonzero(endpoint.channel_setting != UNMAPPED)
+        mapped = np.flatnonzero(self.setting != tags.UNMAPPED)
         unmapped = stream.channels.tobytes().translate(
             None, mapped.astype(np.uint8).tobytes())
         if unmapped:
-            raise ValueError(f"{endpoint.role}'s stream has a tag on channel "
+            raise ValueError(f"{self.role}'s stream has a tag on channel "
                              f"{unmapped[0]}, which the endpoint does not map")
-        self.endpoint = endpoint
+        self.params = params
         self.stream = stream
 
     def run(self, transport) -> SessionOutcome:
@@ -826,14 +762,14 @@ class BobSession(_Session):
 
     def _labels(self) -> np.ndarray:
         # the key basis b0 hides the port, the test basis b1 names it
-        table = self.endpoint.channel_bit + LABEL_TEST_PLUS
-        table[self.endpoint.channel_setting == 0] = LABEL_KEY_BASIS
+        table = self.bit + LABEL_TEST_PLUS
+        table[self.setting == 0] = LABEL_KEY_BASIS
         # a byte table maps the uint8 channels without an intp index
         return np.frombuffer(self.stream.channels.tobytes().translate(
             table.tobytes()), dtype=np.uint8)
 
     def _run(self, channel: MessageChannel) -> SessionOutcome:
-        params = self.endpoint.params
+        params = self.params
         head, _ = _receive(channel, MSG_HELLO)
         if head != _hello_fields(params):
             raise ProtocolViolation("session parameters do not match")
@@ -853,7 +789,7 @@ class BobSession(_Session):
             raise ProtocolViolation("test pair without a disclosed outcome")
 
         key_mask = roles == ROLE_KEY
-        my_bits = self.endpoint.channel_bit[self.stream.channels[bob_index]]
+        my_bits = self.bit[self.stream.channels[bob_index]]
         # test pairs measured in my key basis: disclose those outcomes
         reveal_mask = (roles == ROLE_TEST) & (my_label == LABEL_KEY_BASIS)
         test_bits_to_send = my_bits[reveal_mask]
@@ -896,7 +832,7 @@ class AliceSession(_Session):
     role = "alice"
 
     def _run(self, channel: MessageChannel) -> SessionOutcome:
-        params = self.endpoint.params
+        params = self.params
         _send(channel, MSG_HELLO, head=_hello_fields(params))
         _, (bob_times, bob_labels) = _receive(channel, MSG_TAG_ANNOUNCE)
 
@@ -904,9 +840,9 @@ class AliceSession(_Session):
                                                 [params.window_ps])
         my_channels = self.stream.channels[ai]
         my_label = bob_labels[bi]
-        setting_idx = self.endpoint.channel_setting[my_channels]
+        setting_idx = self.setting[my_channels]
         roles = _roles(setting_idx, my_label)
-        my_bits = self.endpoint.channel_bit[my_channels]
+        my_bits = self.bit[my_channels]
         outcome = np.where(roles == ROLE_TEST, my_bits,
                            OUTCOME_HIDDEN).astype(np.uint8)
 
@@ -1032,10 +968,13 @@ def _account(params, pair_times, roles, alice_setting, alice_outcome,
 # orchestration
 # ---------------------------------------------------------------------------
 
-def run_session(alice: Endpoint, bob: Endpoint, alice_tags: TagStream,
-                bob_tags: TagStream, transport: str = "in-process",
+def run_session(alice_params: SessionParams, bob_params: SessionParams,
+                alice_tags: TagStream, bob_tags: TagStream,
+                transport: str = "in-process",
                 timeout: float | None = None):
-    """Run both endpoints to completion and return their outcomes.
+    """Run both parties' sessions to completion and return their outcomes.
+    Each party holds its own parameters; Bob refuses a hello whose
+    parameters differ from his.
 
     ``transport`` selects "in-process" (queue pair) or "tcp" (loopback
     socket); the bytes on the wire and the resulting reports are
@@ -1072,18 +1011,19 @@ def run_session(alice: Endpoint, bob: Endpoint, alice_tags: TagStream,
     outcomes = {}
     failures = []  # (party, error), in the order they were caught
 
-    def play(party, session_type, endpoint, stream, end):
+    def play(party, session_type, params, stream, end):
         try:
-            outcomes[party] = session_type(endpoint, stream).run(end)
+            outcomes[party] = session_type(params, stream).run(end)
         except BaseException as exc:  # noqa: BLE001 - raised below
             failures.append((party, exc))
         finally:
             end.close()  # also when the session could not even start
 
     thread = threading.Thread(target=play, name="bob-endpoint", daemon=True,
-                              args=("bob", BobSession, bob, bob_tags, t_bob))
+                              args=("bob", BobSession, bob_params, bob_tags,
+                                    t_bob))
     thread.start()
-    play("alice", AliceSession, alice, alice_tags, t_alice)
+    play("alice", AliceSession, alice_params, alice_tags, t_alice)
     thread.join()  # ends: Alice's end is closed, so Bob cannot wait forever
 
     if failures:

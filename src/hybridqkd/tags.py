@@ -27,6 +27,7 @@ Conventions
   which folds the one flipped analyzer's sign convention into the counts
   themselves.  The session's per-block CHSH values come from the same
   ``estimate``.
+* Every CSV the package writes is rendered by ``csv_text``.
 """
 
 from __future__ import annotations
@@ -50,11 +51,13 @@ __all__ = [
     "estimate_delay",
     "match_coincidences",
     "find_coincidences",
-    "wiring",
+    "WIRING",
+    "UNMAPPED",
     "build_matrix",
     "fold",
     "estimate",
     "window_sweep",
+    "csv_text",
     "matrix_csv",
     "estimates_csv",
 ]
@@ -228,8 +231,8 @@ def _locate_widths(pairs: int, spanned: int, nbins: int) -> list:
     return widths
 
 
-def _located_coarse_peak(ca, cb, lo: int, hi: int, width: int, nbins: int,
-                         pairs: int, step: int) -> int | None:
+def _located_coarse_peak(ca, cb, lo: int, hi: int, nbins: int, pairs: int,
+                         step: int) -> int | None:
     """The coarse peak bin of the full histogram, found from exact counts
     near the peak of an FFT cross-correlation, or None if those counts
     fail the checks.
@@ -242,6 +245,7 @@ def _located_coarse_peak(ca, cb, lo: int, hi: int, width: int, nbins: int,
     ``pairs`` minus those five, so the mean is the one the full
     histogram gives.
     """
+    width = _COARSE_BIN_PS
     corr = kernels.binned_correlation(ca, cb, lo, -(-nbins // step) + 1,
                                       step * width)
     located = _peak_bin(corr[:-1] + corr[1:], smooth_bins=3)
@@ -348,8 +352,7 @@ def estimate_delay(a, b, *, _fine=None) -> DelayEstimate:
     peak = None
     if pairs:
         for step in _locate_widths(pairs, spanned, nbins):
-            peak = _located_coarse_peak(ca, cb, lo, hi, _COARSE_BIN_PS,
-                                        nbins, pairs, step)
+            peak = _located_coarse_peak(ca, cb, lo, hi, nbins, pairs, step)
             if peak is not None:
                 break
     if peak is None:
@@ -442,19 +445,27 @@ def find_coincidences(a, b, windows):
 # each party's settings in the order of their index in ``fold``'s terms
 # and in the protocol's basis reveal
 SETTINGS = {"alice": ("a0", "a1", "a2"), "bob": ("b0", "b1")}
+UNMAPPED = 255  # the setting index of a channel no setting names
 
 
-def wiring(party: str) -> dict:
-    """{channel: (setting index, bit)} of ``party``'s analyzers, from
-    ``quantum.standard_settings``: bit 0 on a setting's + port and 1 on
-    its - port, so equal bits mean a +1 outcome product, the flipped a1
-    analyzer included."""
+def _wiring(party: str) -> tuple:
     settings = standard_settings()
-    out = {}
+    setting = np.full(256, UNMAPPED, dtype=np.uint8)
+    bit = np.zeros(256, dtype=np.uint8)
     for index, name in enumerate(SETTINGS[party]):
-        out[settings[name].plus_port] = (index, 0)
-        out[settings[name].minus_port] = (index, 1)
-    return out
+        setting[[settings[name].plus_port, settings[name].minus_port]] = index
+        bit[settings[name].minus_port] = 1
+    setting.flags.writeable = bit.flags.writeable = False
+    return setting, bit
+
+
+# {party: (setting, bit)}: two read-only tables indexed by detector
+# channel, from ``quantum.standard_settings``.  ``setting`` holds the
+# index in ``SETTINGS`` of the setting behind each channel, ``UNMAPPED``
+# for a channel no setting names; ``bit`` is 0 on a setting's + port and
+# 1 on its - port, so equal bits mean a +1 outcome product, the flipped
+# a1 analyzer included.
+WIRING = {party: _wiring(party) for party in SETTINGS}
 
 
 def build_matrix(a: TagStream, b: TagStream, pairs) -> np.ndarray:
@@ -469,11 +480,12 @@ def fold(matrix) -> np.ndarray:
     """``terms[a, b, agree]``: the counts of ``build_matrix`` by Alice's
     setting index a, Bob's b, and whether their bits agree.  A channel
     no setting names counts nowhere."""
+    (sa, xa), (sb, xb) = WIRING["alice"], WIRING["bob"]
+    ca = np.flatnonzero(sa != UNMAPPED)[:, None]
+    cb = np.flatnonzero(sb != UNMAPPED)
     terms = np.zeros((3, 2, 2), dtype=np.int64)
-    bob = wiring("bob")
-    for ca, (sa, xa) in wiring("alice").items():
-        for cb, (sb, xb) in bob.items():
-            terms[sa, sb, int(xa == xb)] += matrix[ca, cb]
+    agree = (xa[ca] == xb[cb]).astype(np.intp)
+    np.add.at(terms, (sa[ca], sb[cb], agree), matrix[ca, cb])
     return terms
 
 
@@ -551,18 +563,25 @@ def window_sweep(a: TagStream, b: TagStream, windows):
 # CSV emission
 # ---------------------------------------------------------------------------
 
+def csv_text(header: str, rows) -> str:
+    """Every CSV the package writes: the ``header`` line, then one line
+    per row of cells joined by commas, a float as ``%.10g`` and any other
+    cell (numpy integers too) as ``str``; each line ends in a newline, so
+    the bytes are the same on every platform and run."""
+    lines = [header]
+    lines.extend(",".join("%.10g" % c if isinstance(c, float) else str(c)
+                          for c in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
 def matrix_csv(matrix) -> str:
     """``alice_det,bob_det,count`` rows of ``build_matrix``'s nonzero
     counts, in channel order."""
-    lines = ["alice_det,bob_det,count"]
-    lines.extend(f"{da},{db},{matrix[da, db]}"
-                 for da, db in zip(*np.nonzero(matrix)))
-    return "\n".join(lines) + "\n"
+    return csv_text("alice_det,bob_det,count", (
+        (da, db, matrix[da, db]) for da, db in zip(*np.nonzero(matrix))))
 
 
 def estimates_csv(estimates: dict) -> str:
-    """``term,value,std_error`` rows; values formatted stably for diffing."""
-    lines = ["term,value,std_error"]
-    for term, est in estimates.items():
-        lines.append(f"{term},{est.value:.10g},{est.std_error:.10g}")
-    return "\n".join(lines) + "\n"
+    """``term,value,std_error`` rows of ``estimate``'s results."""
+    return csv_text("term,value,std_error", (
+        (term, e.value, e.std_error) for term, e in estimates.items()))

@@ -220,8 +220,7 @@ def test_criterion_09_transport_equivalence_and_sample_audit():
     outcomes = {}
     for transport in ("in-process", "tcp"):
         alice_out, bob_out = protocol.run_session(
-            protocol.alice_endpoint(params), protocol.bob_endpoint(params),
-            res.alice, res.bob, transport=transport)
+            params, params, res.alice, res.bob, transport=transport)
         assert alice_out.report_bytes == bob_out.report_bytes
         outcomes[transport] = alice_out
     assert outcomes["in-process"].report_bytes == \
@@ -231,16 +230,11 @@ def test_criterion_09_transport_equivalence_and_sample_audit():
     # position audit: an offline run on the same streams discloses the
     # full pre-sampling key; the sampled positions must be exactly the
     # ones missing from the sample-mode final key
-    offline, _ = protocol.run_session(
-        protocol.alice_endpoint(
-            protocol.SessionParams(duration_ps=5 * 10**12, window_ps=64,
-                                   block_ps=5 * 10**12, sample_fraction=0.1,
-                                   qber_mode="offline", sample_seed=41)),
-        protocol.bob_endpoint(
-            protocol.SessionParams(duration_ps=5 * 10**12, window_ps=64,
-                                   block_ps=5 * 10**12, sample_fraction=0.1,
-                                   qber_mode="offline", sample_seed=41)),
-        res.alice, res.bob)
+    offline_params = protocol.SessionParams(
+        duration_ps=5 * 10**12, window_ps=64, block_ps=5 * 10**12,
+        sample_fraction=0.1, qber_mode="offline", sample_seed=41)
+    offline, _ = protocol.run_session(offline_params, offline_params,
+                                      res.alice, res.bob)
     all_ids = np.concatenate([k.pair_ids for k in offline.keys])
     positions = protocol.sample_positions(all_ids.size, 0.1,
                                           np.random.default_rng(41))

@@ -272,9 +272,7 @@ def _wire_digests(session):
         patch.setattr(protocol, "transport_pair", recording_pair)
         for name in _CHUNK_NAMES if chunk_rows else ():
             patch.setattr(protocol, name, chunk_rows)
-        protocol.run_session(protocol.alice_endpoint(params),
-                             protocol.bob_endpoint(params), res.alice,
-                             res.bob)
+        protocol.run_session(params, params, res.alice, res.bob)
     return tuple(tuple(frames) for frames in sent)
 
 

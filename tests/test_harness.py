@@ -1,5 +1,6 @@
 """Tests for scenario configuration, orchestration, and the CLI."""
 
+import hashlib
 import math
 from dataclasses import replace
 from types import SimpleNamespace
@@ -482,6 +483,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: channel.bob.delay_ps: ")
 
+    @pytest.mark.parametrize("line, key", [
+        ("block_s = 1e7", "block_s"),  # 10^19 ps
+        ("block_s = 1e10", "block_s"),
+        ("protocol.window_ps = 18446744073709551616", "protocol.window_ps"),
+        ("protocol.window_ps = 9223372036854775808", "protocol.window_ps"),
+    ])
+    def test_picosecond_value_past_int64_exit_one(self, tmp_path, capsys,
+                                                  line, key):
+        path = self.write_config(
+            tmp_path, f"scenario = ideal\nduration_s = 0.05\n{line}\n")
+        rc = cli.main(["run", path, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key}: ")
+        assert "Traceback" not in err
+
     def test_missing_config_exit_two(self, tmp_path, capsys):
         rc = cli.main(["run", str(tmp_path / "nope.cfg")])
         assert rc == 2
@@ -507,6 +524,9 @@ class TestCli:
         assert "channel.bob.transmittance" in out
         log = (tmp_path / "out/calibration.csv").read_text()
         assert log.splitlines()[0] == "iteration,transmittance,raw_bps"
+        # pinned bytes: the one CSV that test_golden's CSV_DIGESTS omits
+        assert hashlib.sha256(log.encode()).hexdigest() == \
+            "36ef3ba1605c8398ebfd0cd26dfd5688882ec9f49bdd237ebb7d76e897b71114"
 
     @pytest.mark.parametrize("option, value, key", [
         ("--target-raw", "inf", "calibrate.target_raw_bps"),

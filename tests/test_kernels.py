@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -185,6 +186,38 @@ class TestMatchNearest:
                 sparse_multi += int(sparse and (hi - lo >= 2).any())
         assert multi > 100  # components of more than two tags were covered
         assert sparse_multi > 30  # ... also among few tags with a candidate
+
+    # SHA-256 of the loop's (ai, bi) over the instances of
+    # test_loop_golden, captured from the loop with one branch per stream
+    # that the one-body loop replaced
+    LOOP_DIGEST = \
+        "2227dbd013d5f0d9e38f7af547adbaf13084aedf48f4a46f0325e08399629ddf"
+
+    def test_loop_golden(self):
+        # dense instances, where many tags of either stream have two
+        # candidates at the same distance, one on each side
+        def ties(x, y, w):
+            diff = y[None, :] - x[:, None]
+            return sum(int(((diff == d).any(1) & (diff == -d).any(1)).sum())
+                       for d in range(1, w + 1))
+
+        rng = np.random.default_rng(2025)
+        h = hashlib.sha256()
+        ties_a = ties_b = 0
+        for trial in range(40):
+            n = int(rng.integers(100, 400))
+            m = int(rng.integers(100, 400))
+            span = int(rng.choice([500, 2_000, 8_000]))
+            w = int(rng.integers(1, 25))
+            a = random_sorted_times(rng, n, span)
+            b = random_sorted_times(rng, m, span)
+            ai, bi = kernels._match_nearest_impl(a, b, np.int64(w))
+            h.update(np.ascontiguousarray(ai, "<i8").tobytes())
+            h.update(np.ascontiguousarray(bi, "<i8").tobytes())
+            ties_a += ties(a, b, w)
+            ties_b += ties(b, a, w)
+        assert ties_a > 1000 and ties_b > 1000
+        assert h.hexdigest() == self.LOOP_DIGEST
 
 
 class TestWindowRanges:
@@ -374,9 +407,10 @@ class TestDiffHistogram:
         with pytest.raises(ValueError):
             kernels.diff_histogram(a, a, 0, 10, 0)
 
-    def test_numpy_build_exact_across_chunks(self, impls):
-        # the numpy build expands the pairs chunk by chunk; chunk sizes of
-        # one pair, of less than one tag's pairs and the default all must
+    def test_numpy_build_exact_across_chunks(self, impls, monkeypatch):
+        # the numpy build expands the pairs chunk by chunk; chunks of as
+        # many pairs as the histogram has bins (the fewest a chunk takes),
+        # of less than one tag's pairs and of the default size all must
         # reproduce the reference loop
         rng = np.random.default_rng(9)
         fn = impls["numpy"]["diff_histogram"]
@@ -389,7 +423,8 @@ class TestDiffHistogram:
             w = int(rng.integers(1, 500))
             ref = oracle_kernels.diff_histogram(a, b, lo, hi, w)
             for chunk in (1, 7, 1000):
-                got = fn(a, b, np.int64(lo), np.int64(hi), np.int64(w), chunk)
+                monkeypatch.setattr(kernels, "_HISTOGRAM_CHUNK", chunk)
+                got = fn(a, b, np.int64(lo), np.int64(hi), np.int64(w))
                 assert got.dtype == np.int64
                 np.testing.assert_array_equal(got, ref)
         # few tags with a pair (the sparse side of _window_ranges), some
@@ -407,9 +442,11 @@ class TestDiffHistogram:
             assert kernels._window_ranges(a, b, lo, hi)[0] is not None
             ref = oracle_kernels.diff_histogram(a, b, lo, hi, w)
             for chunk in (1, 7, 1000):
-                got = fn(a, b, np.int64(lo), np.int64(hi), np.int64(w), chunk)
+                monkeypatch.setattr(kernels, "_HISTOGRAM_CHUNK", chunk)
+                got = fn(a, b, np.int64(lo), np.int64(hi), np.int64(w))
                 np.testing.assert_array_equal(got, ref)
         # several default-size chunks
+        monkeypatch.undo()
         a = random_sorted_times(rng, 3000, 400_000)
         b = random_sorted_times(rng, 3000, 400_000)
         args = (np.int64(-40_000), np.int64(50_000), np.int64(1000))
@@ -419,7 +456,7 @@ class TestDiffHistogram:
 
 
 class TestBinnedCorrelation:
-    def test_matches_definition(self):
+    def test_matches_definition(self, monkeypatch):
         # entry k counts pairs whose binned times differ by k bins; short
         # blocks force the overlap-save path through many blocks
         rng = np.random.default_rng(10)
@@ -431,7 +468,8 @@ class TestBinnedCorrelation:
             lo = int(rng.integers(-span // 2, span // 4))
             nlags = int(rng.integers(1, 3000))
             block = int(rng.choice([16, 1024, 1 << 20]))
-            got = kernels.binned_correlation(a, b, lo, nlags, w, block)
+            monkeypatch.setattr(kernels, "_CORRELATION_BLOCK", block)
+            got = kernels.binned_correlation(a, b, lo, nlags, w)
             origin = min(a[0] + lo, b[0])
             lag = ((b[None, :] - origin) // w
                    - (a[:, None] + lo - origin) // w).ravel()

@@ -31,15 +31,12 @@ from hybridqkd.protocol import (
     ROLE_DISCARD,
     ROLE_KEY,
     ROLE_TEST,
-    Endpoint,
     InsufficientKeyError,
     ProtocolViolation,
     SecurityReport,
     SessionAbort,
     SessionParams,
     SiftedKey,
-    alice_endpoint,
-    bob_endpoint,
     build_report,
     frame_message,
     report_csv,
@@ -76,35 +73,39 @@ class TestEndpoints:
             params_for(sample_fraction=0.6)
         params_for(sample_fraction=0.5)
 
+    @pytest.mark.parametrize("field", ["duration_ps", "window_ps",
+                                       "block_ps"])
+    def test_picosecond_fields_below_2_63(self, field):
+        # each is a u8 on the wire and an int64 in the session
+        SessionParams(**{"duration_ps": PS, field: 2**63 - 1})
+        with pytest.raises(ValueError,
+                           match=rf"^{field} must be below 2\*\*63"):
+            SessionParams(**{"duration_ps": PS, field: 2**63})
+
     def test_standard_endpoints(self):
         p = params_for()
-        a = alice_endpoint(p)
-        b = bob_endpoint(p)
+        a = protocol.AliceSession(p, TagStream("alice", 1, [], []))
+        b = protocol.BobSession(p, TagStream("bob", 1, [], []))
         assert (a.role, a.params) == ("alice", p)
         assert (b.role, b.params) == ("bob", p)
-        assert np.flatnonzero(a.channel_setting != protocol.UNMAPPED
+        assert np.flatnonzero(a.setting != tags.UNMAPPED
                               ).tolist() == [1, 2, 3, 4, 5, 6]
-        assert np.flatnonzero(b.channel_setting != protocol.UNMAPPED
+        assert np.flatnonzero(b.setting != tags.UNMAPPED
                               ).tolist() == [1, 2, 3, 4]
         # the flipped analyzer: channel 6 is the + port of a1
-        assert (a.channel_setting[6], a.channel_bit[6]) == (1, 0)
-        assert (a.channel_setting[5], a.channel_bit[5]) == (1, 1)
+        assert (a.setting[6], a.bit[6]) == (1, 0)
+        assert (a.setting[5], a.bit[5]) == (1, 1)
         # channel 1 is the + port of the key setting a2
-        assert (a.channel_setting[1], a.channel_bit[1]) == (2, 0)
+        assert (a.setting[1], a.bit[1]) == (2, 0)
 
     def test_channel_tables(self):
-        p = params_for()
-        a = alice_endpoint(p)
-        assert a.channel_setting[1:7].tolist() == [2, 2, 0, 0, 1, 1]
-        assert a.channel_bit[1:7].tolist() == [0, 1, 0, 1, 1, 0]
+        setting, bit = tags.WIRING["alice"]
+        assert setting[1:7].tolist() == [2, 2, 0, 0, 1, 1]
+        assert bit[1:7].tolist() == [0, 1, 0, 1, 1, 0]
         unmapped = np.delete(np.arange(256), np.arange(1, 7))
-        assert (a.channel_setting[unmapped] == protocol.UNMAPPED).all()
-        assert bob_endpoint(p).channel_setting[1:5].tolist() == [0, 0, 1, 1]
-        assert bob_endpoint(p).channel_bit[1:5].tolist() == [0, 1, 0, 1]
-
-    def test_bad_role_refused(self):
-        with pytest.raises(ValueError, match="role must be 'alice' or 'bob'"):
-            Endpoint("eve", params_for())
+        assert (setting[unmapped] == tags.UNMAPPED).all()
+        assert tags.WIRING["bob"][0][1:5].tolist() == [0, 0, 1, 1]
+        assert tags.WIRING["bob"][1][1:5].tolist() == [0, 1, 0, 1]
 
 
 class TestSift:
@@ -112,8 +113,8 @@ class TestSift:
 
     @staticmethod
     def sift(channels, labels):
-        ep = alice_endpoint(params_for())
-        return protocol._roles(ep.channel_setting[channels], labels)
+        setting, _ = tags.WIRING["alice"]
+        return protocol._roles(setting[channels], labels)
 
     def test_key_pair(self):
         roles = self.sift(np.array([1]), np.array([LABEL_KEY_BASIS]))
@@ -472,7 +473,7 @@ class TestRunSession:
                        drift=drift)
         p = params_for(duration=duration, qber_mode=qber_mode,
                        sample_seed=sample_seed)
-        return run_session(alice_endpoint(p), bob_endpoint(p), res.alice,
+        return run_session(p, p, res.alice,
                            res.bob, transport=transport)
 
     def test_empty_block_row(self):
@@ -483,7 +484,7 @@ class TestRunSession:
         res = harness._simulate(cfg, cfg["seed"], duration_s=0.01)
         p = replace(harness._session_params(cfg, 0.01), block_ps=2 * 10**7,
                     sample_fraction=0.5)
-        alice, bob = run_session(alice_endpoint(p), bob_endpoint(p),
+        alice, bob = run_session(p, p,
                                  res.alice, res.bob)
         rows = alice.report_bytes.decode().splitlines()[1:-1]
         assert len(rows) == 500
@@ -575,7 +576,7 @@ class TestRunSession:
         pa = params_for(duration=2.0, window_ps=64)
         pb = params_for(duration=2.0, window_ps=128)
         with pytest.raises(SessionAbort):
-            run_session(alice_endpoint(pa), bob_endpoint(pb), res.alice,
+            run_session(pa, pb, res.alice,
                         res.bob)
 
     def test_uncorrelated_streams_abort(self):
@@ -583,7 +584,7 @@ class TestRunSession:
         res_b = simulate(duration=2.0, seed=22)
         p = params_for(duration=2.0)
         with pytest.raises(SessionAbort, match="coincidence search failed"):
-            run_session(alice_endpoint(p), bob_endpoint(p), res_a.alice,
+            run_session(p, p, res_a.alice,
                         res_b.bob)
 
     def test_transport_failure_aborts(self):
@@ -591,7 +592,7 @@ class TestRunSession:
         p = params_for(duration=2.0)
         ta, tb = transport_pair(timeout=2.0)
         tb.close()
-        session = protocol.AliceSession(alice_endpoint(p), res.alice)
+        session = protocol.AliceSession(p, res.alice)
         with pytest.raises(SessionAbort):
             session.run(ta)
 
@@ -619,7 +620,7 @@ class TestSessionFailures:
         res = simulate(duration=1.0)
         p = params_for(duration=1.0)
         stall_alice(monkeypatch, 1.0)
-        alice, bob = run_session(alice_endpoint(p), bob_endpoint(p),
+        alice, bob = run_session(p, p,
                                  res.alice, res.bob, transport=transport,
                                  timeout=timeout)
         assert alice.report_bytes == bob.report_bytes
@@ -631,7 +632,7 @@ class TestSessionFailures:
         pa = params_for(duration=1.0, window_ps=64)
         pb = params_for(duration=1.0, window_ps=128)
         with pytest.raises(SessionAbort) as info:
-            run_session(alice_endpoint(pa), bob_endpoint(pb), res.alice,
+            run_session(pa, pb, res.alice,
                         res.bob, transport=transport)
         error = info.value
         assert error.party == "bob"
@@ -648,7 +649,7 @@ class TestSessionFailures:
         p = params_for(duration=1.0)
         stall_alice(monkeypatch, 1.0)
         with pytest.raises(SessionAbort) as info:
-            run_session(alice_endpoint(p), bob_endpoint(p), res.alice,
+            run_session(p, p, res.alice,
                         res.bob, transport="tcp", timeout=0.2)
         error = info.value
         assert error.party == "bob"
@@ -663,7 +664,7 @@ class TestSessionFailures:
         res = simulate(duration=1.0)
         p = params_for(duration=1.0)
         with pytest.raises(RuntimeError, match="label table missing") as info:
-            run_session(alice_endpoint(p), bob_endpoint(p), res.alice,
+            run_session(p, p, res.alice,
                         res.bob)
         assert info.value.party == "bob"
         assert "closed mid-session" in str(info.value.peer_error)
@@ -682,7 +683,7 @@ class TestSessionFailures:
                                    stream.times)
         p = params_for(duration=1.0)
         with pytest.raises(ValueError) as info:
-            run_session(alice_endpoint(p), bob_endpoint(p), streams["alice"],
+            run_session(p, p, streams["alice"],
                         streams["bob"])
         assert str(info.value) == (f"{party}'s stream has a tag on channel "
                                    f"{channel}, which the endpoint does not "
@@ -744,7 +745,7 @@ class TestPeerValidation:
         res = simulate(duration=1.0)
         p = params_for(duration=1.0, qber_mode=qber_mode)
         with pytest.raises(SessionAbort) as info:
-            run_session(alice_endpoint(p), bob_endpoint(p), res.alice,
+            run_session(p, p, res.alice,
                         res.bob, transport=self.transport)
         assert info.value.peer_error.peer_stopped
         return info.value
@@ -844,7 +845,7 @@ class TestReportAgreement:
         for phase in (math.pi, 2.2, 0.0):
             res = simulate(duration=3.0, phase=phase, seed=int(phase * 10))
             p = params_for(duration=3.0)
-            alice, bob = run_session(alice_endpoint(p), bob_endpoint(p),
+            alice, bob = run_session(p, p,
                                      res.alice, res.bob)
             assert alice.report_bytes == bob.report_bytes
             assert alice.report.verdict == bob.report.verdict

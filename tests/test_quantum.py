@@ -173,23 +173,25 @@ class TestChsh:
 
 class TestSettings:
     def test_port_wiring_roundtrip(self, settings):
-        # tags.wiring reads every setting's ports: bit 0 on the + port and
+        # tags.WIRING reads every setting's ports: bit 0 on the + port and
         # 1 on the - port, under the setting's index
         for party, names in tags.SETTINGS.items():
-            wiring = tags.wiring(party)
-            assert len(wiring) == 2 * len(names)
+            setting, bit = tags.WIRING[party]
+            assert (setting != tags.UNMAPPED).sum() == 2 * len(names)
             for index, name in enumerate(names):
                 st = settings[name]
-                assert wiring[st.plus_port] == (index, 0)
-                assert wiring[st.minus_port] == (index, 1)
+                assert (setting[st.plus_port], bit[st.plus_port]) == (index, 0)
+                assert (setting[st.minus_port],
+                        bit[st.minus_port]) == (index, 1)
 
     def test_flipped_wiring(self, settings):
         # a1's + port, channel 6, fires on outcome -1 and carries bit 0
         a1 = settings["a1"]
         assert a1.outcome_sign == -1
         assert (a1.plus_port, a1.minus_port) == (6, 5)
-        assert tags.wiring("alice")[6] == (1, 0)
-        assert tags.wiring("alice")[5] == (1, 1)
+        setting, bit = tags.WIRING["alice"]
+        assert (setting[6], bit[6]) == (1, 0)
+        assert (setting[5], bit[5]) == (1, 1)
         assert port_for(a1, -1) == 6 and port_for(a1, +1) == 5
 
     def test_nonunit_bloch_rejected(self):

@@ -120,9 +120,8 @@ def spy_coarse_search(monkeypatch):
     located, checked = [], []
     locate, check = tags._located_coarse_peak, tags._check_peak
 
-    def locate_spy(ca, cb, lo, hi, width, nbins, pairs, step):
-        located.append((step, locate(ca, cb, lo, hi, width, nbins, pairs,
-                                     step)))
+    def locate_spy(ca, cb, lo, hi, nbins, pairs, step):
+        located.append((step, locate(ca, cb, lo, hi, nbins, pairs, step)))
         return located[-1][1]
 
     def check_spy(peak_count, mu, nbins):
