@@ -2,8 +2,14 @@
 
 Configs are flat ``key = value`` text files with dotted key paths
 (``detector.alice.efficiency = 0.55``), ``#`` comments, and defaults for
-every key — an empty file is a valid config.  Validation reports every
-problem at once, each naming the offending path.
+every key — an empty file is a valid config.  The ``source``, ``drift``,
+``channel.<party>``, ``detector.<party>`` and ``protocol`` sections are
+the fields of their models, which own their bounds; a model's refusal
+is reported under the key of the field it names.  Validation reports
+every problem at once: each unreadable or unknown key, each bound the
+config holds stricter than a model, and the first fault of each model.
+The delay-plus-duration check spans keys and runs once every model
+builds.
 
 Scenarios:
 
@@ -28,13 +34,13 @@ from __future__ import annotations
 import hashlib
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, optics, protocol, tags
+from . import __version__, optics, tags
 from .optics import (
     PS_PER_SECOND,
     ChannelModel,
@@ -98,58 +104,40 @@ class _Key:
     choices: tuple = ()
 
 
-def _detector_keys(party):
-    return {
-        f"detector.{party}.efficiency": _Key(
-            "float", 1.0, _fraction, "must be in (0, 1]"),
-        f"detector.{party}.jitter_fwhm_ps": _Key(
-            "float", 0.0, _non_negative, "must be >= 0"),
-        f"detector.{party}.dark_rate_hz": _Key(
-            "float", 0.0, _non_negative, "must be >= 0"),
-        f"detector.{party}.dead_time_ps": _Key(
-            "int", 0, _non_negative, "must be >= 0"),
-    }
+PARTIES = ("alice", "bob")
+# Each config section is one model: its key "<section>.<field>" takes its
+# kind from the field's type and its default from the model, and the
+# model's own checks are its bounds.
+_SECTIONS = {
+    "source": SourceModel,
+    "drift": DriftModel,
+    **{f"channel.{party}": ChannelModel for party in PARTIES},
+    **{f"detector.{party}": DetectorModel for party in PARTIES},
+    "protocol": SessionParams,
+}
+# the SessionParams fields set from keys outside the protocol section
+_SESSION_KEYS = {"duration_ps": "duration_s", "block_ps": "block_s",
+                 "sample_seed": "seed"}
 
-
-def _channel_keys(party):
-    return {
-        f"channel.{party}.transmittance": _Key(
-            "float", 1.0, _fraction, "must be in (0, 1]"),
-        f"channel.{party}.delay_ps": _Key(
-            "int", 0, _non_negative, "must be >= 0"),
-    }
-
-
-SCHEMA = {
+# Config policy: the keys no model field declares, and the bounds the
+# config holds stricter than the library.  A source of no pairs, a dark
+# channel or detector, or a drift of no period is a valid model but no
+# run to configure.  An entry here replaces its model field's key.
+_POLICY = {
     "scenario": _Key("str", "ideal", choices=SCENARIOS),
     "seed": _Key("int", 0, _non_negative, "must be >= 0"),
-    "duration_s": _Key("float", 10.0, _positive, "must be > 0"),
-    "block_s": _Key("float", 10.0,
-                    lambda x: 0 < x and round(x * PS_PER_SECOND)
-                    < protocol.PS_LIMIT, "must be > 0 and below 2**63 ps"),
+    "duration_s": _Key("float", 10.0),
+    "block_s": _Key("float", 10.0),
     "out_dir": _Key("str", "results"),
     "dump_tags": _Key("bool", False),
     "source.pair_rate_hz": _Key("float", 200_000.0, _positive,
                                 "must be > 0"),
-    "source.reference_phase": _Key("float", math.pi),
-    **_channel_keys("alice"),
-    **_channel_keys("bob"),
-    **_detector_keys("alice"),
-    **_detector_keys("bob"),
-    "drift.kind": _Key("str", "none", choices=("none", "linear", "sine")),
-    "drift.offset_rad": _Key("float", 0.0),
-    "drift.rate_rad_per_s": _Key("float", 0.0),
-    "drift.amplitude_rad": _Key("float", 0.0),
+    **{f"{part}.{party}.{field}": _Key("float", 1.0, _fraction,
+                                        "must be in (0, 1]")
+       for part, field in (("channel", "transmittance"),
+                           ("detector", "efficiency"))
+       for party in PARTIES},
     "drift.period_s": _Key("float", 1.0, _positive, "must be > 0"),
-    "protocol.window_ps": _Key("int", 64, lambda x: 1 <= x < protocol.PS_LIMIT,
-                               "must be >= 1 and below 2**63"),
-    "protocol.sample_fraction": _Key("float", 0.1,
-                                     lambda x: 0 < x <= 0.5,
-                                     "must be in (0, 0.5]"),
-    "protocol.qber_mode": _Key("str", "sample",
-                               choices=("sample", "offline")),
-    "protocol.abort_sigma": _Key("float", 0.0, _non_negative,
-                                 "must be >= 0"),
     "sweep.parameter": _Key("str", "", choices=("",) + SWEEP_PARAMETERS),
     "sweep.values": _Key("floats", ()),
     "sweep.temp_coefficient_rad_per_c": _Key("float", 0.8),
@@ -159,6 +147,13 @@ SCHEMA = {
     "calibrate.probe_s": _Key("float", 2.0, _positive, "must be > 0"),
     "calibrate.tolerance": _Key("float", 0.05, lambda x: 0 < x < 1,
                                 "must be in (0, 1)"),
+}
+
+SCHEMA = {
+    **{f"{section}.{f.name}": _Key(f.type, f.default)
+       for section, model in _SECTIONS.items() for f in fields(model)
+       if f.name not in _SESSION_KEYS},
+    **_POLICY,
 }
 
 _INT_RE = re.compile(r"^[+-]?\d+$")
@@ -268,12 +263,25 @@ def _parse_values(text: str) -> tuple[dict, list]:
 
 
 def _validated(values: dict, errors: list) -> ScenarioConfig:
-    """A config of complete ``values``, once they pass the checks that
-    span keys; raises ConfigError with ``errors`` and those failures."""
-    errors = errors + _tag_time_errors(values)
+    """A config of complete ``values``, once every section's model builds
+    from them and the checks that span keys pass; raises ConfigError with
+    ``errors`` and each refusal, named by its key."""
+    cfg = ScenarioConfig(values=values)
+    refused = []
+    for section in _SECTIONS:
+        try:
+            if section == "protocol":
+                _session_params(cfg)
+            else:
+                _build(section, cfg)
+        except ValueError as err:
+            field = str(err).split(" ", 1)[0]
+            key = _SESSION_KEYS.get(field, f"{section}.{field}")
+            refused.append(f"{key}: {err}")
+    errors = errors + (refused or _tag_time_errors(values))
     if errors:
         raise ConfigError(errors)
-    return ScenarioConfig(values=values)
+    return cfg
 
 
 def _tag_time_errors(values) -> list:
@@ -282,11 +290,10 @@ def _tag_time_errors(values) -> list:
     named by its delay key."""
     errors = []
     duration = values["duration_s"]
-    for party in ("alice", "bob"):
+    for party in PARTIES:
         path = f"channel.{party}.delay_ps"
         delay = values[path]
-        if (delay + int(round(duration * PS_PER_SECOND))
-                >= optics.TAG_TIME_LIMIT_PS):
+        if delay + _ps(duration) >= optics.TAG_TIME_LIMIT_PS:
             errors.append(f"{path}: delay_ps + duration_s x 10^12 must be "
                           f"below 2**55 ps, the tag-time limit, got "
                           f"{delay} ps and {duration:g} s")
@@ -324,50 +331,36 @@ def preset_path(name: str) -> Path:
 # model construction
 # ---------------------------------------------------------------------------
 
-def _source(cfg, phase=None) -> SourceModel:
-    return SourceModel(pair_rate_hz=cfg["source.pair_rate_hz"],
-                       reference_phase=cfg["source.reference_phase"]
-                       if phase is None else phase)
+def _ps(seconds) -> int:
+    return int(round(seconds * PS_PER_SECOND))
 
 
-def _drift(cfg) -> DriftModel:
-    return DriftModel(kind=cfg["drift.kind"],
-                      offset_rad=cfg["drift.offset_rad"],
-                      rate_rad_per_s=cfg["drift.rate_rad_per_s"],
-                      amplitude_rad=cfg["drift.amplitude_rad"],
-                      period_s=cfg["drift.period_s"])
-
-
-def _station(cfg, party):
-    channel = ChannelModel(
-        transmittance=cfg[f"channel.{party}.transmittance"],
-        delay_ps=cfg[f"channel.{party}.delay_ps"])
-    detector = DetectorModel(
-        efficiency=cfg[f"detector.{party}.efficiency"],
-        jitter_fwhm_ps=cfg[f"detector.{party}.jitter_fwhm_ps"],
-        dark_rate_hz=cfg[f"detector.{party}.dark_rate_hz"],
-        dead_time_ps=cfg[f"detector.{party}.dead_time_ps"])
-    maker = alice_station if party == "alice" else bob_station
-    return maker(channel, detector)
+def _build(section, cfg, **given):
+    """The model of a config section, its fields not ``given`` read from
+    the section's keys."""
+    model = _SECTIONS[section]
+    return model(**{f.name: cfg[f"{section}.{f.name}"] for f in fields(model)
+                    if f.name not in given}, **given)
 
 
 def _simulate(cfg, seed, *, phase=None, duration_s=None):
-    return simulate_session(_source(cfg, phase), _drift(cfg),
-                            _station(cfg, "alice"), _station(cfg, "bob"),
+    source = _build("source", cfg)
+    if phase is not None:
+        source = replace(source, reference_phase=phase)
+    alice, bob = (station(_build(f"channel.{party}", cfg),
+                          _build(f"detector.{party}", cfg))
+                  for party, station in zip(PARTIES,
+                                            (alice_station, bob_station)))
+    return simulate_session(source, _build("drift", cfg), alice, bob,
                             cfg["duration_s"] if duration_s is None
                             else duration_s, seed=seed)
 
 
 def _session_params(cfg, duration_s=None, seed=None) -> SessionParams:
     duration = cfg["duration_s"] if duration_s is None else duration_s
-    return SessionParams(
-        duration_ps=int(round(duration * PS_PER_SECOND)),
-        window_ps=cfg["protocol.window_ps"],
-        block_ps=int(round(cfg["block_s"] * PS_PER_SECOND)),
-        sample_fraction=cfg["protocol.sample_fraction"],
-        qber_mode=cfg["protocol.qber_mode"],
-        abort_sigma=cfg["protocol.abort_sigma"],
-        sample_seed=cfg["seed"] if seed is None else seed)
+    return _build("protocol", cfg, duration_ps=_ps(duration),
+                  block_ps=_ps(cfg["block_s"]),
+                  sample_seed=cfg["seed"] if seed is None else seed)
 
 
 # ---------------------------------------------------------------------------

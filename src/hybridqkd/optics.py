@@ -145,19 +145,21 @@ class ChannelModel:
 
 @dataclass(frozen=True)
 class DetectorModel:
-    """Per-channel detector: efficiency, timing jitter, darks, dead time."""
+    """Per-channel detector: efficiency, timing jitter, darks, dead time
+    (by default none of the last three)."""
 
     efficiency: float
-    jitter_fwhm_ps: float
-    dark_rate_hz: float
-    dead_time_ps: int
+    jitter_fwhm_ps: float = 0.0
+    dark_rate_hz: float = 0.0
+    dead_time_ps: int = 0
 
     def __post_init__(self):
         _require_finite(self)
         if not 0.0 <= self.efficiency <= 1.0:
             raise ValueError("efficiency must be in [0, 1]")
-        if self.jitter_fwhm_ps < 0 or self.dark_rate_hz < 0 or self.dead_time_ps < 0:
-            raise ValueError("jitter, dark rate, and dead time must be >= 0")
+        for name in ("jitter_fwhm_ps", "dark_rate_hz", "dead_time_ps"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
 
     @property
     def jitter_sigma_ps(self) -> float:
@@ -194,9 +196,10 @@ class DriftModel:
     def __post_init__(self):
         _require_finite(self)
         if self.kind not in ("none", "linear", "sine"):
-            raise ValueError(f"unknown drift kind {self.kind!r}")
+            raise ValueError(f"kind must be one of 'none', 'linear', "
+                             f"'sine', got {self.kind!r}")
         if self.kind == "sine" and self.period_s <= 0:
-            raise ValueError("sine drift needs period_s > 0")
+            raise ValueError("period_s must be > 0 for sine drift")
 
 
 def phase_at(source: SourceModel, drift: DriftModel, t_ps) -> np.ndarray | float:

@@ -86,9 +86,6 @@ _PAIR_NS = 10.0
 _GRID_BIN_NS = 100.0
 _LADDER_STEP = 8
 _LOCATE_BINS = 4
-# the coarse pair count runs on two threads above this many prefix tags
-# (CHANGES.md gives the measurements)
-_COARSE_SPLIT_TAGS = 1 << 17
 # The search itself (see ``estimate_delay``): its range and bin widths,
 # the prefix lengths of the two stages and the peak checks.
 _SEARCH_RANGE_PS = 2**28
@@ -297,10 +294,9 @@ def estimate_delay(a, b, *, _fine=None) -> DelayEstimate:
     The coarse peak is located with an FFT cross-correlation on a grid of
     L coarse bins per bin, and only the coarse bins near the located peak
     are counted exactly (``_located_coarse_peak``).  Two binary searches
-    over the prefix (``kernels._sorted_search``, its queries ascend; on
-    two threads when there are two CPUs and the prefix is longer than
-    ``_COARSE_SPLIT_TAGS``) count the pairs in range first; that count
-    gives the background mean the full histogram would give.
+    over the prefix (``kernels._sorted_search``, its queries ascend)
+    count the pairs in range first; that count gives the background mean
+    the full histogram would give.
     The grid width balances two predicted costs (``_locate_widths``):
 
     * the FFT, ``_GRID_BIN_NS`` per grid bin over the coarse bins spanned
@@ -342,12 +338,10 @@ def estimate_delay(a, b, *, _fine=None) -> DelayEstimate:
     ca, cb = ta[:_COARSE_TAGS], tb[:_COARSE_TAGS]
     lo, hi = -_SEARCH_RANGE_PS, _SEARCH_RANGE_PS
     nbins = -(-(hi - lo) // _COARSE_BIN_PS)
-    above, below = kernels._in_parallel(
-        kernels._sorted_search, [(cb, ca, hi), (cb, ca, lo)],
-        kernels._CPUS > 1 and ca.shape[0] > _COARSE_SPLIT_TAGS)
-    above -= below
+    above = kernels._sorted_search(cb, ca, hi)
+    above -= kernels._sorted_search(cb, ca, lo)
     pairs = int(above.sum())
-    del above, below
+    del above
     spanned = int(ca[-1] - ca[0]) // _COARSE_BIN_PS + nbins
     peak = None
     if pairs:

@@ -213,10 +213,7 @@ CSV_DIGESTS = {
 
 def _simulate(preset):
     cfg = harness.load_config(harness.preset_path(preset))
-    return optics.simulate_session(
-        harness._source(cfg), harness._drift(cfg),
-        harness._station(cfg, "alice"), harness._station(cfg, "bob"),
-        DURATION_S, seed=cfg["seed"])
+    return harness._simulate(cfg, cfg["seed"], duration_s=DURATION_S)
 
 
 def _stream_digest(stream):

@@ -9,7 +9,14 @@ import numpy as np
 import pytest
 
 from hybridqkd import cli, harness, tags
-from hybridqkd.optics import TagStream, dump_tagstream
+from hybridqkd.optics import (
+    ChannelModel,
+    DetectorModel,
+    DriftModel,
+    SourceModel,
+    TagStream,
+    dump_tagstream,
+)
 from hybridqkd.harness import (
     CalibrationError,
     ConfigError,
@@ -169,6 +176,90 @@ class TestConfigHash:
         assert config_hash(base) != config_hash(base.replaced(seed=1))
         assert config_hash(base) != \
             config_hash(base.replaced(protocol__window_ps=65))
+
+    # the effective-config hash of the empty config and of each preset:
+    # pins every key's name, kind and default
+    HASHES = {
+        "empty": "00877e6e80cddf63",
+        "ideal": "48b84630c95c992c",
+        "paper": "4b087dea1cbcb417",
+        "phase_sweep": "91aee59fbe1ba813",
+        "stability": "239bb40dabb9c7a5",
+        "window_sweep": "6c6873b17c41a7b8",
+    }
+
+    @pytest.mark.parametrize("name", sorted(HASHES))
+    def test_hash_golden(self, name):
+        cfg = (parse_config("") if name == "empty"
+               else load_config(preset_path(name)))
+        assert config_hash(cfg) == self.HASHES[name]
+
+
+PARTIES = ("alice", "bob")
+
+
+class TestRefusals:
+    # one value just outside each bound of a key, whether a model or the
+    # config itself holds the bound
+    @pytest.mark.parametrize("key, raw", [
+        *((f"channel.{p}.delay_ps", "-1") for p in PARTIES),
+        *((f"detector.{p}.{field}", "-1") for p in PARTIES
+          for field in ("jitter_fwhm_ps", "dark_rate_hz", "dead_time_ps")),
+        ("protocol.window_ps", "0"),
+        ("protocol.window_ps", str(2**63)),
+        ("protocol.sample_fraction", "0"),
+        ("protocol.sample_fraction", "0.6"),
+        ("protocol.abort_sigma", "-1"),
+        ("protocol.qber_mode", "wobble"),
+        ("drift.kind", "wobble"),
+        ("block_s", "0"),
+        ("block_s", "1e7"),
+        ("duration_s", "0"),
+        ("duration_s", "-1"),
+        *((f"{part}.{p}.{field}", raw) for p in PARTIES
+          for part, field in (("channel", "transmittance"),
+                              ("detector", "efficiency"))
+          for raw in ("0", "1.5")),
+        ("source.pair_rate_hz", "0"),
+        ("drift.period_s", "0"),
+        ("seed", "-1"),
+        ("calibrate.target_raw_bps", "0"),
+        ("calibrate.probe_s", "0"),
+        ("calibrate.tolerance", "0"),
+        ("calibrate.tolerance", "1"),
+        ("scenario", "wobble"),
+        ("sweep.parameter", "wobble"),
+    ])
+    def test_one_error_names_the_key(self, key, raw):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"{key} = {raw}\n")
+        assert len(err.value.errors) == 1
+        assert err.value.errors[0].startswith(f"{key}: ")
+
+    # each bound the config holds stricter than the library: the model
+    # builds at the boundary value that the config refuses
+    STRICTER = {
+        "source.pair_rate_hz": lambda: SourceModel(0.0),
+        "channel.alice.transmittance": lambda: ChannelModel(0.0),
+        "channel.bob.transmittance": lambda: ChannelModel(0.0),
+        "detector.alice.efficiency": lambda: DetectorModel(0.0, 0.0, 0.0, 0),
+        "detector.bob.efficiency": lambda: DetectorModel(0.0, 0.0, 0.0, 0),
+        "drift.period_s": lambda: DriftModel(kind="linear", period_s=0.0),
+    }
+
+    @pytest.mark.parametrize("key", sorted(STRICTER))
+    def test_policy_is_stricter_than_the_model(self, key):
+        self.STRICTER[key]()
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"{key} = 0\n")
+        assert err.value.errors == [f"{key}: {harness.SCHEMA[key].constraint}"
+                                    f", got 0.0"]
+
+    def test_every_policy_bound_on_a_model_field_is_covered(self):
+        bounded = {path for path, key in harness._POLICY.items()
+                   if key.check and path.rpartition(".")[0]
+                   in harness._SECTIONS}
+        assert bounded == set(self.STRICTER)
 
 
 class TestPresets:
@@ -488,6 +579,8 @@ class TestCli:
         ("block_s = 1e10", "block_s"),
         ("protocol.window_ps = 18446744073709551616", "protocol.window_ps"),
         ("protocol.window_ps = 9223372036854775808", "protocol.window_ps"),
+        ("block_s = 1e-13", "block_s"),  # rounds to 0 ps
+        ("duration_s = 1e-13", "duration_s"),
     ])
     def test_picosecond_value_past_int64_exit_one(self, tmp_path, capsys,
                                                   line, key):

@@ -31,7 +31,6 @@ def split(monkeypatch):
     """Split work on more than 2**12 tags over two threads; returns the
     list of ``_in_parallel`` calls, True for each that used two."""
     monkeypatch.setattr(kernels, "_SPLIT_TAGS", 1 << 12)
-    monkeypatch.setattr(tags, "_COARSE_SPLIT_TAGS", 1 << 12)
     monkeypatch.setattr(kernels, "_CPUS", 2)
     calls = []
     original = kernels._in_parallel
@@ -81,10 +80,7 @@ def test_bob_sort_key_overflow_raised_from_worker(split, monkeypatch):
 def paper_streams(duration_s, seed):
     """The paper preset, whose parties both have singles."""
     cfg = harness.load_config(harness.preset_path("paper"))
-    return simulate_session(harness._source(cfg), harness._drift(cfg),
-                            harness._station(cfg, "alice"),
-                            harness._station(cfg, "bob"), duration_s,
-                            seed=seed)
+    return harness._simulate(cfg, seed, duration_s=duration_s)
 
 
 def assert_same_streams(x, y):
