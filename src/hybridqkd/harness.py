@@ -51,7 +51,7 @@ from .optics import (
     bob_station,
     simulate_session,
 )
-from .protocol import SessionParams, run_session
+from .protocol import PS_LIMIT, SessionParams, run_session
 
 __all__ = [
     "ConfigError",
@@ -332,7 +332,10 @@ def preset_path(name: str) -> Path:
 # ---------------------------------------------------------------------------
 
 def _ps(seconds) -> int:
-    return int(round(seconds * PS_PER_SECOND))
+    """``seconds`` in whole ps.  A value past ``PS_LIMIT``, which
+    ``SessionParams`` refuses, reads as ``PS_LIMIT``: the float product
+    may be inf, which ``round`` cannot convert."""
+    return int(round(min(seconds * PS_PER_SECOND, PS_LIMIT)))
 
 
 def _build(section, cfg, **given):
@@ -467,9 +470,9 @@ def _run_window_sweep(cfg, out: Path):
     _, values = _sweep_values(cfg, ("window_ps",))
     windows = []
     for v in values:
-        if float(v) != int(v) or int(v) < 1:
+        if float(v) != int(v) or not 1 <= int(v) < PS_LIMIT:
             raise ConfigError([f"sweep.values: windows must be positive "
-                               f"integers, got {v}"])
+                               f"integers below 2**63, got {v}"])
         windows.append(int(v))
     res = _simulate(cfg, cfg["seed"])
     points = tags.window_sweep(res.alice, res.bob, windows)

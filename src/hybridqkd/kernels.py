@@ -1,12 +1,11 @@
 """Inner loops over time-tag arrays: dead-time filtering, the window
 search, coincidence matching, and difference histograms.
 
-Each kernel vectorizes a scalar reference loop with numpy.  The loops
-of the dead-time filter and the difference histogram are kept with the
-tests, which compare against them; the matcher's loop,
-``_match_nearest_impl``, stays here because the matcher runs it.  The
-dead-time filter finds the runs of tags closer than the dead time with
-one ``diff`` and works in vectorized rounds over those runs only.
+Each kernel returns what a scalar reference loop returns, vectorized
+with numpy or, for the matcher, by a loop that does less work; the
+reference loops are kept with the tests, which compare against them.
+The dead-time filter finds the runs of tags closer than the dead time
+with one ``diff`` and works in vectorized rounds over those runs only.
 
 The window search, ``_window_ranges(a, b, lo, hi)``, gives each tag of
 ``a`` its range of partners in ``b`` at a difference in [lo, hi): one
@@ -28,6 +27,17 @@ holds the whole shorter stream, each later match whose window fits
 inside the fine span hands ``match_nearest`` only the tags the search
 listed and the union of their ranges (``_union``).  A tag with no
 candidate neither pairs nor blocks a pairing, so the pairs are the same.
+
+The matcher's greedy policy (``_match_nearest_impl``) runs as one
+forward merge of the two streams.  When an event is processed, no free
+counterpart lies behind it inside its window: that counterpart was
+processed earlier, while this event was free and inside its window, so
+it would have paired.  Every free candidate therefore lies at or after
+the merge point, and the nearest is the first counterpart neither
+processed nor taken, which also wins a distance tie.  The taken tags not
+yet processed are one run at the head of each stream's unprocessed part,
+so the loop keeps two merge indices and one count per stream, and takes
+one step per event whatever the window.
 
 Above ``_SPLIT_TAGS`` tags, when the process may use more than one CPU,
 ``_window_ranges`` runs its per-tag work on the two halves of ``a`` on
@@ -325,46 +335,34 @@ def _match_nearest_impl(a, b, half_window):
     counterpart.  Events that find no free counterpart stay available and
     may be claimed by a later event on the other stream.
 
+    The loop is one forward merge (module docstring): the nearest free
+    counterpart is the first one neither processed nor taken, and the
+    taken ones not yet processed are the ``ahead`` tags at the head of
+    each stream's unprocessed part.  Once either stream is processed,
+    no event has a free counterpart left.
+
     Returns index arrays (ai, bi), in pairing order.
     """
-    times = (a, b)
-    sizes = (a.shape[0], b.shape[0])
-    paired = (np.zeros(sizes[0], dtype=np.bool_),
-              np.zeros(sizes[1], dtype=np.bool_))
-    out = (np.empty(min(sizes), dtype=np.int64),
-           np.empty(min(sizes), dtype=np.int64))
-    npairs = 0
+    times = (a.tolist(), b.tolist())
+    sizes = (len(times[0]), len(times[1]))
+    reach = int(half_window)
+    out = ([], [])
     at = [0, 0]  # each stream's next event
-    lo = [0, 0]  # each stream's first tag not yet behind every window
-    while at[0] < sizes[0] or at[1] < sizes[1]:
-        i, j = at
-        side = int(i >= sizes[0] or (j < sizes[1] and b[j] < a[i]))
+    ahead = [0, 0]  # each stream's taken tags from ``at`` on
+    while at[0] < sizes[0] and at[1] < sizes[1]:
+        side = int(times[1][at[1]] < times[0][at[0]])
         other = 1 - side
-        k = at[side]
+        if ahead[side]:
+            ahead[side] -= 1
+        else:
+            c = at[other] + ahead[other]
+            if (c < sizes[other]
+                    and times[other][c] - times[side][at[side]] <= reach):
+                out[side].append(at[side])
+                out[other].append(c)
+                ahead[other] += 1
         at[side] += 1
-        if paired[side][k]:
-            continue
-        t = times[side][k]
-        theirs, taken, size = times[other], paired[other], sizes[other]
-        c = lo[other]
-        while c < size and theirs[c] < t - half_window:
-            c += 1
-        lo[other] = c
-        best = -1
-        best_d = half_window + 1
-        while c < size and theirs[c] <= t + half_window:
-            if not taken[c]:
-                d = abs(theirs[c] - t)
-                if d < best_d:  # ascending scan: first seen wins ties
-                    best_d = d
-                    best = c
-            c += 1
-        if best >= 0:
-            paired[side][k] = taken[best] = True
-            out[side][npairs] = k
-            out[other][npairs] = best
-            npairs += 1
-    return out[0][:npairs], out[1][:npairs]
+    return np.array(out[0], dtype=np.int64), np.array(out[1], dtype=np.int64)
 
 
 def match_nearest(a, b, half_window: int):
@@ -382,12 +380,11 @@ def match_nearest(a, b, half_window: int):
     ``_window_ranges``, and only the tags with a candidate are looked at
     again.
 
-    The loop's pairs never cross: had a[i] paired b[j] and a[k] paired
-    b[l] with i < k and l < j, all four tags would be mutual candidates,
-    and whichever of a[i], b[l] came first would have taken the other.
-    A pair is made when its earlier member is processed, so pairing
-    order is ascending index on both streams, and the two sets of pairs
-    merge by Alice index.
+    Under the forward rule (module docstring), each pair joins, on both
+    streams, the first tag that the merge has neither passed nor
+    paired, and that point only moves forward.  So the pairs never
+    cross: pairing order is ascending index on both streams, and the two
+    sets of pairs merge by Alice index.
     """
     a, b, half_window = _as_i64(a), _as_i64(b), np.int64(half_window)
     n = a.shape[0]

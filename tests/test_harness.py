@@ -412,12 +412,13 @@ class TestWindowSweepScenario:
         assert pairs[0] < pairs[1] < pairs[2]
 
     def test_fractional_window_rejected(self, tmp_path):
-        cfg = parse_config("scenario = window_sweep\n"
-                           "sweep.parameter = window_ps\n"
-                           "sweep.values = 32.5, 64\n")
-        with pytest.raises(ConfigError) as err:
-            run_scenario(cfg, out_dir=tmp_path)
-        assert "sweep.values" in str(err.value)
+        for values in ("32.5, 64", "64, 1e30"):  # 1e30 is past 2**63
+            cfg = parse_config("scenario = window_sweep\n"
+                               "sweep.parameter = window_ps\n"
+                               f"sweep.values = {values}\n")
+            with pytest.raises(ConfigError) as err:
+                run_scenario(cfg, out_dir=tmp_path)
+            assert "sweep.values" in str(err.value)
 
 
 class TestCalibrateLoss:
@@ -581,6 +582,8 @@ class TestCli:
         ("protocol.window_ps = 9223372036854775808", "protocol.window_ps"),
         ("block_s = 1e-13", "block_s"),  # rounds to 0 ps
         ("duration_s = 1e-13", "duration_s"),
+        ("duration_s = 1e300", "duration_s"),  # 10^312 ps: inf as a float
+        ("block_s = 1e300", "block_s"),
     ])
     def test_picosecond_value_past_int64_exit_one(self, tmp_path, capsys,
                                                   line, key):

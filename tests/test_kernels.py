@@ -1,4 +1,5 @@
 import hashlib
+import sys
 import tracemalloc
 
 import numpy as np
@@ -153,14 +154,14 @@ class TestMatchNearest:
     def test_numpy_build_exact_cases(self, impls, a, b, w):
         a = np.array(a, dtype=np.int64)
         b = np.array(b, dtype=np.int64)
-        ref = kernels._match_nearest_impl(a, b, np.int64(w))
+        ref = oracle_kernels.match_nearest(a, b, np.int64(w))
         got = impls["numpy"]["match_nearest"](a, b, np.int64(w))
         for r, g in zip(ref, got):
             assert g.dtype == np.int64
             np.testing.assert_array_equal(g, r)
 
     def test_numpy_build_exact_random(self, impls):
-        # the numpy build must reproduce the reference loop array for array,
+        # the numpy build must reproduce the oracle loop array for array,
         # pairing order included; sparse instances are mostly single-edge
         # components, dense ones mostly components of many tags
         rng = np.random.default_rng(8)
@@ -172,7 +173,7 @@ class TestMatchNearest:
             a = random_sorted_times(rng, n, span)
             b = random_sorted_times(rng, m, span)
             w = int(rng.integers(0, 60))
-            ref = kernels._match_nearest_impl(a, b, np.int64(w))
+            ref = oracle_kernels.match_nearest(a, b, np.int64(w))
             got = impls["numpy"]["match_nearest"](a, b, np.int64(w))
             np.testing.assert_array_equal(got[0], ref[0])
             np.testing.assert_array_equal(got[1], ref[1])
@@ -186,6 +187,55 @@ class TestMatchNearest:
                 sparse_multi += int(sparse and (hi - lo >= 2).any())
         assert multi > 100  # components of more than two tags were covered
         assert sparse_multi > 30  # ... also among few tags with a candidate
+
+    @pytest.mark.parametrize("w", [2**40, 2**62])
+    def test_loop_matches_oracle_wide_windows(self, w):
+        # the forward merge against the literal scan, on whole streams in
+        # one window; spans of 20-50 ps make many times equal, within and
+        # across the streams, and many distances tie
+        rng = np.random.default_rng(w % 1009)
+        for trial in range(60):
+            n = int(rng.integers(0, 120))
+            m = int(rng.integers(0, 120))
+            span = int(rng.integers(20, 51))
+            a = random_sorted_times(rng, n, span)
+            b = random_sorted_times(rng, m, span)
+            ref = oracle_kernels.match_nearest(a, b, np.int64(w))
+            got = kernels._match_nearest_impl(a, b, np.int64(w))
+            for r, g in zip(ref, got):
+                assert g.dtype == np.int64
+                np.testing.assert_array_equal(g, r)
+
+    def test_loop_steps_linear_at_wide_window(self):
+        # count the loop's executed lines, not its wall time: a loop that
+        # rescans taken candidates takes about n * m steps here
+        rng = np.random.default_rng(28)
+        n, m = 600, 500
+        a = random_sorted_times(rng, n, 10**9)
+        b = random_sorted_times(rng, m, 10**9)
+        code = kernels._match_nearest_impl.__code__
+        steps = 0
+
+        def local(frame, event, arg):
+            nonlocal steps
+            steps += event == "line"
+            return local
+
+        def call(frame, event, arg):
+            return local if frame.f_code is code else None
+
+        tracer = sys.gettrace()
+        sys.settrace(call)
+        try:
+            ai, bi = kernels._match_nearest_impl(a, b, np.int64(2**62))
+        finally:
+            sys.settrace(tracer)
+        assert 0 < steps <= 20 * (n + m)
+        # a window over the whole span pairs the x-th tags of both streams
+        np.testing.assert_array_equal(ai, np.arange(min(n, m)))
+        np.testing.assert_array_equal(bi, np.arange(min(n, m)))
+        for got in kernels.match_nearest(a, b, 2**62):
+            np.testing.assert_array_equal(got, np.arange(min(n, m)))
 
     # SHA-256 of the loop's (ai, bi) over the instances of
     # test_loop_golden, captured from the loop with one branch per stream
