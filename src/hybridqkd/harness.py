@@ -207,15 +207,21 @@ def _convert(path, key, raw, errors):
             return None
         value = raw.lower() == "true"
     elif key.kind == "floats":
+        parts = [part.strip() for part in raw.split(",") if part.strip()]
         try:
-            value = tuple(float(part) for part in raw.split(",") if
-                          part.strip())
+            value = tuple(float(part) for part in parts)
         except ValueError:
             errors.append(f"{path}: expected comma-separated numbers, "
                           f"got {raw!r}")
             return None
         if not all(math.isfinite(v) for v in value):
             errors.append(f"{path}: values must be finite")
+            return None
+        inexact = [part for part, v in zip(parts, value)
+                   if _INT_RE.match(part) and int(part) != v]
+        if inexact:
+            errors.append(f"{path}: {inexact[0]} is an integer a float "
+                          f"does not hold exactly")
             return None
     else:
         value = raw

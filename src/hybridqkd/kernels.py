@@ -8,16 +8,17 @@ The dead-time filter finds the runs of tags closer than the dead time
 with one ``diff`` and works in vectorized rounds over those runs only.
 
 The window search, ``_window_ranges(a, b, lo, hi)``, gives each tag of
-``a`` its range of partners in ``b`` at a difference in [lo, hi): one
-binary search per tag, then the counts by a short walk over the tags
-with a partner when few have one, or by a second search when most do.
-Its queries, a + lo and a + hi, are formed one ``_SEARCH_CHUNK`` at a
-time, so only its outputs are as long as ``a``: ``first``, the partner
-test ``has`` and, in the dense case, ``count``.  Both pair kernels start
-from it.  ``diff_histogram`` expands the listed pairs in chunks that
-stay in cache (``_histogram``).  ``match_nearest`` reads the graph of
-candidate pairs from the ranges: a component of one edge always pairs,
-a lone tag never does, and the scalar loop runs only on the rest.
+``a`` its range of partners in ``b`` at a difference in [lo, hi): both
+ends of every range come from ``_sorted_search``, the first at a + lo
+for every tag, the second at a + hi for the tags with a partner, or for
+every tag when most have one.  Its queries are formed one
+``_SEARCH_CHUNK`` at a time, so only its outputs are as long as ``a``:
+``first``, the partner test ``has`` and, in the dense case, ``count``.
+Both pair kernels start from it.  ``diff_histogram`` expands the listed
+pairs in chunks that stay in cache (``_histogram``).  ``match_nearest``
+reads the graph of candidate pairs from the ranges: a component of one
+edge always pairs, a lone tag never does, and the scalar loop runs only
+on the rest.
 
 One search feeds the delay search and every match after it
 (``tags.find_coincidences``): the fine delay stage searches from a
@@ -40,12 +41,12 @@ so the loop keeps two merge indices and one count per stream, and takes
 one step per event whatever the window.
 
 Above ``_SPLIT_TAGS`` tags, when the process may use more than one CPU,
-``_window_ranges`` runs its per-tag work on the two halves of ``a`` on
-two threads (``_in_parallel``); numpy releases the GIL in its sorts,
-searches and elementwise loops.  The dense or sparse case is chosen
-once, from the share over all of ``a``, so the result does not depend
-on the split; both halves write into one ``first`` and, in the dense
-case, one ``count``.  A worker thread runs only private helpers: a
+``_window_ranges`` runs each of its two searches on the two halves of
+the tags it searches, on two threads (``_in_parallel``); numpy releases
+the GIL in its sorts, searches and elementwise loops.  Both halves
+write into one preallocated output, so nothing is joined: the dense or
+sparse case is chosen once, from the share over all of ``a``, and the
+sparse case lists its tags once, on one thread.  A worker thread runs only private helpers: a
 public function wrapped by a tracer would open a span with no parent on
 the worker.  ``optics.simulate_session`` uses the same worker for
 Bob's singles, sort and dead time, through the private
@@ -186,10 +187,9 @@ def _dead_time_filter(times, dead_ps):
 # partner ranges
 # ---------------------------------------------------------------------------
 
-# above this share of tags with a partner, search twice (a measured
+# above this share of tags with a partner, list every tag (a measured
 # crossover; CHANGES.md gives the figures)
 _DENSE_SHARE = 0.8
-_WALK_ROUNDS = 8
 # ascending queries searched per slice of the sorted array
 _SEARCH_CHUNK = 4096
 
@@ -217,99 +217,62 @@ def _window_ranges(a, b, lo, hi):
     """The tags of ``a`` with a partner in ``b`` within [a + lo, a + hi).
 
     Returns (tags, first, count): the partners of the i-th listed tag are
-    b[first[i]:first[i] + count[i]], and both ends ascend with i.  One
-    binary search per tag finds ``first``, and a gather at it tells which
-    tags have a partner.
+    b[first[i]:first[i] + count[i]], and both ends ascend with i.  Every
+    range is counted by ``_sorted_search``: one search per tag finds
+    ``first``, and a gather at it tells which tags have a partner.
 
     Sparse case, when at most ``_DENSE_SHARE`` of the tags have one:
-    ``tags`` indexes them, and their counts come from a walk forward from
-    ``first``, one step per round, until a binary search ends the walks
-    still going after ``_WALK_ROUNDS`` rounds.  Dense case: ``tags`` is
-    None, every tag of ``a`` is listed (some with count 0), and the
-    counts come from a second binary search.
+    ``tags`` indexes them, and one search of their a + hi ends their
+    ranges.  Dense case: ``tags`` is None, every tag of ``a`` is listed
+    (some with count 0), and a search of every a + hi ends the ranges.
 
     Only ``first``, the partner test ``has`` and the dense case's
     ``count`` are ever as long as ``a``; each is allocated once, and the
-    queries a + lo and a + hi are formed one ``_SEARCH_CHUNK`` at a time.
-    Above ``_SPLIT_TAGS`` tags the two halves of ``a`` do this work on
-    two threads (``_halves``), writing into ``first`` and ``count``; the
-    case is chosen once, from the share over all of ``a``, so the result
-    is the same.
+    queries are formed one ``_SEARCH_CHUNK`` at a time.  Above
+    ``_SPLIT_TAGS`` tags each search runs on two halves of the tags it
+    searches, on two threads (``_halves``), each writing its part of the
+    same output; the case is chosen once, from the share over all of
+    ``a``, so the result does not depend on the split.
     """
     n = a.shape[0]
-    halves = _halves(n)
     first = np.empty(n, dtype=np.intp)
-    has = _in_parallel(_first_partners,
-                       [(a[part], b, lo, hi, first[part]) for part in halves])
-    if sum(np.count_nonzero(part) for part in has) > _DENSE_SHARE * n:
+    has = np.zeros(n, dtype=np.bool_)
+    _in_parallel(_first_partners, [(a[part], b, lo, hi, first[part],
+                                    has[part]) for part in _halves(n)])
+    if np.count_nonzero(has) > _DENSE_SHARE * n:
         del has
-        count = np.empty(n, dtype=np.intp)
-        _in_parallel(_dense_counts, [(a[part], b, hi, first[part], count[part])
-                                     for part in halves])
-        return None, first, count
-    calls = [(a[part], b, hi, [first[part], part_has])
-             for part, part_has in zip(halves, has)]
-    del first, has
-    ranges = _in_parallel(_walk, calls)
-    if len(ranges) == 1:
-        return ranges[0]
-    np.add(ranges[1][0], halves[1].start, out=ranges[1][0])
-    # join one output at a time, dropping its halves once joined
-    columns = [list(column) for column in zip(*ranges)]
-    del ranges
-    joined = []
-    for column in columns:
-        joined.append(np.concatenate(column))
-        column.clear()
-    return tuple(joined)
+        tags, listed = None, a
+    else:
+        tags = np.flatnonzero(has)
+        del has
+        first = first[tags]
+        listed = a[tags]
+    count = np.empty(first.shape[0], dtype=np.intp)
+    _in_parallel(_partner_counts, [(listed[part], b, hi, first[part],
+                                    count[part])
+                                   for part in _halves(count.shape[0])])
+    return tags, first, count
 
 
-def _first_partners(a, b, lo, hi, first):
+def _first_partners(a, b, lo, hi, first, has):
     """Fill ``first`` for ``_window_ranges`` on a part of ``a``, the first
-    b at or after each a + lo, and return which tags have a partner, the
-    b there before a + hi.  Those are a prefix of the tags: the ones with
-    no b at or after a + lo are a suffix, as ``first`` ascends, so the
-    partner test stops at the chunk that holds ``b``'s end."""
+    b at or after each a + lo, and set ``has``, zeros on entry, where the
+    b there is before a + hi.  Only a prefix of the tags can have a
+    partner: the ones with no b at or after a + lo are a suffix, as
+    ``first`` ascends, so the partner test stops at the chunk that holds
+    ``b``'s end."""
     _sorted_search(b, a, lo, out=first)
     live = int(np.searchsorted(first, b.shape[0]))
-    has = np.empty(live, dtype=np.bool_)
     for i in range(0, live, _SEARCH_CHUNK):
         chunk = slice(i, min(i + _SEARCH_CHUNK, live))
         np.less(b[first[chunk]], a[chunk] + hi, out=has[chunk])
-    return has
 
 
-def _dense_counts(a, b, hi, first, count):
-    """The dense case of ``_window_ranges``: fill ``count`` for every tag."""
+def _partner_counts(a, b, hi, first, count):
+    """Fill ``count`` for ``_window_ranges`` on listed tags ``a``: the b
+    from ``first`` on and before each a + hi."""
     _sorted_search(b, a, hi, out=count)
     count -= first
-
-
-def _walk(a, b, hi, state):
-    """The sparse case of ``_window_ranges``: the tags with a partner,
-    their ``first`` and their counts.  It empties ``state``, [first, has],
-    so that both are freed as soon as it is done with them."""
-    first, has = state
-    state.clear()
-    m = b.shape[0]
-    tags = np.flatnonzero(has)
-    del has
-    first = first[tags]
-    query = a[tags] + hi
-    end = first + 1
-    live = int(np.searchsorted(end, m))
-    walking = np.flatnonzero(b[end[:live]] < query[:live])
-    for _ in range(_WALK_ROUNDS):
-        if walking.shape[0] == 0:
-            break
-        end[walking] += 1
-        step = end[walking]
-        live = int(np.searchsorted(step, m))
-        walking = walking[:live][b[step[:live]] < query[walking[:live]]]
-    else:
-        end[walking] = np.searchsorted(b, query[walking], side="left")
-    end -= first
-    return tags, first, end
 
 
 def _union(start, stop):

@@ -80,11 +80,10 @@ class InsufficientStatisticsError(ValueError):
 
 # The coarse search's cost model (see ``estimate_delay``): measured ns per
 # pair of ``kernels.diff_histogram`` and per grid bin spanned by
-# ``kernels.binned_correlation``.  Each retry's grid is ``_LADDER_STEP``
-# times narrower, down to ``_LOCATE_BINS`` coarse bins per grid bin.
+# ``kernels.binned_correlation``.  A grid bin holds at least
+# ``_LOCATE_BINS`` coarse bins.
 _PAIR_NS = 10.0
 _GRID_BIN_NS = 100.0
-_LADDER_STEP = 8
 _LOCATE_BINS = 4
 # The search itself (see ``estimate_delay``): its range and bin widths,
 # the prefix lengths of the two stages and the peak checks.
@@ -206,26 +205,20 @@ def _check_peak(peak_count: int, mu: float, nbins: int) -> float:
     return significance
 
 
-def _locate_widths(pairs: int, spanned: int, nbins: int) -> list:
-    """Grid widths, in coarse bins per grid bin, to locate the coarse
-    peak on, widest first (see ``estimate_delay``): the width of least
-    predicted cost, L = sqrt(``_GRID_BIN_NS`` * spanned / (3 *
-    ``_PAIR_NS`` * pairs / nbins)), then ``_LADDER_STEP`` times narrower
-    down to ``_LOCATE_BINS``.  The cost grows as the width falls below
-    L, so the ladder stops at the first width predicted to cost more
-    than the full histogram.
+def _locate_width(pairs: int, spanned: int, nbins: int) -> int | None:
+    """The grid width, in coarse bins per grid bin, to locate the coarse
+    peak on (see ``estimate_delay``): the width of least predicted cost,
+    L = sqrt(``_GRID_BIN_NS`` * spanned / (3 * ``_PAIR_NS`` * pairs /
+    nbins)), at least ``_LOCATE_BINS``; None when that grid is predicted
+    to cost as much as the full histogram.
     """
     per_bin = pairs / nbins
     width = max(_LOCATE_BINS, round(math.sqrt(
         _GRID_BIN_NS * spanned / (3 * _PAIR_NS * per_bin))))
-    widths = []
-    while (_GRID_BIN_NS * spanned / width
-           + _PAIR_NS * per_bin * (3 * width + 6) < _PAIR_NS * pairs):
-        widths.append(width)
-        if width == _LOCATE_BINS:
-            break
-        width = max(_LOCATE_BINS, width // _LADDER_STEP)
-    return widths
+    if (_GRID_BIN_NS * spanned / width
+            + _PAIR_NS * per_bin * (3 * width + 6) < _PAIR_NS * pairs):
+        return width
+    return None
 
 
 def _located_coarse_peak(ca, cb, lo: int, hi: int, nbins: int, pairs: int,
@@ -297,7 +290,7 @@ def estimate_delay(a, b, *, _fine=None) -> DelayEstimate:
     over the prefix (``kernels._sorted_search``, its queries ascend)
     count the pairs in range first; that count gives the background mean
     the full histogram would give.
-    The grid width balances two predicted costs (``_locate_widths``):
+    The grid width balances two predicted costs (``_locate_width``):
 
     * the FFT, ``_GRID_BIN_NS`` per grid bin over the coarse bins spanned
       (the span of Alice's prefix plus the search range), which falls as
@@ -305,17 +298,16 @@ def estimate_delay(a, b, *, _fine=None) -> DelayEstimate:
     * the exact counts, ``_PAIR_NS`` per pair over 3L + 6 coarse bins,
       which grows with L.
 
-    The first grid takes the L of least total.  A wide grid blurs a weak
-    peak into its background, so when the exact counts near the located
-    peak fail the peak checks, a grid ``_LADDER_STEP`` times narrower
-    tries again, down to ``_LOCATE_BINS``, as long as its predicted cost
-    stays below the full histogram's (``_PAIR_NS`` per pair).  If no grid
-    is tried or none passes, the full histogram decides, so a rejection
-    carries the same message on every path.  The paths pick the same peak
-    unless some background bin far from the located peak beats it, which
-    is what the false-alarm test bounds.  Only the ratio of the two costs
-    moves L, and the total changes little near its least, so round
-    figures serve (CHANGES.md gives the measurements).
+    The grid takes the L of least total, and is tried only when that
+    total stays below the full histogram's (``_PAIR_NS`` per pair).  A
+    wide grid can blur a weak peak into its background; when the exact
+    counts near the located peak fail the peak checks, or no grid is
+    tried, the full histogram decides, so a rejection carries the same
+    message on every path.  The paths pick the same peak unless some
+    background bin far from the located peak beats it, which is what the
+    false-alarm test bounds.  Only the ratio of the two costs moves L,
+    and the total changes little near its least, so round figures serve
+    (CHANGES.md gives the measurements).
 
     The fine stage searches from the ``_FINE_TAGS`` prefix of the
     shorter stream into the whole other one, and its histogram counts
@@ -343,12 +335,10 @@ def estimate_delay(a, b, *, _fine=None) -> DelayEstimate:
     pairs = int(above.sum())
     del above
     spanned = int(ca[-1] - ca[0]) // _COARSE_BIN_PS + nbins
+    step = _locate_width(pairs, spanned, nbins) if pairs else None
     peak = None
-    if pairs:
-        for step in _locate_widths(pairs, spanned, nbins):
-            peak = _located_coarse_peak(ca, cb, lo, hi, nbins, pairs, step)
-            if peak is not None:
-                break
+    if step is not None:
+        peak = _located_coarse_peak(ca, cb, lo, hi, nbins, pairs, step)
     if peak is None:
         hist = kernels.diff_histogram(ca, cb, lo, hi, _COARSE_BIN_PS)
         peak = _peak_bin(hist, smooth_bins=3)

@@ -412,12 +412,13 @@ class TestWindowSweepScenario:
         assert pairs[0] < pairs[1] < pairs[2]
 
     def test_fractional_window_rejected(self, tmp_path):
-        for values in ("32.5, 64", "64, 1e30"):  # 1e30 is past 2**63
-            cfg = parse_config("scenario = window_sweep\n"
-                               "sweep.parameter = window_ps\n"
-                               f"sweep.values = {values}\n")
+        # 1e30 is past 2**63; 2**53 + 1 would round to a float of 2**53
+        for values in ("32.5, 64", "64, 1e30", "64, 9007199254740993"):
             with pytest.raises(ConfigError) as err:
-                run_scenario(cfg, out_dir=tmp_path)
+                run_scenario(parse_config("scenario = window_sweep\n"
+                                          "sweep.parameter = window_ps\n"
+                                          f"sweep.values = {values}\n"),
+                             out_dir=tmp_path)
             assert "sweep.values" in str(err.value)
 
 

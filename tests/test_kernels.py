@@ -306,9 +306,9 @@ class TestWindowRanges:
         assert self.dense(a, b, lo, hi) == dense
 
     @pytest.mark.parametrize("count", [1, 2, 8, 9, 10, 64, 1000])
-    def test_long_walk(self, count):
-        # one tag among a thousand has every partner, so the walk takes
-        # the sparse case up to and past its last round
+    def test_long_range(self, count):
+        # one tag among a thousand has every partner: the sparse case's
+        # search ends a range of one partner up to a thousand
         a = np.arange(0, 10**6, 1000, dtype=np.int64)
         b = 500_000 + np.arange(count, dtype=np.int64)
         assert not self.dense(a, b, 0, 1000)
@@ -370,13 +370,15 @@ class TestWindowRanges:
 
     @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("dense, window, per_tag", [
-        (False, 10, 10), (False, 1200, 35), (True, 4000, 18)])
+        (False, 10, 10), (False, 1200, 25), (False, 1500, 27),
+        (True, 4000, 18)])
     def test_memory(self, monkeypatch, cpus, dense, window, per_tag):
         # only the outputs are as long as a: first and has, 9 bytes a tag,
         # and the dense case's count, 8 more; the queries are formed one
         # chunk at a time, and two halves write into the same outputs.
-        # With 70% of the tags listed the walk's own arrays set the peak,
-        # so first and has must be freed before it.
+        # With 70% and 78% of the tags listed the sparse case's tags,
+        # first, queries and counts, 32 bytes a listed tag, set the peak,
+        # so has and the full-length first must be freed before its search.
         monkeypatch.setattr(kernels, "_CPUS", cpus)
         n = 1 << 21
         assert len(kernels._halves(n)) == cpus
@@ -478,7 +480,7 @@ class TestDiffHistogram:
                 assert got.dtype == np.int64
                 np.testing.assert_array_equal(got, ref)
         # few tags with a pair (the sparse side of _window_ranges), some
-        # of them with a burst of more pairs than the walk takes rounds
+        # of them with a burst of many pairs
         for trial in range(40):
             a = random_sorted_times(rng, int(rng.integers(1, 400)), 10**5)
             b = random_sorted_times(rng, int(rng.integers(1, 400)), 10**5)

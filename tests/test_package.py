@@ -1,6 +1,8 @@
-"""Package-wide checks: every exported name exists, and the source line
+"""Package-wide checks: every exported name exists, every private name
+a module defines is read somewhere in the package, and the source line
 census of ``benchmarks/count_src.py`` adds up."""
 
+import ast
 import importlib
 import json
 import subprocess
@@ -21,6 +23,35 @@ def test_exported_names_resolve(name):
     missing = [n for n in getattr(module, "__all__", ())
                if not hasattr(module, n)]
     assert missing == []
+
+
+def test_private_names_are_read():
+    # a refactor that leaves a private constant or helper with no reader
+    # fails here
+    defined, read = {}, set()
+    for path in SOURCE.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) \
+                    else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[name] = path.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert defined
+    assert {name: module for name, module in defined.items()
+            if name not in read} == {}
 
 
 def test_line_census_adds_up():

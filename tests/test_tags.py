@@ -114,9 +114,9 @@ def flat_pair(delay, seed, correlated):
 
 
 def spy_coarse_search(monkeypatch):
-    """Record the (grid width, coarse peak bin or None) of every rung of
-    the FFT-located search and the (peak count, background mean, bins) of
-    every peak check."""
+    """Record the (grid width, coarse peak bin or None) of every grid the
+    FFT-located search tries and the (peak count, background mean, bins)
+    of every peak check."""
     located, checked = [], []
     locate, check = tags._located_coarse_peak, tags._check_peak
 
@@ -132,15 +132,11 @@ def spy_coarse_search(monkeypatch):
     return located, checked
 
 
-def assert_ladder(located, checked, a, b):
-    """The rungs narrow by ``_LADDER_STEP`` down to ``_LOCATE_BINS``;
-    every rung but the last found nothing, and a last rung that found a
-    peak found the full histogram's, with its count, background mean and
-    bins.  Returns that peak, or None when every rung failed."""
-    widths = [step for step, _ in located]
-    assert all(narrow == max(tags._LOCATE_BINS, wide // tags._LADDER_STEP)
-               for wide, narrow in zip(widths, widths[1:]))
-    assert all(peak is None for _, peak in located[:-1])
+def assert_located(located, checked, a, b):
+    """At most one grid is tried, and a grid that found a peak found the
+    full histogram's, with its count, background mean and bins.  Returns
+    that peak, or None when no grid found one."""
+    assert len(located) <= 1
     if not located or located[-1][1] is None:
         return None
     hist = kernels.diff_histogram(a, b, -2**28, 2**28, 4096)
@@ -153,7 +149,8 @@ def assert_ladder(located, checked, a, b):
 
 class TestCoarseSearchAgainstOracle:
     """The FFT-located coarse stage returns what the full pair histogram
-    gives, field for field, on whichever rung of the ladder finds it."""
+    gives, field for field, whether its one grid or the full histogram
+    finds the peak."""
 
     @pytest.mark.parametrize("delay, jitter_ps", [
         (-250_000, 100),
@@ -172,18 +169,21 @@ class TestCoarseSearchAgainstOracle:
         located, checked = spy_coarse_search(monkeypatch)
         est = tags.estimate_delay(a, b)
         assert est == oracle_delay.estimate_delay(a, b)
-        assert assert_ladder(located, checked, a, b) is not None
+        # two of these peaks fail the checks on the grid; the full
+        # histogram finds them
+        missed = (delay, jitter_ps) in {(-250_000, 100), (2**28 - 100, 60)}
+        assert (assert_located(located, checked, a, b) is None) == missed
         assert abs(est.delay_ps - delay) <= 2 * est.bin_width_ps + jitter_ps
 
     @pytest.mark.parametrize("seed, located", [(0, True), (1, False)])
     def test_weak_peak(self, monkeypatch, seed, located):
-        # a peak near the detection limit: where no rung finds it, the
-        # full histogram still does
+        # a peak near the detection limit: where the grid does not find
+        # it, the full histogram still does
         a, b = dense_pair(107_800_000, 30, seed=seed, correlated=70)
-        rungs, checked = spy_coarse_search(monkeypatch)
+        grids, checked = spy_coarse_search(monkeypatch)
         est = tags.estimate_delay(a, b)
-        assert rungs
-        assert (assert_ladder(rungs, checked, a, b) is not None) == located
+        assert grids
+        assert (assert_located(grids, checked, a, b) is not None) == located
         assert est == oracle_delay.estimate_delay(a, b)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -194,24 +194,23 @@ class TestCoarseSearchAgainstOracle:
         located, checked = spy_coarse_search(monkeypatch)
         with pytest.raises(tags.NoCorrelationError) as got:
             tags.estimate_delay(a, b)
-        # every rung tried down to the narrowest, then the full histogram
-        assert located and located[-1][0] == tags._LOCATE_BINS
-        assert assert_ladder(located, checked, a, b) is None
+        # the one grid tried, then the full histogram
+        assert len(located) == 1
+        assert assert_located(located, checked, a, b) is None
         assert str(got.value) == str(expected.value)
 
-    @pytest.mark.parametrize("correlated, seed, rungs, found", [
-        (1200, 1, 1, True),
-        (600, 0, 2, True),     # blurred away on the widest grid
-        (300, 0, 2, False),    # missed on both; the full histogram finds it
+    @pytest.mark.parametrize("correlated, seed, found", [
+        (1200, 1, True),
+        (600, 0, False),     # blurred away on the grid; the full
+        (300, 0, False),     # histogram finds it
     ])
-    def test_flat_background(self, monkeypatch, correlated, seed, rungs,
-                             found):
+    def test_flat_background(self, monkeypatch, correlated, seed, found):
         a, b = flat_pair(107_800_000, seed, correlated)
         located, checked = spy_coarse_search(monkeypatch)
         est = tags.estimate_delay(a, b)
         assert est == oracle_delay.estimate_delay(a, b)
-        assert len(located) == rungs
-        assert (assert_ladder(located, checked, a, b) is not None) == found
+        assert len(located) == 1
+        assert (assert_located(located, checked, a, b) is not None) == found
         assert abs(est.delay_ps - 107_800_000) <= est.bin_width_ps
 
     def test_sparse_strong_peak_located_on_first_rung(self, monkeypatch):
@@ -222,8 +221,8 @@ class TestCoarseSearchAgainstOracle:
         located, checked = spy_coarse_search(monkeypatch)
         est = tags.estimate_delay(res.alice, res.bob)
         assert len(located) == 1 and located[0][0] > 1000
-        assert assert_ladder(located, checked, res.alice.times,
-                             res.bob.times) is not None
+        assert assert_located(located, checked, res.alice.times,
+                              res.bob.times) is not None
         assert est == oracle_delay.estimate_delay(res.alice.times,
                                                   res.bob.times)
 
@@ -251,16 +250,13 @@ class TestCoarseSearchAgainstOracle:
             return (tags._GRID_BIN_NS * spanned / width + tags._PAIR_NS
                     * pairs / nbins * (3 * width + 6))
         full = tags._PAIR_NS * pairs
-        widths = tags._locate_widths(pairs, spanned, nbins)
-        assert all(cost(w) < full for w in widths)
+        width = tags._locate_width(pairs, spanned, nbins)
         best = min(range(tags._LOCATE_BINS, nbins), key=cost)
         if cost(best) >= full:
-            assert widths == []
+            assert width is None
             return
-        assert abs(widths[0] - best) <= 1
-        last = widths[-1]
-        assert last == tags._LOCATE_BINS or \
-            cost(max(tags._LOCATE_BINS, last // tags._LADDER_STEP)) >= full
+        assert cost(width) < full
+        assert abs(width - best) <= 1
 
 
 class TestMatchCoincidences:
